@@ -44,7 +44,32 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     for section in ("env", "train", "eval"):
         if not cp.has_section(section):
             cp.add_section(section)
+    _check_eval_section(cp["eval"])
     return cp
+
+
+def _positive(x: float) -> bool:
+    return 0.0 < x < math.inf
+
+
+def _check_eval_section(ev: configparser.SectionProxy) -> None:
+    """Reject [eval] values that are malformed or out of range."""
+    try:
+        thresholds = [float(x) for x in ev.get("thresholds", "1.0").replace(",", " ").split()]
+        checks = [
+            (ev.getint("metrics_every", 10) >= 1, "metrics_every must be >= 1"),
+            (_positive(ev.getfloat("mode_threshold", 1.0)),
+             "mode_threshold must be finite and positive"),
+            (all(map(_positive, thresholds)), "thresholds must be finite and positive"),
+            (ev.getint("pearson_samples", 512) >= 2, "pearson_samples must be >= 2"),
+            (ev.get("pearson_mode", "proportional") in ("proportional", "uniform"),
+             "pearson_mode must be 'proportional' or 'uniform'"),
+        ]
+    except ValueError as exc:
+        raise UsageError(f"bad eval config: {exc}") from exc
+    for ok, message in checks:
+        if not ok:
+            raise UsageError(f"bad eval config: {message}")
 
 
 def build_env(cp: configparser.ConfigParser):
@@ -65,30 +90,34 @@ def build_env(cp: configparser.ConfigParser):
 
 def build_train_config(cp: configparser.ConfigParser, seed: int | None) -> TrainConfig:
     t = cp["train"]
-    batch_size = t.getint("batch_size", 256)
-    if "steps" in t:
-        steps = t.getint("steps")
-    else:
-        samples = t.getfloat("samples", DEFAULT_SAMPLES)
-        steps = math.ceil(samples / batch_size)
-    config = TrainConfig(
-        objective=t.get("objective", "tb"),
-        backward=t.get("backward", "maxent-learned"),
-        n_objective=t.get("n_objective", "trajectory"),
-        learning_rate=t.getfloat("learning_rate", 5e-4),
-        batch_size=batch_size,
-        epsilon_uniform=t.getfloat("epsilon_uniform", 1e-3),
-        reward_exponent=t.getfloat("reward_exponent", 1.0),
-        lambda_stb=t.getfloat("lambda_stb", 1.0),
-        huber=HuberParams(
-            delta=t.getfloat("huber_delta", 0.25),
-            beta=t.getfloat("huber_beta", 1.0),
-        ),
-        steps=steps,
-        seed=seed if seed is not None else t.getint("seed", 0),
-        ema_decay=t.getfloat("ema_decay", 0.95),
-    )
     try:
+        batch_size = t.getint("batch_size", 256)
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if "steps" in t:
+            steps = t.getint("steps")
+        else:
+            samples = t.getfloat("samples", DEFAULT_SAMPLES)
+            if not _positive(samples):
+                raise ValueError("samples must be finite and positive")
+            steps = math.ceil(samples / batch_size)
+        config = TrainConfig(
+            objective=t.get("objective", "tb"),
+            backward=t.get("backward", "maxent-learned"),
+            n_objective=t.get("n_objective", "trajectory"),
+            learning_rate=t.getfloat("learning_rate", 5e-4),
+            batch_size=batch_size,
+            epsilon_uniform=t.getfloat("epsilon_uniform", 1e-3),
+            reward_exponent=t.getfloat("reward_exponent", 1.0),
+            lambda_stb=t.getfloat("lambda_stb", 1.0),
+            huber=HuberParams(
+                delta=t.getfloat("huber_delta", 0.25),
+                beta=t.getfloat("huber_beta", 1.0),
+            ),
+            steps=steps,
+            seed=seed if seed is not None else t.getint("seed", 0),
+            ema_decay=t.getfloat("ema_decay", 0.95),
+        )
         config.validate()
     except ValueError as exc:
         raise UsageError(f"bad train config: {exc}") from exc
@@ -97,7 +126,10 @@ def build_train_config(cp: configparser.ConfigParser, seed: int | None) -> Train
 
 def _enumerate(cp: configparser.ConfigParser) -> EnumeratedMdp:
     env = build_env(cp)
-    max_states = cp["env"].getint("max_states", 1_000_000)
+    try:
+        max_states = cp["env"].getint("max_states", 1_000_000)
+    except ValueError as exc:
+        raise UsageError(f"bad env config: {exc}") from exc
     return enumerate_mdp(env, max_states=max_states)
 
 
@@ -123,14 +155,17 @@ def model_to_json(model: PolicyModel) -> str:
 
 
 def model_from_json(text: str) -> PolicyModel:
-    doc = json.loads(text)
-    return PolicyModel(
-        forward_logits=np.asarray(doc["forward_logits"], dtype=float),
-        backward_logits=np.asarray(doc["backward_logits"], dtype=float),
-        l_hat=np.asarray(doc["l_hat"], dtype=float),
-        log_f_hat=np.asarray(doc["log_f_hat"], dtype=float),
-        log_z_hat=np.array([float(doc["log_z_hat"])]),
-    )
+    try:
+        doc = json.loads(text)
+        return PolicyModel(
+            forward_logits=np.asarray(doc["forward_logits"], dtype=float),
+            backward_logits=np.asarray(doc["backward_logits"], dtype=float),
+            l_hat=np.asarray(doc["l_hat"], dtype=float),
+            log_f_hat=np.asarray(doc["log_f_hat"], dtype=float),
+            log_z_hat=np.array([float(doc["log_z_hat"])]),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise learner.ModelMismatch(f"malformed model file: {exc!r}") from exc
 
 
 def metrics_csv(rows: list[MetricsRow]) -> str:
@@ -353,6 +388,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = f"integer >= {low}"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gflowdp")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -365,9 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
+                       help="override config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="sampler streams")
+        p.add_argument("--threads", type=_int_at_least(1), default=1, help="sampler streams")
         p.set_defaults(fn=fn)
         if name in ("eval", "render-grid"):
             p.add_argument("--model", default=None, help="model JSON to evaluate")

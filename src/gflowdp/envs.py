@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-NEG_INF = float("-inf")
+from .numerics import NEG_INF
 
 
 # ---------------------------------------------------------------------------

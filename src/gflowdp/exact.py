@@ -9,6 +9,17 @@ trajectories).
 Policies are flat edge arrays: a forward policy is ``log_pi[E]`` normalized
 within each state's out-edge segment, a backward policy is ``log_q[E]``
 normalized within each state's in-edge segment.
+
+Every DP is one of two log-space recursions over the CSR edge tables:
+
+- ``push_forward``: a state's value is the logsumexp over its in-edges of
+  parent value plus edge weight (path counts, marginals);
+- ``pull_backward``: a state's value is the logsumexp over its out-edges of
+  child value plus edge weight (soft values, flows).
+
+Both walk the MDP's topological levels (``EnumeratedMdp.levels``) and update
+a whole level at once with ``segment_logsumexp``: O(E) numpy work plus one
+Python iteration per level, never one per state.
 """
 
 from __future__ import annotations
@@ -19,8 +30,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .mdp import EnumeratedMdp
-from .numerics import NEG_INF, entropy_from_log_probs, logsumexp
+from .mdp import EnumeratedMdp, segment_positions
+from .numerics import NEG_INF, entropy_from_log_probs, logsumexp, segment_logsumexp, segment_sum
 
 
 class ExactError(Exception):
@@ -39,6 +50,41 @@ class TrajectoryBudgetExceeded(ExactError):
     """Brute-force enumeration hit its trajectory budget."""
 
 
+def push_forward(mdp: EnumeratedMdp, log_w: np.ndarray, log_init: np.ndarray) -> np.ndarray:
+    """Forward log-space recursion over in-edges, one level at a time.
+
+    ``out(s) = log_init(s)`` for states without parents; otherwise the
+    logsumexp over in-edges ``e`` of ``out(src e) + log_w(e)``, combined with
+    ``log_init(s)`` by a two-term logsumexp where that is finite.
+    """
+    log_w = np.asarray(log_w, dtype=float)
+    out = np.array(log_init, dtype=float)
+    for seg in mdp.levels.push:
+        incoming = segment_logsumexp(out[mdp.edge_src[seg.edges]] + log_w[seg.edges], seg.starts)
+        own = out[seg.states]
+        seeded = np.flatnonzero(own != NEG_INF)
+        if seeded.size:
+            pairs = np.stack([incoming[seeded], own[seeded]], axis=1).ravel()
+            incoming[seeded] = segment_logsumexp(pairs, np.arange(0, pairs.size, 2))
+        out[seg.states] = incoming
+    return out
+
+
+def pull_backward(mdp: EnumeratedMdp, log_w: np.ndarray, log_terminal: np.ndarray) -> np.ndarray:
+    """Backward log-space recursion over out-edges, deepest level first.
+
+    ``out(s) = log_terminal(s)`` for states without children; otherwise the
+    logsumexp over out-edges ``e`` of ``log_w(e) + out(dst e)``.
+    """
+    log_w = np.asarray(log_w, dtype=float)
+    out = np.array(log_terminal, dtype=float)
+    for seg in mdp.levels.pull:
+        out[seg.states] = segment_logsumexp(
+            log_w[seg.edges] + out[mdp.edge_dst[seg.edges]], seg.starts
+        )
+    return out
+
+
 def count_paths(mdp: EnumeratedMdp) -> np.ndarray:
     """Log number of distinct trajectories from the initial state(s).
 
@@ -47,18 +93,9 @@ def count_paths(mdp: EnumeratedMdp) -> np.ndarray:
     MDP.  Multi-initial MDPs (inverted ones) are allowed; every initial-role
     state contributes count 1.
     """
-    l = np.full(mdp.n_states, NEG_INF)
-    for s0 in mdp.initials:
-        l[s0] = 0.0
-    for s in range(mdp.n_states):
-        ids = mdp.in_edge_ids(s)
-        if len(ids) == 0:
-            continue
-        incoming = logsumexp(l[mdp.edge_src[ids]])
-        if s in mdp.initials:
-            incoming = logsumexp([incoming, l[s]])
-        l[s] = incoming
-    return l
+    log_init = np.full(mdp.n_states, NEG_INF)
+    log_init[list(mdp.initials)] = 0.0
+    return push_forward(mdp, np.zeros(mdp.n_edges), log_init)
 
 
 def soft_value_iteration(
@@ -76,18 +113,9 @@ def soft_value_iteration(
     r_step = np.zeros(mdp.n_edges) if step_rewards is None else np.asarray(step_rewards, dtype=float)
     r_term = np.zeros(mdp.n_states) if terminal_rewards is None else np.asarray(terminal_rewards, dtype=float)
 
-    v = np.zeros(mdp.n_states)
-    q = np.zeros(mdp.n_edges)
-    log_pi = np.zeros(mdp.n_edges)
-    for s in range(mdp.n_states - 1, -1, -1):
-        if mdp.terminal[s]:
-            v[s] = r_term[s]
-            continue
-        sl = mdp.out_slice(s)
-        q[sl] = r_step[sl] + v[mdp.edge_dst[sl]]
-        v[s] = logsumexp(q[sl])
-        log_pi[sl] = q[sl] - v[s]
-    return v, q, log_pi
+    v = pull_backward(mdp, r_step, r_term)
+    q = r_step + v[mdp.edge_dst]
+    return v, q, q - v[mdp.edge_src]
 
 
 def gsql_rewards(mdp: EnumeratedMdp, l: np.ndarray) -> np.ndarray:
@@ -124,16 +152,16 @@ def log_partition(mdp: EnumeratedMdp, l: np.ndarray) -> tuple[float, float]:
     return direct, float(v[mdp.initial])
 
 
+def log_marginals(mdp: EnumeratedMdp, log_pi: np.ndarray) -> np.ndarray:
+    """Log probability of passing through each state under a forward policy."""
+    log_init = np.full(mdp.n_states, NEG_INF)
+    log_init[mdp.initial] = 0.0
+    return push_forward(mdp, log_pi, log_init)
+
+
 def marginals(mdp: EnumeratedMdp, log_pi: np.ndarray) -> np.ndarray:
     """Probability of passing through each state under a forward policy."""
-    mu = np.zeros(mdp.n_states)
-    mu[mdp.initial] = 1.0
-    pi = np.exp(log_pi)
-    for s in range(mdp.n_states):
-        ids = mdp.in_edge_ids(s)
-        if len(ids):
-            mu[s] += float((mu[mdp.edge_src[ids]] * pi[ids]).sum())
-    return mu
+    return np.exp(log_marginals(mdp, log_pi))
 
 
 def terminal_distribution(mdp: EnumeratedMdp, log_pi: np.ndarray) -> np.ndarray:
@@ -165,12 +193,7 @@ def backward_maxent(mdp: EnumeratedMdp, l: np.ndarray) -> np.ndarray:
 
 def backward_uniform(mdp: EnumeratedMdp) -> np.ndarray:
     """Backward policy uniform over each state's parent pairs."""
-    log_q = np.zeros(mdp.n_edges)
-    for s in range(mdp.n_states):
-        ids = mdp.in_edge_ids(s)
-        if len(ids):
-            log_q[ids] = -np.log(len(ids))
-    return log_q
+    return -np.log(np.diff(mdp.in_offset)[mdp.edge_dst])
 
 
 def forward_from_backward(
@@ -186,19 +209,12 @@ def forward_from_backward(
     """
     if np.isnan(mdp.log_target[mdp.terminal]).any():
         raise NonFiniteTarget("terminal log targets must not be NaN")
-    log_f = np.full(mdp.n_states, NEG_INF)
-    log_pi = np.full(mdp.n_edges, NEG_INF)
-    for s in range(mdp.n_states - 1, -1, -1):
-        if mdp.terminal[s]:
-            log_f[s] = mdp.log_target[s]
-            continue
-        sl = mdp.out_slice(s)
-        terms = log_q[sl] + log_f[mdp.edge_dst[sl]]
-        log_f[s] = logsumexp(terms)
-        if log_f[s] == NEG_INF:
-            raise ZeroFlow(f"state {s} has no path to a positive-target terminal")
-        log_pi[sl] = terms - log_f[s]
-    return log_f, log_pi
+    log_q = np.asarray(log_q, dtype=float)
+    log_f = pull_backward(mdp, log_q, mdp.log_target)
+    dry = np.flatnonzero(~mdp.terminal & (log_f == NEG_INF))
+    if dry.size:
+        raise ZeroFlow(f"state {int(dry[-1])} has no path to a positive-target terminal")
+    return log_f, log_q + log_f[mdp.edge_dst] - log_f[mdp.edge_src]
 
 
 def flow_entropy(
@@ -207,12 +223,13 @@ def flow_entropy(
     """Expected per-state policy entropy weighted by marginals."""
     if mu is None:
         mu = marginals(mdp, log_pi)
-    total = 0.0
-    for s in range(mdp.n_states):
-        if mdp.terminal[s] or mu[s] == 0.0:
-            continue
-        total += mu[s] * entropy_from_log_probs(log_pi[mdp.out_slice(s)])
-    return float(total)
+    log_pi = np.asarray(log_pi, dtype=float)
+    p = np.exp(log_pi)
+    plogp = np.multiply(p, log_pi, out=np.zeros_like(p), where=p > 0.0)
+    live = np.flatnonzero(~mdp.terminal & (mu != 0.0) & (np.diff(mdp.out_offset) > 0))
+    edges, starts = segment_positions(mdp.out_offset, live)
+    entropy = -segment_sum(plogp[edges], starts)
+    return float((mu[live] * entropy).sum())
 
 
 def iter_trajectories(
@@ -276,16 +293,12 @@ class ExactTables:
     logZ: float
 
     def to_json(self) -> str:
+        rows = zip(self.l.tolist(), self.V.tolist(), self.mu.tolist(), self.logF.tolist())
         doc = {
             "logZ": float(self.logZ),
             "states": {
-                str(s): {
-                    "l": float(self.l[s]),
-                    "V": float(self.V[s]),
-                    "mu": float(self.mu[s]),
-                    "logF": float(self.logF[s]),
-                }
-                for s in range(len(self.l))
+                str(s): {"l": l, "V": v, "mu": mu, "logF": log_f}
+                for s, (l, v, mu, log_f) in enumerate(rows)
             },
         }
         return json.dumps(doc, indent=2)

@@ -10,13 +10,19 @@ objective/backward combination against central finite differences.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import exact, metrics
-from .mdp import EnumeratedMdp, Trajectory
-from .numerics import NEG_INF, logsumexp
+from .mdp import EnumeratedMdp, Trajectory, segment_positions
+
+# ``logsumexp`` is no longer called here; benchmarks/tracer.py counts calls
+# made through this module's name for it.
+from .numerics import logsumexp  # noqa: F401
+from .numerics import segment_log_softmax, segment_logsumexp, segment_sum
 from .objectives import (
     HuberParams,
     backward_from_counts,
@@ -50,6 +56,11 @@ class NonFiniteGradient(LearnerError):
     pass
 
 
+class ModelMismatch(LearnerError):
+    """A model file is malformed, or its tables do not have the lengths of
+    the MDP it is used on."""
+
+
 @dataclass
 class TrainConfig:
     objective: str = "tb"
@@ -72,18 +83,19 @@ class TrainConfig:
             raise ValueError(f"backward must be one of {BACKWARDS}")
         if self.n_objective not in N_OBJECTIVES:
             raise ValueError(f"n_objective must be one of {N_OBJECTIVES}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("learning_rate", "reward_exponent", "lambda_stb"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.epsilon_uniform <= 1.0:
             raise ValueError("epsilon_uniform must be in [0, 1]")
-        if self.reward_exponent <= 0:
-            raise ValueError("reward_exponent must be positive")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError("ema_decay must be in [0, 1]")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -163,8 +175,24 @@ class PolicyModel:
     def log_z(self) -> float:
         return float(self.log_z_hat[0])
 
+    def check_fits(self, mdp: EnumeratedMdp) -> None:
+        """Raise ModelMismatch unless every table has the MDP's length."""
+        lengths = {
+            "forward_logits": (len(self.forward_logits), mdp.n_edges),
+            "backward_logits": (len(self.backward_logits), mdp.n_edges),
+            "l_hat": (len(self.l_hat), mdp.n_states),
+            "log_f_hat": (len(self.log_f_hat), mdp.n_states),
+        }
+        for name, (have, want) in lengths.items():
+            if have != want:
+                raise ModelMismatch(
+                    f"model {name} has {have} entries but the MDP has "
+                    f"{mdp.n_states} states and {mdp.n_edges} edges"
+                )
+
     def forward_log_probs(self, mdp: EnumeratedMdp) -> np.ndarray:
         """Softmax of forward logits within each state's out-edge segment."""
+        self.check_fits(mdp)
         return _segment_log_softmax(mdp, self.forward_logits, by_src=True)
 
     def free_backward_log_probs(self, mdp: EnumeratedMdp) -> np.ndarray:
@@ -220,12 +248,10 @@ class PolicyModel:
 
 
 def _segment_log_softmax(mdp: EnumeratedMdp, logits: np.ndarray, by_src: bool) -> np.ndarray:
-    out = np.full(mdp.n_edges, NEG_INF)
-    for s in range(mdp.n_states):
-        ids = mdp.out_edge_ids(s) if by_src else mdp.in_edge_ids(s)
-        if len(ids):
-            vals = logits[ids]
-            out[ids] = vals - logsumexp(vals)
+    if by_src:
+        return segment_log_softmax(logits, mdp.out_offset)
+    out = np.empty(mdp.n_edges)
+    out[mdp.in_edges] = segment_log_softmax(logits[mdp.in_edges], mdp.in_offset)
     return out
 
 
@@ -257,31 +283,33 @@ class RolloutBatch:
 
 
 def _behavior_tables(mdp: EnumeratedMdp, model: PolicyModel, epsilon: float):
-    """Per-state sampling CDFs of (1-eps) * softmax(logits) + eps * uniform."""
+    """Per-edge sampling CDFs (within each state's out-edge segment) and log
+    probabilities of (1-eps) * softmax(logits) + eps * uniform, as lists for
+    the walker's bisection."""
     log_pi = model.forward_log_probs(mdp)
-    tables: list[tuple[np.ndarray, np.ndarray] | None] = [None] * mdp.n_states
-    for s in range(mdp.n_states):
-        if mdp.terminal[s]:
-            continue
-        sl = mdp.out_slice(s)
-        k = sl.stop - sl.start
-        p = (1.0 - epsilon) * np.exp(log_pi[sl]) + epsilon / k
-        tables[s] = (np.cumsum(p), np.log(p))
-    return tables
+    degree = np.diff(mdp.out_offset)
+    p = (1.0 - epsilon) * np.exp(log_pi) + epsilon / degree[mdp.edge_src]
+    # a running sum per segment, position by position, so every CDF is added
+    # in the same order as np.cumsum over that segment alone
+    cdf = p.copy()
+    starts = mdp.out_offset[:-1]
+    for j in range(1, int(degree.max(initial=0))):
+        at = starts[degree > j] + j
+        cdf[at] += cdf[at - 1]
+    return cdf.tolist(), np.log(p).tolist()
 
 
 def _sample_one(mdp: EnumeratedMdp, tables, rng: np.random.Generator) -> Trajectory:
+    cdf, log_p = tables
     s = mdp.initial
     states, actions, edges, log_b = [s], [], [], []
     while not mdp.terminal[s]:
-        cdf, log_p = tables[s]
-        a = int(np.searchsorted(cdf, rng.random(), side="right"))
-        a = min(a, len(cdf) - 1)
-        e = int(mdp.out_offset[s]) + a
+        lo, hi = int(mdp.out_offset[s]), int(mdp.out_offset[s + 1])
+        e = min(bisect.bisect_right(cdf, rng.random(), lo, hi), hi - 1)
         s = int(mdp.edge_dst[e])
-        actions.append(a)
+        actions.append(e - lo)
         edges.append(e)
-        log_b.append(log_p[a])
+        log_b.append(log_p[e])
         states.append(s)
     return Trajectory(
         states=np.array(states, dtype=np.int64),
@@ -446,41 +474,47 @@ def compute_loss_and_grads(
 
     elif config.objective == "fm":
         # flow matching residual per visited state, deduplicated by state
-        # with visit multiplicities (the residual depends on the state only)
-        counts = np.zeros(mdp.n_states)
-        for traj in batch.trajectories:
-            np.add.at(counts, traj.states, 1.0)
-        n_occ = float(counts.sum())
+        # with visit multiplicities (the residual depends on the state only);
+        # a trajectory visits the sources of its steps and its terminal
+        counts = np.bincount(srcs, minlength=mdp.n_states) + np.bincount(
+            batch.terminals, minlength=mdp.n_states
+        )
         visited = np.flatnonzero(counts)
-        policy_loss = 0.0
-        pi = np.exp(log_pi)
-        for s in visited:
-            out_ids = mdp.out_edge_ids(s)
-            out_terms = np.append(log_f[s] + log_pi[out_ids], mdp.log_target[s])
-            lse_out = logsumexp(out_terms)
-            in_ids = mdp.in_edge_ids(s)
-            if len(in_ids) == 0:
-                in_terms = np.array([model.log_z])
-            else:
-                in_terms = log_f[mdp.edge_src[in_ids]] + log_pi[in_ids]
-            lse_in = logsumexp(in_terms)
-            res = lse_out - lse_in
-            weight = counts[s] / n_occ
-            policy_loss += weight * float(huber(res, hp))
-            c = weight * float(_coef(res, hp, 1.0))
-            w_out = np.exp(out_terms - lse_out)
-            if len(out_ids):
-                np.add.at(g_pi, out_ids, c * w_out[:-1])
-                if not mdp.terminal[s]:
-                    g_lf[s] += c * w_out[:-1].sum()
-            w_in = np.exp(in_terms - lse_in)
-            if len(in_ids) == 0:
-                g_z -= c
-            else:
-                np.add.at(g_pi, in_ids, -c * w_in)
-                in_srcs = mdp.edge_src[in_ids]
-                live = ~mdp.terminal[in_srcs]
-                np.add.at(g_lf, in_srcs[live], -c * w_in[live])
+        weight = counts[visited] / float(counts.sum())
+        rank = np.arange(len(visited))
+        # out side: each state's out-flows, then its own log target
+        out_ids, out_starts = segment_positions(mdp.out_offset, visited)
+        n_out = np.diff(mdp.out_offset)[visited]
+        out_at = np.arange(len(out_ids)) + np.repeat(rank, n_out)
+        out_terms = np.empty(len(out_ids) + len(visited))
+        out_terms[out_at] = log_f[mdp.edge_src[out_ids]] + log_pi[out_ids]
+        out_terms[out_starts + rank + n_out] = mdp.log_target[visited]
+        lse_out = segment_logsumexp(out_terms, out_starts + rank)
+        # in side: the in-flows, or log Z alone for a state without parents
+        in_pos, in_starts = segment_positions(mdp.in_offset, visited)
+        in_ids = mdp.in_edges[in_pos]
+        n_in = np.diff(mdp.in_offset)[visited]
+        width = np.maximum(n_in, 1)
+        in_head = np.cumsum(width) - width
+        in_at = np.arange(len(in_ids)) + np.repeat(in_head - in_starts, n_in)
+        in_terms = np.full(int(width.sum()), model.log_z)
+        in_srcs = mdp.edge_src[in_ids]
+        in_terms[in_at] = log_f[in_srcs] + log_pi[in_ids]
+        lse_in = segment_logsumexp(in_terms, in_head)
+
+        res = lse_out - lse_in
+        policy_loss = float((weight * huber(res, hp)).sum())
+        c = weight * _coef(res, hp, 1.0)
+        w_out = np.exp(out_terms[out_at] - np.repeat(lse_out, n_out))
+        np.add.at(g_pi, out_ids, np.repeat(c, n_out) * w_out)
+        inner = n_out > 0
+        g_lf[visited[inner]] += c[inner] * segment_sum(w_out, out_starts[inner])
+        w_in = np.exp(in_terms[in_at] - np.repeat(lse_in, n_in))
+        g_z -= float(c[n_in == 0].sum())
+        c_in = -np.repeat(c, n_in) * w_in
+        np.add.at(g_pi, in_ids, c_in)
+        live = ~mdp.terminal[in_srcs]
+        np.add.at(g_lf, in_srcs[live], c_in[live])
     else:  # pragma: no cover - config.validate() rejects unknown objectives
         raise ValueError(config.objective)
 
@@ -488,20 +522,19 @@ def compute_loss_and_grads(
     g_ql = np.zeros(mdp.n_edges)  # coefficients on the l-induced backward
     n_loss = 0.0
     if config.n_objective == "bellman":
-        counts = np.zeros(mdp.n_states)
-        for traj in batch.trajectories:
-            np.add.at(counts, traj.states[1:], 1.0)
-        n_occ = float(counts.sum())
-        for s in np.flatnonzero(counts):
-            ids = mdp.in_edge_ids(s)
-            parent_l = model.l_hat[mdp.edge_src[ids]]
-            lse = logsumexp(parent_l)
-            res = float(model.l_hat[s]) - lse
-            weight = counts[s] / n_occ
-            n_loss += weight * float(huber(res, hp))
-            c = weight * float(_coef(res, hp, 1.0))
-            g_l[s] += c
-            np.add.at(g_l, mdp.edge_src[ids], -c * np.exp(parent_l - lse))
+        counts = np.bincount(dsts, minlength=mdp.n_states)
+        visited = np.flatnonzero(counts)
+        weight = counts[visited] / float(counts.sum())
+        pos, starts = segment_positions(mdp.in_offset, visited)
+        parent = mdp.edge_src[mdp.in_edges[pos]]
+        parent_l = model.l_hat[parent]
+        lse = segment_logsumexp(parent_l, starts)
+        res = model.l_hat[visited] - lse
+        n_loss = float((weight * huber(res, hp)).sum())
+        c = weight * _coef(res, hp, 1.0)
+        g_l[visited] += c
+        n_in = np.diff(mdp.in_offset)[visited]
+        np.add.at(g_l, parent, -np.repeat(c, n_in) * np.exp(parent_l - np.repeat(lse, n_in)))
     elif config.n_objective == "trajectory":
         log_ql = backward_from_counts(mdp, model.l_hat)
         sum_ql = np.zeros(n_traj)

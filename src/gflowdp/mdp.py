@@ -9,7 +9,8 @@ topological indices, and freezes the DAG into flat edge tables
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Protocol, Sequence
+from functools import cached_property
+from typing import Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -71,7 +72,8 @@ class EnumeratedMdp:
     of each state's out-edges.  ``in_edges`` lists the same edge ids grouped
     by destination (sorted by ``(src, action)`` within each group) with CSR
     offsets ``in_offset``; ``parent_slot[e]`` is the rank of edge ``e`` inside
-    its destination's group, i.e. the backward-action index.
+    its destination's group, i.e. the backward-action index.  ``levels`` is
+    derived from these tables on first use and cached on the instance.
     """
 
     states: tuple[bytes, ...]
@@ -136,11 +138,81 @@ class EnumeratedMdp:
         """Edges as (src, dst) index pairs, ignoring action labels."""
         return set(zip(self.edge_src.tolist(), self.edge_dst.tolist()))
 
+    @cached_property
+    def levels(self) -> "Levels":
+        return Levels.of(self)
+
     def with_log_target(self, log_target: np.ndarray) -> "EnumeratedMdp":
         log_target = np.asarray(log_target, dtype=float)
         if log_target.shape != (self.n_states,):
             raise ValueError("log_target shape mismatch")
         return replace(self, log_target=log_target)
+
+
+def segment_positions(offset: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``offset[r]:offset[r + 1]`` of every row in ``rows``, row
+    after row, and where each row's run starts among them."""
+    rows = np.asarray(rows, dtype=np.int64)
+    first = offset[rows]
+    lengths = offset[rows + 1] - first
+    starts = np.cumsum(lengths) - lengths
+    return np.repeat(first - starts, lengths) + np.arange(int(lengths.sum())), starts
+
+
+class LevelSegments(NamedTuple):
+    """The edge segments of one topological level.
+
+    ``states`` are the level's states that own a nonempty segment, in index
+    order; ``edges`` lists their edge ids segment after segment, each segment
+    in table order; ``starts`` is where each segment begins in ``edges``.
+    """
+
+    states: np.ndarray
+    edges: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, offset: np.ndarray, order: np.ndarray | None, states: np.ndarray):
+        live = states[offset[states + 1] > offset[states]]
+        pos, starts = segment_positions(offset, live)
+        return cls(live, pos if order is None else order[pos], starts)
+
+
+class Levels(NamedTuple):
+    """States grouped by longest-path depth from the parentless states.
+
+    A parent always sits on a lower level than its child, so a DP that reads
+    only parents (``push``, levels 1, 2, ... with their in-edge segments) or
+    only children (``pull``, deepest level first, with out-edge segments) can
+    update a whole level with array operations.
+    """
+
+    push: tuple[LevelSegments, ...]
+    pull: tuple[LevelSegments, ...]
+
+    @classmethod
+    def of(cls, mdp: "EnumeratedMdp") -> "Levels":
+        n = mdp.n_states
+        depth = np.full(n, -1, dtype=np.int64)
+        waiting = np.diff(mdp.in_offset)
+        frontier = np.flatnonzero(waiting == 0)
+        by_level = []
+        while frontier.size:
+            depth[frontier] = len(by_level)
+            by_level.append(frontier)
+            pos, _ = segment_positions(mdp.out_offset, frontier)
+            children = mdp.edge_dst[pos]
+            np.subtract.at(waiting, children, 1)
+            ready = np.sort(children[waiting[children] == 0])
+            frontier = ready[np.diff(ready, prepend=-1) != 0]
+        if (depth < 0).any():
+            raise CycleDetected(
+                f"state {int(np.flatnonzero(depth < 0)[0])} lies on a cycle"
+            )
+        return cls(
+            push=tuple(LevelSegments.of(mdp.in_offset, mdp.in_edges, st) for st in by_level[1:]),
+            pull=tuple(LevelSegments.of(mdp.out_offset, None, st) for st in by_level[::-1]),
+        )
 
 
 @dataclass(frozen=True)
@@ -188,25 +260,16 @@ def _freeze(
 ) -> EnumeratedMdp:
     """Build the CSR tables from an edge list; edges are (src, action, dst)."""
     n = len(states)
-    order = sorted(range(len(edges)), key=lambda i: (edges[i][0], edges[i][1]))
-    src = np.array([edges[i][0] for i in order], dtype=np.int64)
-    act = np.array([edges[i][1] for i in order], dtype=np.int64)
-    dst = np.array([edges[i][2] for i in order], dtype=np.int64)
+    table = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    table = table[np.lexsort((table[:, 1], table[:, 0]))]
+    src, act, dst = (np.ascontiguousarray(col) for col in table.T)
 
-    out_offset = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(out_offset, src + 1, 1)
-    out_offset = np.cumsum(out_offset)
+    out_offset = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    in_edges = np.lexsort((act, src, dst))
+    in_offset = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
 
-    by_dst = sorted(range(len(src)), key=lambda e: (int(dst[e]), int(src[e]), int(act[e])))
-    in_edges = np.array(by_dst, dtype=np.int64)
-    in_offset = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(in_offset, dst + 1, 1)
-    in_offset = np.cumsum(in_offset)
-
-    parent_slot = np.zeros(len(src), dtype=np.int64)
-    for s in range(n):
-        seg = in_edges[in_offset[s] : in_offset[s + 1]]
-        parent_slot[seg] = np.arange(len(seg))
+    parent_slot = np.empty(len(src), dtype=np.int64)
+    parent_slot[in_edges] = np.arange(len(src)) - in_offset[dst[in_edges]]
 
     return EnumeratedMdp(
         states=tuple(states),

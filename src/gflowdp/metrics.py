@@ -9,6 +9,7 @@ import numpy as np
 
 from . import exact
 from .mdp import EnumeratedMdp
+from .numerics import logsumexp
 
 
 class MetricsError(Exception):
@@ -23,32 +24,43 @@ class DegenerateVariance(MetricsError):
     """Correlation is undefined for a constant sample."""
 
 
-def kl_terminal(mdp: EnumeratedMdp, log_pi: np.ndarray, direction: str = "forward") -> float:
-    """Exact KL between the terminal marginal mu_T and the normalized target.
+def _terminal_logs(mdp: EnumeratedMdp, log_mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log mu_T, log p) over the terminal states.  Both stay in log space so
+    that a marginal far below the smallest double is not read as zero."""
+    log_target = mdp.log_target[mdp.terminal]
+    return log_mu[mdp.terminal], log_target - logsumexp(log_target)
 
-    ``forward`` is KL(mu_T || p), ``reverse`` is KL(p || mu_T); zero terms
-    follow the 0 * log(0/.) = 0 convention.
-    """
-    mu = exact.terminal_distribution(mdp, log_pi)[mdp.terminal]
-    p = exact.target_distribution(mdp)[mdp.terminal]
+
+def _kl(log_mu: np.ndarray, log_p: np.ndarray, direction: str) -> float:
     if direction == "forward":
-        mask = mu > 0.0
-        kl = float((mu[mask] * (np.log(mu[mask]) - np.log(p[mask]))).sum())
+        mask = log_mu > -np.inf
+        kl = float((np.exp(log_mu[mask]) * (log_mu[mask] - log_p[mask])).sum())
     elif direction == "reverse":
-        mask = p > 0.0
-        if (mu[mask] == 0.0).any():
+        mask = log_p > -np.inf
+        if (log_mu[mask] == -np.inf).any():
             raise SupportMismatch("policy puts zero mass on a positive-target terminal")
-        kl = float((p[mask] * (np.log(p[mask]) - np.log(mu[mask]))).sum())
+        kl = float((np.exp(log_p[mask]) * (log_p[mask] - log_mu[mask])).sum())
     else:
         raise ValueError("direction must be 'forward' or 'reverse'")
     # rounding can push an exact zero a hair below it
     return 0.0 if -1e-9 < kl < 0.0 else kl
 
 
+def kl_terminal(mdp: EnumeratedMdp, log_pi: np.ndarray, direction: str = "forward") -> float:
+    """Exact KL between the terminal marginal mu_T and the normalized target.
+
+    ``forward`` is KL(mu_T || p), ``reverse`` is KL(p || mu_T); zero terms
+    follow the 0 * log(0/.) = 0 convention.
+    """
+    return _kl(*_terminal_logs(mdp, exact.log_marginals(mdp, log_pi)), direction)
+
+
+def _l1(log_mu: np.ndarray, log_p: np.ndarray) -> float:
+    return float(np.abs(np.exp(log_mu) - np.exp(log_p)).sum())
+
+
 def l1_terminal(mdp: EnumeratedMdp, log_pi: np.ndarray) -> float:
-    mu = exact.terminal_distribution(mdp, log_pi)[mdp.terminal]
-    p = exact.target_distribution(mdp)[mdp.terminal]
-    return float(np.abs(mu - p).sum())
+    return _l1(*_terminal_logs(mdp, exact.log_marginals(mdp, log_pi)))
 
 
 def pearson_logprob(
@@ -133,19 +145,18 @@ def evaluate_policy(
     """Assemble the standard report for one policy on an enumerable MDP."""
     if l_exact is None:
         l_exact = exact.count_paths(mdp)
-    mu = exact.marginals(mdp, log_pi)
+    log_mu = exact.log_marginals(mdp, log_pi)
     pearson = None
     if pearson_samples is not None:
-        with np.errstate(divide="ignore"):
-            log_mu = np.where(mu > 0, np.log(np.where(mu > 0, mu, 1.0)), -np.inf)
         pearson = pearson_logprob(pearson_samples, log_mu, mdp.log_target)
     if visited is None:
         visited = [int(t) for t in mdp.terminal_ids]
+    log_mu_t, log_p = _terminal_logs(mdp, log_mu)
     return EvalReport(
-        kl_forward=kl_terminal(mdp, log_pi, "forward"),
-        kl_reverse=kl_terminal(mdp, log_pi, "reverse"),
-        l1=l1_terminal(mdp, log_pi),
-        entropy=exact.flow_entropy(mdp, log_pi, mu),
+        kl_forward=_kl(log_mu_t, log_p, "forward"),
+        kl_reverse=_kl(log_mu_t, log_p, "reverse"),
+        l1=_l1(log_mu_t, log_p),
+        entropy=exact.flow_entropy(mdp, log_pi, np.exp(log_mu)),
         max_entropy_bound=exact.max_entropy_bound(mdp, l_exact),
         pearson=pearson,
         n_mse=None if l_hat is None else n_mse(l_hat, l_exact),

@@ -3,6 +3,10 @@
 Everything that sums flows, path counts, or probabilities goes through the
 max-shifted logsumexp here; path counts overflow 64-bit integers long before
 the grids get interesting, so linear-space arithmetic is never an option.
+
+The ``segment_*`` helpers reduce many consecutive segments of one flat array
+at once (the CSR layout of ``EnumeratedMdp``'s edge tables) with the same
+arithmetic as the scalar helpers applied segment by segment.
 """
 
 from __future__ import annotations
@@ -22,6 +26,52 @@ def logsumexp(values) -> float:
         # all -inf stays -inf; +inf/nan propagate
         return m
     return m + float(np.log(np.exp(arr - m).sum()))
+
+
+def segment_sum(values, starts) -> np.ndarray:
+    """Sum of each segment of ``values``; ``starts`` are the offsets of the
+    nonempty segments, increasing, the first 0.
+
+    ``add.reduceat`` seeds a segment with its first element and adds the rest
+    pairwise, while ``ndarray.sum`` adds the whole segment pairwise from zero.
+    A 0.0 put at the head of every segment makes the two add in the same
+    order, so the results match ``values[segment].sum()`` to the last bit
+    rather than to rounding.
+    """
+    values = np.asarray(values, dtype=float)
+    starts = np.asarray(starts, dtype=np.int64)
+    if starts.size == 0:
+        return np.zeros(0)
+    padded = np.insert(values, starts, 0.0)
+    return np.add.reduceat(padded, starts + np.arange(starts.size))
+
+
+def segment_logsumexp(values, starts) -> np.ndarray:
+    """``logsumexp`` of each segment of ``values`` (segments as in
+    ``segment_sum``): shifted by the segment's max, -inf for an all -inf
+    segment, +inf/nan propagated."""
+    values = np.asarray(values, dtype=float)
+    starts = np.asarray(starts, dtype=np.int64)
+    if starts.size == 0:
+        return np.zeros(0)
+    m = np.maximum.reduceat(values, starts)
+    finite = np.isfinite(m)
+    shift = np.where(finite, m, 0.0)
+    lengths = np.diff(starts, append=values.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        total = segment_sum(np.exp(values - np.repeat(shift, lengths)), starts)
+        return np.where(finite, shift + np.log(total), m)
+
+
+def segment_log_softmax(values, offset) -> np.ndarray:
+    """``values`` minus the logsumexp of their segment, for segments given as
+    CSR offsets (``offset[i]:offset[i + 1]``, empty segments allowed)."""
+    values = np.asarray(values, dtype=float)
+    offset = np.asarray(offset, dtype=np.int64)
+    lengths = np.diff(offset)
+    live = lengths > 0
+    lse = segment_logsumexp(values, offset[:-1][live])
+    return values - np.repeat(lse, lengths[live])
 
 
 def log_softmax(values) -> np.ndarray:

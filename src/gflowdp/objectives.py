@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import EnumeratedMdp
-from .numerics import logsumexp
+from .numerics import logsumexp, segment_log_softmax
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,8 @@ class HuberParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.delta <= 0 or self.beta <= 0:
-            raise ValueError("delta and beta must be positive")
+        if not (0.0 < self.delta < np.inf and 0.0 < self.beta < np.inf):
+            raise ValueError("huber delta and beta must be finite and positive")
 
 
 def huber(x, params: HuberParams = HuberParams()):
@@ -159,11 +159,8 @@ def n_bellman_residual(l_state: float, parent_l_values) -> float:
 def backward_from_counts(mdp: EnumeratedMdp, l: np.ndarray) -> np.ndarray:
     """Normalized backward policy induced by a (possibly learned) l table:
     log q(s,a|s') = l(s) - logsumexp over parents of s' of l."""
-    log_q = np.zeros(mdp.n_edges)
-    for s in range(mdp.n_states):
-        ids = mdp.in_edge_ids(s)
-        if len(ids):
-            log_q[ids] = l[mdp.edge_src[ids]] - logsumexp(l[mdp.edge_src[ids]])
+    log_q = np.empty(mdp.n_edges)
+    log_q[mdp.in_edges] = segment_log_softmax(l[mdp.edge_src[mdp.in_edges]], mdp.in_offset)
     return log_q
 
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from gflowdp import envs, mdp
 from gflowdp.numerics import logsumexp
@@ -74,6 +75,36 @@ def random_log_pi(m: mdp.EnumeratedMdp, rng: np.random.Generator) -> np.ndarray:
             logits = rng.normal(0.0, 1.0, sl.stop - sl.start)
             out[sl] = logits - logsumexp(logits)
     return out
+
+
+@st.composite
+def random_dag_text(draw):
+    """DAG spec text for a random single-initial DAG of 2-10 states: each
+    state after the first gets 1-3 distinct lower-numbered parents, and every
+    sink is a terminal with a log target in [-2, 2]."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    lines = ["initial 0"]
+    actions = {s: 0 for s in range(n)}
+    has_parent = [False] * n
+    for child in range(1, n):
+        k = draw(st.integers(min_value=1, max_value=min(3, child)))
+        parents = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=child - 1),
+                min_size=k,
+                max_size=k,
+                unique=True,
+            )
+        )
+        for p in parents:
+            lines.append(f"{p} {actions[p]} {child}")
+            actions[p] += 1
+            has_parent[child] = True
+    sinks = [s for s in range(n) if actions[s] == 0]
+    for s in sinks:
+        value = draw(st.floats(min_value=-2.0, max_value=2.0))
+        lines.append(f"terminal {s} {value!r}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

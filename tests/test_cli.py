@@ -272,3 +272,69 @@ def test_eval_uniform_pearson_mode(tmp_path):
     assert cli.main(["eval", "--config", cfg, "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "eval_report.json").read_text())
     assert report["pearson"] == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# bad input
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert lines and lines[-1].startswith("error: ")
+    return lines[-1]
+
+
+@pytest.mark.parametrize(
+    "command, sections, flags",
+    [
+        ("train", "[train]\nsteps = 1\n[eval]\nmetrics_every = 0\n", []),
+        ("train", "[train]\nsteps = 1\n", ["--threads", "0"]),
+        ("train", "[train]\nsteps = 1\n", ["--seed", "-1"]),
+        ("eval", "", ["--seed", "-1"]),
+        ("train", "[train]\nsamples = nan\nbatch_size = 8\n", []),
+        ("train", "[train]\nsamples = 100\nbatch_size = 0\n", []),
+        ("train", "[train]\nsteps = 1\nlearning_rate = nan\n", []),
+        ("train", "[train]\nsteps = 1\nlearning_rate = abc\n", []),
+        ("train", "[train]\nsteps = 1\nreward_exponent = inf\n", []),
+        ("train", "[train]\nsteps = 1\nlambda_stb = -1\n", []),
+        ("train", "[train]\nsteps = 1\nlambda_stb = 0\n", []),
+        ("train", "[train]\nsteps = 1\nhuber_delta = 0\n", []),
+        ("train", "[train]\nsteps = 1\nhuber_beta = nan\n", []),
+        ("eval", "[eval]\npearson_samples = -3\n", []),
+        ("eval", "[eval]\nthresholds = 1.0, nan\n", []),
+        ("eval", "[eval]\nmode_threshold = -1\n", []),
+        ("enumerate", "max_states = lots\n", []),
+    ],
+)
+def test_bad_numeric_input_is_a_one_line_usage_error(tmp_path, capsys, command, sections, flags):
+    cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 3\n" + sections)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags])
+    assert rc == 1
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["eval", "render-grid"])
+@pytest.mark.parametrize("side", [3, 5])
+def test_model_from_another_grid_is_a_runtime_error(tmp_path, capsys, command, side):
+    grid = "[env]\nname = hypergrid\ndims = 2\nside = {}\n"
+    train_cfg = write_config(tmp_path, grid.format(4) + "[train]\nsteps = 1\nbatch_size = 4\n",
+                             "train.ini")
+    assert cli.main(["train", "--config", train_cfg, "--out", str(tmp_path / "m")]) == 0
+    other = write_config(tmp_path, grid.format(side), "other.ini")
+    capsys.readouterr()
+    rc = cli.main([command, "--config", other, "--out", str(tmp_path / "out"),
+                   "--model", str(tmp_path / "m" / "model.json")])
+    assert rc == 2
+    assert "model forward_logits has" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("text", ["{}", "not json", '{"forward_logits": "abc"}'])
+def test_malformed_model_file_is_a_runtime_error(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 3\n")
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    rc = cli.main(["eval", "--config", cfg, "--out", str(tmp_path / "out"), "--model", str(model)])
+    assert rc == 2
+    assert "malformed model file" in _one_line_error(capsys)

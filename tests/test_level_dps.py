@@ -1,0 +1,233 @@
+"""The level-synchronous DPs and segment reductions against the per-state
+loops they replace (``loop_oracles``) and the brute-force oracles, on random
+DAGs and on their inversions (which have one initial state per terminal)."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import loop_oracles as loops
+from gflowdp import exact, learner, objectives
+from gflowdp.learner import PolicyModel, RolloutBatch, TrainConfig
+from gflowdp.mdp import MultipleInitials, _freeze, enumerate_mdp, invert, parse_dag_text
+from gflowdp.numerics import logsumexp, segment_logsumexp, segment_sum
+
+from conftest import oracle_path_counts, oracle_terminal_probs, random_dag_text, random_log_pi
+
+TOL = 1e-12
+
+
+def close(a, b, tol=TOL):
+    """Equal to ``tol`` (absolute, or relative above 1), infinities equal."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore"):
+        near = np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))
+    return bool((same | near).all())
+
+
+def both(text):
+    m = enumerate_mdp(parse_dag_text(text))
+    return m, invert(m)
+
+
+# ---------------------------------------------------------------------------
+# segment reductions
+
+
+segment_lists = st.lists(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=-50.0, max_value=50.0),
+            st.sampled_from([-math.inf, math.inf, math.nan]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(segment_lists)
+@settings(max_examples=200, deadline=None)
+def test_segment_reductions_match_scalar_helpers(segments):
+    values = np.concatenate([np.asarray(seg, dtype=float) for seg in segments])
+    starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want_lse = [logsumexp(seg) for seg in segments]
+        want_sum = [np.asarray(seg, dtype=float).sum() for seg in segments]
+        got_sum = segment_sum(values, starts)
+    assert close(segment_logsumexp(values, starts), want_lse)
+    assert close(got_sum, want_sum)
+
+
+def test_all_neg_inf_segment_is_neg_inf():
+    values = np.array([-math.inf, -math.inf, 0.0, math.log(3.0)])
+    out = segment_logsumexp(values, [0, 2])
+    assert out[0] == -math.inf
+    assert out[1] == pytest.approx(math.log(4.0), abs=TOL)
+
+
+# ---------------------------------------------------------------------------
+# structure
+
+
+@given(random_dag_text(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_freeze_matches_loop_version(text, rnd):
+    m = enumerate_mdp(parse_dag_text(text))
+    edges = list(zip(m.edge_src.tolist(), m.edge_action.tolist(), m.edge_dst.tolist()))
+    rnd.shuffle(edges)
+    args = (list(m.states), m.initials, m.terminal, m.log_target, edges)
+    want, got = loops._freeze(*args), _freeze(*args)
+    for name in ("edge_src", "edge_action", "edge_dst", "out_offset", "in_edges",
+                 "in_offset", "parent_slot"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@given(random_dag_text())
+@settings(max_examples=40, deadline=None)
+def test_levels_order_every_edge(text):
+    for m in both(text):
+        lv = m.levels
+        depth = np.zeros(m.n_states, dtype=int)  # parentless states sit on level 0
+        for k, seg in enumerate(lv.push, start=1):
+            assert (depth[seg.states] == 0).all()
+            depth[seg.states] = k
+        assert (depth[m.edge_src] < depth[m.edge_dst]).all()
+        pulled = np.concatenate([seg.edges for seg in lv.pull])
+        assert sorted(pulled.tolist()) == list(range(m.n_edges))
+        assert m.levels is lv  # cached on the instance
+
+
+# ---------------------------------------------------------------------------
+# exact DPs
+
+
+@given(random_dag_text(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_exact_dps_match_loops(text, seed):
+    rng = np.random.default_rng(seed)
+    for m in both(text):
+        assert close(exact.count_paths(m), loops.count_paths(m))
+        r_step, r_term = rng.normal(size=m.n_edges), rng.normal(size=m.n_states)
+        for got, want in zip(exact.soft_value_iteration(m, r_step, r_term),
+                             loops.soft_value_iteration(m, r_step, r_term)):
+            assert close(got, want)
+        assert close(exact.backward_uniform(m), loops.backward_uniform(m))
+        l = exact.count_paths(m)
+        for log_q in (exact.backward_maxent(m, l), exact.backward_uniform(m)):
+            for got, want in zip(exact.forward_from_backward(m, log_q),
+                                 loops.forward_from_backward(m, log_q)):
+                assert close(got, want)
+        log_pi = exact.soft_value_iteration(m, r_step, r_term)[2]
+        mu = rng.uniform(size=m.n_states) * (rng.uniform(size=m.n_states) < 0.8)
+        assert close(exact.flow_entropy(m, log_pi, mu), loops.flow_entropy(m, log_pi, mu))
+        if m.multi_initial:
+            with pytest.raises(MultipleInitials):
+                exact.marginals(m, log_pi)
+            continue
+        assert close(exact.marginals(m, log_pi), loops.marginals(m, log_pi))
+        assert close(exact.flow_entropy(m, log_pi), loops.flow_entropy(m, log_pi))
+
+
+@given(random_dag_text(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_exact_dps_match_bruteforce(text, seed):
+    m = enumerate_mdp(parse_dag_text(text))
+    counts = oracle_path_counts(m)
+    assert close(np.exp(exact.count_paths(m)), counts, 1e-9)
+    log_pi = random_log_pi(m, np.random.default_rng(seed))
+    t = m.terminal
+    assert close(exact.marginals(m, log_pi)[t], oracle_terminal_probs(m, log_pi)[t], 1e-9)
+    assert exact.flow_entropy(m, log_pi) == pytest.approx(
+        exact.trajectory_entropy_bruteforce(m, log_pi), abs=1e-9)
+
+
+@given(random_dag_text(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_zero_flow_names_the_same_state(text, seed):
+    rng = np.random.default_rng(seed)
+    for m in both(text):
+        target = m.log_target.copy()
+        target[m.terminal & (rng.uniform(size=m.n_states) < 0.5)] = -math.inf
+        m = m.with_log_target(target)
+        log_q = exact.backward_uniform(m)
+        try:
+            want = loops.forward_from_backward(m, log_q)
+        except exact.ZeroFlow as exc:
+            with pytest.raises(exact.ZeroFlow, match=f"^{exc}$"):
+                exact.forward_from_backward(m, log_q)
+        else:
+            for got, ref in zip(exact.forward_from_backward(m, log_q), want):
+                assert close(got, ref)
+
+
+def test_nan_target_still_raises(two_terminal):
+    target = two_terminal.log_target.copy()
+    target[two_terminal.terminal_ids[0]] = math.nan
+    with pytest.raises(exact.NonFiniteTarget):
+        exact.forward_from_backward(two_terminal.with_log_target(target),
+                                    exact.backward_uniform(two_terminal))
+
+
+# ---------------------------------------------------------------------------
+# training step
+
+
+@given(random_dag_text(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_segment_softmax_and_counts_backward_match_loops(text, seed):
+    rng = np.random.default_rng(seed)
+    for m in both(text):
+        logits, l = rng.normal(size=m.n_edges), rng.normal(size=m.n_states)
+        for by_src in (True, False):
+            assert close(learner._segment_log_softmax(m, logits, by_src),
+                         loops._segment_log_softmax(m, logits, by_src))
+        assert close(objectives.backward_from_counts(m, l), loops.backward_from_counts(m, l))
+
+
+@given(random_dag_text(), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_sampling_and_losses_match_loops(text, seed):
+    m = enumerate_mdp(parse_dag_text(text))
+    model = PolicyModel.init(m, np.random.default_rng(seed), 0.8)
+    cdf, log_p = learner._behavior_tables(m, model, 0.1)
+    tables = loops._behavior_tables(m, model, 0.1)
+    for s in np.flatnonzero(~m.terminal):
+        assert close(cdf[m.out_slice(s)], tables[s][0])
+        assert close(log_p[m.out_slice(s)], tables[s][1])
+    trajs = []
+    for rng_new, rng_old in zip(*(np.random.default_rng(seed).spawn(8) for _ in range(2))):
+        a = learner._sample_one(m, (cdf, log_p), rng_new)
+        b = loops._sample_one(m, tables, rng_old)
+        assert np.array_equal(a.edges, b.edges)
+        trajs.append(a)
+    batch = RolloutBatch.from_trajectories(trajs)
+    l = exact.count_paths(m)
+    for objective, backward, n_objective in itertools.product(
+        learner.OBJECTIVES, learner.BACKWARDS, learner.N_OBJECTIVES
+    ):
+        config = TrainConfig(objective=objective, backward=backward, n_objective=n_objective)
+        stats, grads = learner.compute_loss_and_grads(m, model, batch, config, l)
+        want_stats, want_grads = loops.compute_loss_and_grads(m, model, batch, config, l)
+        for key in want_stats:
+            assert close(stats[key], want_stats[key]), (config, key)
+        for key in want_grads:
+            assert close(grads[key], want_grads[key]), (config, key)
+
+
+def test_initial_with_parents_adds_its_own_count():
+    # initials 0 and 1 with an edge 0 -> 1: state 1 starts one path and
+    # continues another, so n(1) = 2 and n(2) = 2
+    m = _freeze([b"0", b"1", b"2"], (0, 1), [False, False, True], [-math.inf, -math.inf, 0.0],
+                [(0, 0, 1), (1, 0, 2)])
+    assert close(exact.count_paths(m), loops.count_paths(m))
+    assert close(np.exp(exact.count_paths(m)), [1.0, 2.0, 2.0])

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gflowdp import envs, exact, mdp
 from gflowdp.mdp import (
@@ -20,7 +19,7 @@ from gflowdp.mdp import (
     validate,
 )
 
-from conftest import oracle_path_counts
+from conftest import oracle_path_counts, random_dag_text
 
 
 # ---------------------------------------------------------------------------
@@ -283,33 +282,6 @@ def test_dag_text_format_errors(text):
 
 # ---------------------------------------------------------------------------
 # property tests over random DAGs
-
-
-@st.composite
-def random_dag_text(draw):
-    n = draw(st.integers(min_value=2, max_value=10))
-    lines = ["initial 0"]
-    actions = {s: 0 for s in range(n)}
-    has_parent = [False] * n
-    for child in range(1, n):
-        k = draw(st.integers(min_value=1, max_value=min(3, child)))
-        parents = draw(
-            st.lists(
-                st.integers(min_value=0, max_value=child - 1),
-                min_size=k,
-                max_size=k,
-                unique=True,
-            )
-        )
-        for p in parents:
-            lines.append(f"{p} {actions[p]} {child}")
-            actions[p] += 1
-            has_parent[child] = True
-    sinks = [s for s in range(n) if actions[s] == 0]
-    for s in sinks:
-        value = draw(st.floats(min_value=-2.0, max_value=2.0))
-        lines.append(f"terminal {s} {value!r}")
-    return "\n".join(lines) + "\n"
 
 
 @given(random_dag_text())

@@ -66,6 +66,23 @@ def test_kl_support_mismatch():
     assert kl_terminal(m, log_pi, "forward") == pytest.approx(math.log(2.0))
 
 
+def test_kl_reverse_reads_tiny_marginals_in_log_space(two_terminal):
+    # terminal 4 is reached with probability e^-800 / 2, which underflows as
+    # a plain double but is a positive-target terminal with positive mass
+    m = two_terminal
+    label = [int(st) for st in m.states]
+    by_edge = {(0, 1): 0.0, (0, 2): -800.0, (1, 3): 0.0, (2, 3): math.log(0.5),
+               (2, 4): math.log(0.5)}
+    log_pi = np.array([by_edge[label[s], label[d]] for s, d in zip(m.edge_src, m.edge_dst)])
+    t3, t4 = label.index(3), label.index(4)
+    p3, p4 = 0.7 / 0.9, 0.2 / 0.9
+    want = p3 * math.log(p3) + p4 * (math.log(p4) + 800.0 - math.log(0.5))
+    assert kl_terminal(m, log_pi, "reverse") == pytest.approx(want, rel=1e-12)
+    assert exact.marginals(m, log_pi)[t4] == 0.0
+    assert exact.log_marginals(m, log_pi)[t4] == pytest.approx(-800.0 + math.log(0.5))
+    assert exact.log_marginals(m, log_pi)[t3] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_kl_direction_validation(grid33):
     with pytest.raises(ValueError):
         kl_terminal(grid33, exact.gsql_policy(grid33, exact.count_paths(grid33)), "both")
