@@ -12,23 +12,29 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import exact, metrics
 from .mdp import EnumeratedMdp, Trajectory, segment_positions
 
-# ``logsumexp`` is no longer called here; benchmarks/tracer.py counts calls
-# made through this module's name for it.
+# ``logsumexp`` and ``cross_cumsum`` are not called here; benchmarks/tracer.py
+# counts calls made through this module's names for them.
 from .numerics import logsumexp  # noqa: F401
-from .numerics import segment_log_softmax, segment_logsumexp, segment_sum
+from .numerics import segment_log_softmax, segment_logsumexp
+from .objectives import cross_cumsum  # noqa: F401
 from .objectives import (
     HuberParams,
     backward_from_counts,
-    cross_cumsum,
     huber,
     huber_grad,
+    row_positions,
+    step_cells,
+    subtrajectory_cells,
+    subtrajectory_residuals,
+    subtrajectory_transpose,
+    trajectory_cells,
 )
 
 OBJECTIVES = ("tb", "db", "stb", "fm", "pcl")
@@ -127,9 +133,7 @@ class PolicyModel:
             backward_logits=draw(mdp.n_edges),
             l_hat=draw(mdp.n_states),
             log_f_hat=draw(mdp.n_states),
-            log_z_hat=np.array(
-                [0.0 if rng is None or scale == 0.0 else rng.normal(0.0, scale)]
-            ),
+            log_z_hat=draw(1),
         )
         model.repin(mdp)
         return model
@@ -154,13 +158,7 @@ class PolicyModel:
         self.log_f_hat[mdp.terminal] = mdp.log_target[mdp.terminal]
 
     def copy(self) -> "PolicyModel":
-        return PolicyModel(
-            forward_logits=self.forward_logits.copy(),
-            backward_logits=self.backward_logits.copy(),
-            l_hat=self.l_hat.copy(),
-            log_f_hat=self.log_f_hat.copy(),
-            log_z_hat=self.log_z_hat.copy(),
-        )
+        return PolicyModel(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
 
     def param_groups(self) -> dict[str, np.ndarray]:
         return {
@@ -205,46 +203,30 @@ class PolicyModel:
 
     # free-parameter vector, used by the finite-difference checks -----------
 
+    @staticmethod
+    def _free(mdp: EnumeratedMdp) -> dict[str, np.ndarray]:
+        """The entries training moves where a group has pinned or clamped ones."""
+        return {
+            "l": np.setdiff1d(np.arange(mdp.n_states), np.asarray(mdp.initials)),
+            "log_f": np.flatnonzero(~mdp.terminal),
+        }
+
     def pack(self, mdp: EnumeratedMdp) -> np.ndarray:
-        free_l = np.setdiff1d(np.arange(mdp.n_states), np.asarray(mdp.initials))
-        free_f = np.flatnonzero(~mdp.terminal)
-        return np.concatenate(
-            [
-                self.forward_logits,
-                self.backward_logits,
-                self.l_hat[free_l],
-                self.log_f_hat[free_f],
-                self.log_z_hat,
-            ]
-        )
+        return self.pack_grads(mdp, self.param_groups())
 
     def unpack(self, mdp: EnumeratedMdp, vec: np.ndarray) -> "PolicyModel":
         out = self.copy()
-        e = mdp.n_edges
-        free_l = np.setdiff1d(np.arange(mdp.n_states), np.asarray(mdp.initials))
-        free_f = np.flatnonzero(~mdp.terminal)
-        out.forward_logits = vec[:e].copy()
-        out.backward_logits = vec[e : 2 * e].copy()
-        pos = 2 * e
-        out.l_hat[free_l] = vec[pos : pos + len(free_l)]
-        pos += len(free_l)
-        out.log_f_hat[free_f] = vec[pos : pos + len(free_f)]
-        pos += len(free_f)
-        out.log_z_hat = np.array([vec[pos]])
+        free, pos = self._free(mdp), 0
+        for key, p in out.param_groups().items():
+            at = free.get(key, slice(None))
+            n = len(p[at])
+            p[at] = vec[pos : pos + n]
+            pos += n
         return out
 
     def pack_grads(self, mdp: EnumeratedMdp, grads: dict[str, np.ndarray]) -> np.ndarray:
-        free_l = np.setdiff1d(np.arange(mdp.n_states), np.asarray(mdp.initials))
-        free_f = np.flatnonzero(~mdp.terminal)
-        return np.concatenate(
-            [
-                grads["forward"],
-                grads["backward"],
-                grads["l"][free_l],
-                grads["log_f"][free_f],
-                grads["log_z"],
-            ]
-        )
+        free = self._free(mdp)
+        return np.concatenate([grads[k][free.get(k, slice(None))] for k in PARAM_GROUPS])
 
 
 def _segment_log_softmax(mdp: EnumeratedMdp, logits: np.ndarray, by_src: bool) -> np.ndarray:
@@ -257,28 +239,36 @@ def _segment_log_softmax(mdp: EnumeratedMdp, logits: np.ndarray, by_src: bool) -
 
 @dataclass
 class RolloutBatch:
-    """Sampled trajectories plus flattened per-step caches."""
+    """Sampled trajectories plus flattened per-step caches and the padded
+    rows the sub-trajectory residuals read."""
 
     trajectories: list[Trajectory]
     step_traj: np.ndarray  # trajectory index per flat step
     step_edge: np.ndarray  # edge id per flat step
     lengths: np.ndarray  # [B]
     terminals: np.ndarray  # [B] terminal state id per trajectory
+    step_pos: np.ndarray  # flat index of each flat step in the [B, T] step rows
+    state_rows: np.ndarray  # [B, T+1] state ids, padded with the terminal
 
     @classmethod
     def from_trajectories(cls, trajectories: list[Trajectory]) -> "RolloutBatch":
-        step_traj = np.concatenate(
-            [np.full(len(t), i, dtype=np.int64) for i, t in enumerate(trajectories)]
-        ) if trajectories else np.zeros(0, dtype=np.int64)
-        step_edge = np.concatenate(
-            [t.edges for t in trajectories]
-        ) if trajectories else np.zeros(0, dtype=np.int64)
+        def flat(arrays):
+            return np.concatenate(arrays + [np.zeros(0, dtype=np.int64)]).astype(np.int64)
+
+        lengths = np.array([len(t) for t in trajectories], dtype=np.int64)
+        terminals = np.array([t.end for t in trajectories], dtype=np.int64)
+        width = int(lengths.max(initial=0))
+        step_traj, step_k = row_positions(lengths)
+        state_rows = np.repeat(terminals, width + 1).reshape(len(lengths), width + 1)
+        state_rows[row_positions(lengths + 1)] = flat([t.states for t in trajectories])
         return cls(
             trajectories=trajectories,
             step_traj=step_traj,
-            step_edge=np.asarray(step_edge, dtype=np.int64),
-            lengths=np.array([len(t) for t in trajectories], dtype=np.int64),
-            terminals=np.array([t.end for t in trajectories], dtype=np.int64),
+            step_edge=flat([t.edges for t in trajectories]),
+            lengths=lengths,
+            terminals=terminals,
+            step_pos=step_traj * width + step_k,
+            state_rows=state_rows,
         )
 
 
@@ -378,6 +368,46 @@ def _coef(res, hp: HuberParams, denom: float):
     return np.where(np.abs(res) > RESIDUAL_TOL, huber_grad(res, hp), 0.0) / denom
 
 
+def _balance(batch: RolloutBatch, v, x, cell_set, hp: HuberParams, head=None):
+    """Weighted Huber loss of one sub-trajectory family and its coefficients
+    on the per-state table ``v``, the per-edge table ``x`` and ``head``.
+
+    A cell reads ``v`` at its two ends and sums ``x`` over its steps;
+    ``head`` replaces ``v`` where a cell starts at a trajectory's first state.
+    """
+    cells, weights = cell_set
+    rows = batch.state_rows
+    end = v[rows]
+    start = end if head is None else np.concatenate(
+        [np.full((len(rows), 1), head), end[:, 1:]], axis=1)
+    x_rows = np.zeros(rows.size - len(rows))
+    x_rows[batch.step_pos] = x[batch.step_edge]
+    res = subtrajectory_residuals(start, end, x_rows.reshape(len(rows), -1), cells)
+    g_start, g_end, g_x = subtrajectory_transpose(
+        weights * _coef(res, hp, 1.0), cells, rows.shape)
+    g_head = 0.0
+    if head is not None:
+        g_head = float(g_start[:, 0].sum())
+        g_start[:, 0] = 0.0
+    g_v = np.bincount(rows.ravel(), (g_start + g_end).ravel(), len(v))
+    g_x = np.bincount(batch.step_edge, g_x.ravel()[batch.step_pos], len(x))
+    return float((weights * huber(res, hp)).sum()), g_v, g_x, g_head
+
+
+def _visits(mdp: EnumeratedMdp, states: np.ndarray):
+    """The distinct visited states and each one's share of the visits."""
+    counts = np.bincount(states, minlength=mdp.n_states)
+    visited = np.flatnonzero(counts)
+    return visited, counts[visited] / float(counts.sum())
+
+
+def _softmax_vjp(g, log_p, segment, n_segments: int) -> np.ndarray:
+    """Coefficients on the logits of a segment softmax, given those on its
+    log-probabilities: g - p * (sum of g over the segment)."""
+    seg = np.bincount(segment, weights=g, minlength=n_segments)
+    return g - np.exp(log_p) * seg[segment]
+
+
 def compute_loss_and_grads(
     mdp: EnumeratedMdp,
     model: PolicyModel,
@@ -390,128 +420,65 @@ def compute_loss_and_grads(
     Returns (stats, grads) where grads holds one array per parameter group
     with pinned/clamped entries already zeroed.
     """
-    n_traj = len(batch.trajectories)
-    if n_traj == 0:
+    if len(batch.trajectories) == 0:
         raise ValueError("batch must be nonempty")
 
     log_pi = model.forward_log_probs(mdp)
     log_q, q_trains_l = _resolve_backward(mdp, model, config, exact_l)
+    log_ql = None  # the l-induced backward, when anything reads it
+    if q_trains_l or config.n_objective == "trajectory":
+        log_ql = log_q if q_trains_l else backward_from_counts(mdp, model.l_hat)
     log_f = model.clamped_log_f(mdp)
     l_known = config.backward == "maxent-known"
-    l_table = exact_l if l_known else model.l_hat
-
-    se = batch.step_edge
-    st = batch.step_traj
-    srcs = mdp.edge_src[se]
-    dsts = mdp.edge_dst[se]
-    n_steps = len(se)
+    hp = config.huber
+    lengths = batch.lengths
 
     g_pi = np.zeros(mdp.n_edges)
     g_q = np.zeros(mdp.n_edges)  # coefficients on log q however it is produced
     g_lf = np.zeros(mdp.n_states)
     g_l = np.zeros(mdp.n_states)  # direct l terms (not through log q)
-    g_z = 0.0
-
-    hp = config.huber
+    g_ql = np.zeros(mdp.n_edges)  # coefficients on the l-induced backward
 
     # ---- policy objective ------------------------------------------------
-    if config.objective in ("tb", "pcl"):
-        sum_pi = np.zeros(n_traj)
-        np.add.at(sum_pi, st, log_pi[se])
-        log_targets = mdp.log_target[batch.terminals]
-        if config.objective == "tb":
-            sum_q = np.zeros(n_traj)
-            np.add.at(sum_q, st, log_q[se])
-            res = model.log_z + sum_pi - log_targets - sum_q
-        else:
-            # full-trajectory consistency of the count-corrected soft values:
-            # terminal value is log p~ - l, initial value is the log_z head
-            res = model.log_z + sum_pi - (log_targets - l_table[batch.terminals])
-        c = _coef(res, hp, n_traj)
-        policy_loss = float(huber(res, hp).mean())
-        g_z += float(c.sum())
-        np.add.at(g_pi, se, c[st])
-        if config.objective == "tb":
-            np.add.at(g_q, se, -c[st])
-        elif not l_known:
-            np.add.at(g_l, batch.terminals, c)
-
-    elif config.objective == "db":
-        res = log_f[srcs] + log_pi[se] - log_q[se] - log_f[dsts]
-        c = _coef(res, hp, n_steps)
-        policy_loss = float(huber(res, hp).mean())
-        np.add.at(g_pi, se, c)
-        np.add.at(g_q, se, -c)
-        np.add.at(g_lf, srcs, c)
-        live = ~mdp.terminal[dsts]
-        np.add.at(g_lf, dsts[live], -c[live])
-
-    elif config.objective == "stb":
-        policy_loss = 0.0
-        for i, traj in enumerate(batch.trajectories):
-            t = len(traj)
-            v = log_f[traj.states]
-            x = log_pi[traj.edges] - log_q[traj.edges]
-            d = cross_cumsum(v, x)
-            ii, jj = np.triu_indices(t)
-            w = np.zeros((t, t))
-            w[ii, jj] = config.lambda_stb ** (jj - ii + 1)
-            w /= w.sum()
-            policy_loss += float((w * huber(d, hp)).sum()) / n_traj
-            cmat = w * _coef(d, hp, n_traj)
-            # coefficient on step t is the mass of all (i, j) with i<=t<=j
-            a = np.cumsum(cmat, axis=0)
-            cover = np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
-            coef = np.diagonal(cover).copy()
-            np.add.at(g_pi, traj.edges, coef)
-            np.add.at(g_q, traj.edges, -coef)
-            row = cmat.sum(axis=1)  # coefficient +1 on v[i]
-            col = cmat.sum(axis=0)  # coefficient -1 on v[j+1]
-            vcoef = np.concatenate([row, [0.0]])
-            vcoef[1:] -= col
-            live = ~mdp.terminal[traj.states]
-            np.add.at(g_lf, traj.states[live], vcoef[live])
-
+    # tb, db and stb: log F at both ends (clamped to log p~ at terminals, tb
+    # reads log Z at s0) and log pi - log q per step, over the whole
+    # trajectory, each step or every sub-trajectory; pcl: log Z at s0, the
+    # count-corrected terminal value log p~ - l, and log pi per step
+    if config.objective in ("tb", "db", "stb"):
+        cell_set = (trajectory_cells(lengths) if config.objective == "tb"
+                    else step_cells(lengths) if config.objective == "db"
+                    else subtrajectory_cells(lengths, config.lambda_stb))
+        head = model.log_z if config.objective == "tb" else None
+        policy_loss, g_lf, g_pi, g_z = _balance(
+            batch, log_f, log_pi - log_q, cell_set, hp, head)
+        g_q = -g_pi
+    elif config.objective == "pcl":
+        terminal_v = mdp.log_target - (exact_l if l_known else model.l_hat)
+        policy_loss, g_v, g_pi, g_z = _balance(
+            batch, terminal_v, log_pi, trajectory_cells(lengths), hp, model.log_z)
+        if not l_known:
+            g_l -= g_v
     elif config.objective == "fm":
-        # flow matching residual per visited state, deduplicated by state
-        # with visit multiplicities (the residual depends on the state only);
-        # a trajectory visits the sources of its steps and its terminal
-        counts = np.bincount(srcs, minlength=mdp.n_states) + np.bincount(
-            batch.terminals, minlength=mdp.n_states
-        )
-        visited = np.flatnonzero(counts)
-        weight = counts[visited] / float(counts.sum())
-        rank = np.arange(len(visited))
-        # out side: each state's out-flows, then its own log target
-        out_ids, out_starts = segment_positions(mdp.out_offset, visited)
-        n_out = np.diff(mdp.out_offset)[visited]
-        out_at = np.arange(len(out_ids)) + np.repeat(rank, n_out)
-        out_terms = np.empty(len(out_ids) + len(visited))
-        out_terms[out_at] = log_f[mdp.edge_src[out_ids]] + log_pi[out_ids]
-        out_terms[out_starts + rank + n_out] = mdp.log_target[visited]
-        lse_out = segment_logsumexp(out_terms, out_starts + rank)
-        # in side: the in-flows, or log Z alone for a state without parents
+        # flow matching per visited state, weighted by visits (a trajectory
+        # visits its steps' sources and its terminal); the out side
+        # sum_a F(s) pi(a|s) is F(s), the target at terminals, the in side
+        # the in-flows, or log Z alone for a state without parents
+        visited, weight = _visits(
+            mdp, np.concatenate([mdp.edge_src[batch.step_edge], batch.terminals]))
         in_pos, in_starts = segment_positions(mdp.in_offset, visited)
         in_ids = mdp.in_edges[in_pos]
-        n_in = np.diff(mdp.in_offset)[visited]
-        width = np.maximum(n_in, 1)
-        in_head = np.cumsum(width) - width
-        in_at = np.arange(len(in_ids)) + np.repeat(in_head - in_starts, n_in)
-        in_terms = np.full(int(width.sum()), model.log_z)
         in_srcs = mdp.edge_src[in_ids]
-        in_terms[in_at] = log_f[in_srcs] + log_pi[in_ids]
-        lse_in = segment_logsumexp(in_terms, in_head)
+        in_terms = log_f[in_srcs] + log_pi[in_ids]
+        n_in = np.diff(mdp.in_offset)[visited]
+        lse_in = np.full(len(visited), model.log_z)
+        lse_in[n_in > 0] = segment_logsumexp(in_terms, in_starts[n_in > 0])
 
-        res = lse_out - lse_in
+        res = log_f[visited] - lse_in
         policy_loss = float((weight * huber(res, hp)).sum())
         c = weight * _coef(res, hp, 1.0)
-        w_out = np.exp(out_terms[out_at] - np.repeat(lse_out, n_out))
-        np.add.at(g_pi, out_ids, np.repeat(c, n_out) * w_out)
-        inner = n_out > 0
-        g_lf[visited[inner]] += c[inner] * segment_sum(w_out, out_starts[inner])
-        w_in = np.exp(in_terms[in_at] - np.repeat(lse_in, n_in))
-        g_z -= float(c[n_in == 0].sum())
-        c_in = -np.repeat(c, n_in) * w_in
+        g_lf[visited] = c
+        g_z = -float(c[n_in == 0].sum())
+        c_in = -np.repeat(c, n_in) * np.exp(in_terms - np.repeat(lse_in, n_in))
         np.add.at(g_pi, in_ids, c_in)
         live = ~mdp.terminal[in_srcs]
         np.add.at(g_lf, in_srcs[live], c_in[live])
@@ -519,12 +486,9 @@ def compute_loss_and_grads(
         raise ValueError(config.objective)
 
     # ---- n objective ------------------------------------------------------
-    g_ql = np.zeros(mdp.n_edges)  # coefficients on the l-induced backward
     n_loss = 0.0
     if config.n_objective == "bellman":
-        counts = np.bincount(dsts, minlength=mdp.n_states)
-        visited = np.flatnonzero(counts)
-        weight = counts[visited] / float(counts.sum())
+        visited, weight = _visits(mdp, mdp.edge_dst[batch.step_edge])
         pos, starts = segment_positions(mdp.in_offset, visited)
         parent = mdp.edge_src[mdp.in_edges[pos]]
         parent_l = model.l_hat[parent]
@@ -536,47 +500,31 @@ def compute_loss_and_grads(
         n_in = np.diff(mdp.in_offset)[visited]
         np.add.at(g_l, parent, -np.repeat(c, n_in) * np.exp(parent_l - np.repeat(lse, n_in)))
     elif config.n_objective == "trajectory":
-        log_ql = backward_from_counts(mdp, model.l_hat)
-        sum_ql = np.zeros(n_traj)
-        np.add.at(sum_ql, st, log_ql[se])
-        res = model.l_hat[batch.terminals] + sum_ql
-        c = _coef(res, hp, n_traj)
-        n_loss = float(huber(res, hp).mean())
-        np.add.at(g_l, batch.terminals, c)
-        np.add.at(g_ql, se, c[st])
+        # l(s_T) + sum log q_l, with the pinned l(s_0) = 0 as the head
+        n_loss, g_v, g_ql, _ = _balance(
+            batch, -model.l_hat, log_ql, trajectory_cells(lengths), hp, 0.0)
+        g_l -= g_v
 
     # ---- convert primitive coefficients into parameter gradients ----------
-    grads = {k: np.zeros_like(v) for k, v in model.param_groups().items()}
-
-    seg = np.zeros(mdp.n_states)
-    np.add.at(seg, mdp.edge_src, g_pi)
-    grads["forward"] = g_pi - np.exp(log_pi) * seg[mdp.edge_src]
-
+    g_back = np.zeros(mdp.n_edges)
     if config.backward == "free":
-        seg = np.zeros(mdp.n_states)
-        np.add.at(seg, mdp.edge_dst, g_q)
-        grads["backward"] = g_q - np.exp(log_q) * seg[mdp.edge_dst]
-
-    g_through_q = g_ql.copy()
-    if q_trains_l:
-        g_through_q += g_q
-    if g_through_q.any():
-        log_ql = backward_from_counts(mdp, model.l_hat)
-        np.add.at(g_l, mdp.edge_src, g_through_q)
-        seg = np.zeros(mdp.n_states)
-        np.add.at(seg, mdp.edge_dst, g_through_q)
-        g_l -= np.bincount(
+        g_back = _softmax_vjp(g_q, log_q, mdp.edge_dst, mdp.n_states)
+    if log_ql is not None:
+        g_through_q = g_ql + g_q if q_trains_l else g_ql
+        g_l += np.bincount(
             mdp.edge_src,
-            weights=seg[mdp.edge_dst] * np.exp(log_ql),
+            weights=_softmax_vjp(g_through_q, log_ql, mdp.edge_dst, mdp.n_states),
             minlength=mdp.n_states,
         )
-
-    grads["l"] = g_l
-    for s0 in mdp.initials:
-        grads["l"][s0] = 0.0
+    g_l[list(mdp.initials)] = 0.0
     g_lf[mdp.terminal] = 0.0
-    grads["log_f"] = g_lf
-    grads["log_z"] = np.array([g_z])
+    grads = {
+        "forward": _softmax_vjp(g_pi, log_pi, mdp.edge_src, mdp.n_states),
+        "backward": g_back,
+        "l": g_l,
+        "log_f": g_lf,
+        "log_z": np.array([g_z]),
+    }
 
     total = policy_loss + n_loss
     if not np.isfinite(total):
@@ -667,17 +615,8 @@ class MetricsRow:
     n_mse: float
     modes_found: int
 
-    FIELDS = (
-        "step",
-        "kl_forward",
-        "kl_reverse",
-        "entropy",
-        "max_entropy_bound",
-        "policy_loss",
-        "n_loss",
-        "n_mse",
-        "modes_found",
-    )
+
+MetricsRow.FIELDS = tuple(f.name for f in fields(MetricsRow))
 
 
 def run_training(

@@ -74,19 +74,6 @@ def segment_log_softmax(values, offset) -> np.ndarray:
     return values - np.repeat(lse, lengths[live])
 
 
-def log_softmax(values) -> np.ndarray:
-    """Log-probabilities proportional to exp(values); all -inf is an error."""
-    arr = np.asarray(values, dtype=float)
-    total = logsumexp(arr)
-    if not np.isfinite(total):
-        raise ValueError("log_softmax needs at least one finite entry")
-    return arr - total
-
-
-def softmax(values) -> np.ndarray:
-    return np.exp(log_softmax(values))
-
-
 def entropy_from_log_probs(log_p) -> float:
     """Shannon entropy -sum p*log(p) with the 0*log(0)=0 convention."""
     log_p = np.asarray(log_p, dtype=float)

@@ -2,9 +2,15 @@
 
 Each multiplicative balance constraint is implemented as the log of its
 left-hand side minus the log of its right-hand side, so a residual of zero
-means the constraint holds exactly.  ``cross_cumsum`` is the cumulative-sum
-trick that fills the whole upper triangle of sub-trajectory residuals in one
-pass; the sub-trajectory and consistency objectives ride on it.
+means the constraint holds exactly.  Trajectory, detailed and sub-trajectory
+balance, path consistency (the count-corrected reward) and the path-count
+trajectory residual are one residual on trajectory rows, a value at s_i
+minus one at s_{j+1} plus a per-step sum over steps i..j
+(``subtrajectory_residuals`` and its transpose), read on a cell set: each
+whole trajectory, each step, or every sub-trajectory with lambda**length
+weights normalized in log space.  ``cross_cumsum`` and ``stb_residuals`` are
+the one-row case.  Flow matching's out side sum_a F(s) pi(a|s) is F(s)
+itself, the policy being normalized.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import EnumeratedMdp
-from .numerics import logsumexp, segment_log_softmax
+from .numerics import logsumexp, segment_log_softmax, segment_logsumexp
 
 
 @dataclass(frozen=True)
@@ -94,6 +100,67 @@ def fm_residual(log_target_s, out_log_flows, in_log_flows) -> float:
     return float(out - logsumexp(in_log_flows))
 
 
+def subtrajectory_residuals(start, end, x, cells) -> np.ndarray:
+    """Residual start[b, i] - end[b, j + 1] + x[b, i] + ... + x[b, j] of each
+    cell (b, i, j).  ``start``/``end`` are (B, T+1) per-state values read
+    where a cell begins/ends; ``x`` is (B, T) per-step values, zero past each
+    row's end, so prefix sums restart at every row (rounding grows with T,
+    not B*T)."""
+    b, i, j = cells
+    y = np.zeros(start.shape)
+    np.cumsum(x, axis=1, out=y[:, 1:])
+    return start[b, i] - end[b, j + 1] + (y[b, j + 1] - y[b, i])
+
+
+def subtrajectory_transpose(coef, cells, shape):
+    """Coefficients of sum(coef * residual) on ``start``, ``end`` (both of
+    ``shape``, (B, T+1)) and ``x`` ((B, T)).  A step's coefficient is the
+    mass of the cells covering it: a cumsum of the other two along the row,
+    since each cell adds +coef at its start and -coef past its end."""
+    b, i, j = cells
+    n, width = shape
+    g_start = np.bincount(b * width + i, weights=coef, minlength=n * width)
+    g_end = -np.bincount(b * width + j + 1, weights=coef, minlength=n * width)
+    g_start, g_end = g_start.reshape(shape), g_end.reshape(shape)
+    return g_start, g_end, np.cumsum(g_start + g_end, axis=1)[:, :-1]
+
+
+def trajectory_cells(lengths):
+    """The whole of each row, cells (b, 0, T_b - 1), weight 1/B each."""
+    n = len(lengths)
+    cells = (np.arange(n), np.zeros(n, dtype=np.int64), np.asarray(lengths) - 1)
+    return cells, np.full(n, 1.0 / n)
+
+
+def row_positions(lengths):
+    """Row and position in the row of each element of rows of the given
+    lengths laid end to end."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    b = np.repeat(np.arange(len(lengths)), lengths)
+    return b, np.arange(len(b)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def step_cells(lengths):
+    """Each step of each row, cells (b, k, k), weight 1/(number of steps)."""
+    b, k = row_positions(lengths)
+    return (b, k, k), np.full(len(b), 1.0 / max(len(b), 1))
+
+
+def subtrajectory_cells(lengths, lam: float = 1.0):
+    """Every sub-trajectory i <= j < T_b of every row, weighted lam**(j-i+1)
+    normalized to sum to one within the row, then 1/B.  The weights are
+    normalized in log space, so every finite positive lam works."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ti, tj = np.triu_indices(int(lengths.max(initial=0)))
+    b, at = np.nonzero(tj[None, :] < lengths[:, None])
+    i, j = ti[at], tj[at]
+    log_w = (j - i + 1) * np.log(lam)
+    per_row = lengths * (lengths + 1) // 2
+    live = per_row > 0
+    norm = segment_logsumexp(log_w, (np.cumsum(per_row) - per_row)[live])
+    return (b, i, j), np.exp(log_w - np.repeat(norm, per_row[live])) / len(lengths)
+
+
 def cross_cumsum(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Upper-triangular D[i, j] = v[i] - v[j+1] + sum(x[i..j]) via one cumsum.
 
@@ -105,10 +172,10 @@ def cross_cumsum(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     t = len(x)
     if len(v) != t + 1:
         raise ValueError("need len(v) == len(x) + 1")
-    y = np.cumsum(x)
-    shifted = np.concatenate(([0.0], y[:-1]))  # prefix sums before index i
-    cross = y[None, :] - shifted[:, None]
-    return np.triu(v[:t, None] - v[None, 1:] + cross)
+    cells, _ = subtrajectory_cells([t])
+    d = np.zeros((t, t))
+    d[cells[1:]] = subtrajectory_residuals(v[None], v[None], x[None], cells)
+    return d
 
 
 def stb_residuals(
@@ -124,10 +191,10 @@ def stb_residuals(
     v = view.value.copy()
     v[-1] = view.log_target
     d = cross_cumsum(v, view.log_pi - view.log_q)
-    i, j = np.triu_indices(t)
-    w = np.zeros((t, t))
-    w[i, j] = lam ** (j - i + 1)
-    return d, w / w.sum()
+    cells, w = subtrajectory_cells([t], lam)
+    weights = np.zeros((t, t))
+    weights[cells[1:]] = w
+    return d, weights
 
 
 def pcl_residuals(
@@ -137,18 +204,11 @@ def pcl_residuals(
 
     Entry (i, j) covers states s_i..s_{j+1}:
     V(s_i) + sum_t gamma^{t-i} (tau log pi_t - R_t) - gamma^{j+1-i} V(s_{j+1}).
-    With tau=gamma=1 this is exactly cross_cumsum over the value vector.
+    Times gamma^i it is cross_cumsum over gamma^k V(s_k) and gamma^t x_t.
     """
+    powers = gamma ** np.arange(len(view.log_pi) + 1)
     x = tau * view.log_pi - view.reward
-    if gamma == 1.0:
-        return cross_cumsum(view.value, x)
-    t = len(x)
-    powers = gamma ** np.arange(t + 1)
-    y = np.cumsum(powers[:t] * x)
-    shifted = np.concatenate(([0.0], y[:-1]))
-    cross = (y[None, :] - shifted[:, None]) / powers[:t, None]
-    span = np.triu(powers[np.arange(1, t + 1)[None, :] - np.arange(t)[:, None]])
-    return np.triu(view.value[:t, None] - span * view.value[None, 1:] + cross)
+    return cross_cumsum(powers * view.value, powers[:-1] * x) / powers[:-1, None]
 
 
 def n_bellman_residual(l_state: float, parent_l_values) -> float:

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -338,3 +339,19 @@ def test_malformed_model_file_is_a_runtime_error(tmp_path, capsys, text):
     rc = cli.main(["eval", "--config", cfg, "--out", str(tmp_path / "out"), "--model", str(model)])
     assert rc == 2
     assert "malformed model file" in _one_line_error(capsys)
+
+
+def test_train_stb_with_huge_lambda_has_finite_losses(tmp_path):
+    cfg = write_config(tmp_path, (
+        "[env]\nname = bitvector\nlength = 3\n\n"
+        "[train]\nobjective = stb\nlambda_stb = 1e300\nbatch_size = 16\nsteps = 4\nseed = 0\n\n"
+        "[eval]\nmetrics_every = 2\n"
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        row = dict(zip(header, map(float, line.split(","))))
+        assert math.isfinite(row["policy_loss"]) and math.isfinite(row["n_loss"])

@@ -1,9 +1,10 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gflowdp import exact
+from gflowdp import exact, learner, objectives
 from gflowdp.learner import (
     BACKWARDS,
     N_OBJECTIVES,
@@ -333,3 +334,47 @@ def test_model_pack_unpack_round_trip(grid33):
         assert np.allclose(p, again.param_groups()[key], atol=0)
     # pinned entries survive the round trip untouched
     assert again.l_hat[grid33.initial] == 0.0
+
+
+def test_stb_gradients_match_finite_differences_far_from_unit_lambda(two_terminal):
+    m = two_terminal
+    l_exact = exact.count_paths(m)
+    model = PolicyModel.init(m, np.random.default_rng(11), scale=0.7)
+    batch = collect_batch(m, model, TrainConfig(batch_size=12, epsilon_uniform=0.2),
+                          [np.random.default_rng(5)])
+    h = 1e-5
+    for back in BACKWARDS:
+        cfg = TrainConfig(objective="stb", backward=back, n_objective="trajectory",
+                          lambda_stb=1e3)
+        _, grads = compute_loss_and_grads(m, model, batch, cfg, exact_l=l_exact)
+        analytic = model.pack_grads(m, grads)
+        vec = model.pack(m)
+        fd = np.zeros_like(vec)
+        for i in range(len(vec)):
+            plus, minus = vec.copy(), vec.copy()
+            plus[i] += h
+            minus[i] -= h
+            s_p, _ = compute_loss_and_grads(m, model.unpack(m, plus), batch, cfg, l_exact)
+            s_m, _ = compute_loss_and_grads(m, model.unpack(m, minus), batch, cfg, l_exact)
+            fd[i] = (s_p["loss"] - s_m["loss"]) / (2 * h)
+        scale = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
+        assert (np.abs(analytic - fd) / scale).max() < 1e-5, back
+
+
+@pytest.mark.parametrize("objective", ["tb", "pcl"])
+def test_zero_step_trajectories_train_log_z(single_state, objective):
+    # the only trajectory is the initial state, which is terminal: its whole
+    # residual is log Z - log p~(s0), so log Z moves toward 0.5
+    _, model = run_training(single_state, TrainConfig(objective=objective, batch_size=4,
+                                                      steps=3))
+    assert model.log_z == pytest.approx(0.0015, rel=1e-3)
+
+
+def test_benchmark_tracer_hooks_exist():
+    # benchmarks/tracer.py patches these module attributes and reads this
+    # batch field; a missing one would make every traced run fail
+    for module, name in [(learner, "cross_cumsum"), (learner, "backward_from_counts"),
+                         (learner, "logsumexp"), (objectives, "logsumexp"),
+                         (exact, "logsumexp")]:
+        assert callable(getattr(module, name, None)), (module.__name__, name)
+    assert "step_edge" in {f.name for f in fields(RolloutBatch)}

@@ -267,6 +267,28 @@ def test_stb_lambda_weights_are_geometric():
     assert np.allclose(w[i, j], raw / raw.sum(), atol=1e-12)
 
 
+@pytest.mark.parametrize("lam", [1e-300, 1e300])
+def test_stb_weights_at_extreme_lambda(lam):
+    t = 4
+    view = TrajectoryView(
+        log_pi=np.zeros(t), log_q=np.zeros(t), reward=np.zeros(t),
+        value=np.zeros(t + 1), l=np.zeros(t + 1), log_target=0.0, log_z=0.0,
+    )
+    _, w = stb_residuals(view, lam=lam)
+    assert np.isfinite(w).all()
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    i, j = np.triu_indices(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = lam ** (j - i + 1.0)
+        expect = raw / raw.sum()
+    # where lam**length neither overflows nor underflows
+    exact_raw = np.isfinite(expect) & (raw > 0)
+    assert np.allclose(w[i, j][exact_raw], expect[exact_raw], rtol=1e-12, atol=0)
+    # all the mass on the shortest or on the longest sub-trajectories
+    short = (j - i + 1) == (1 if lam < 1 else t)
+    assert w[i, j][short].sum() == pytest.approx(1.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # soft-consistency residuals
 
