@@ -361,11 +361,11 @@ def _resolve_backward(
     return model.free_backward_log_probs(mdp), False
 
 
-def _coef(res, hp: HuberParams, denom: float):
-    """Huber gradient of residuals scaled by 1/denom, with the sub-tolerance
-    deadband of RESIDUAL_TOL applied."""
+def _coef(res, hp: HuberParams):
+    """Huber gradient of residuals, with the sub-tolerance deadband of
+    RESIDUAL_TOL applied."""
     res = np.asarray(res, dtype=float)
-    return np.where(np.abs(res) > RESIDUAL_TOL, huber_grad(res, hp), 0.0) / denom
+    return np.where(np.abs(res) > RESIDUAL_TOL, huber_grad(res, hp), 0.0)
 
 
 def _balance(batch: RolloutBatch, v, x, cell_set, hp: HuberParams, head=None):
@@ -384,7 +384,7 @@ def _balance(batch: RolloutBatch, v, x, cell_set, hp: HuberParams, head=None):
     x_rows[batch.step_pos] = x[batch.step_edge]
     res = subtrajectory_residuals(start, end, x_rows.reshape(len(rows), -1), cells)
     g_start, g_end, g_x = subtrajectory_transpose(
-        weights * _coef(res, hp, 1.0), cells, rows.shape)
+        weights * _coef(res, hp), cells, rows.shape)
     g_head = 0.0
     if head is not None:
         g_head = float(g_start[:, 0].sum())
@@ -475,13 +475,12 @@ def compute_loss_and_grads(
 
         res = log_f[visited] - lse_in
         policy_loss = float((weight * huber(res, hp)).sum())
-        c = weight * _coef(res, hp, 1.0)
+        c = weight * _coef(res, hp)
         g_lf[visited] = c
         g_z = -float(c[n_in == 0].sum())
         c_in = -np.repeat(c, n_in) * np.exp(in_terms - np.repeat(lse_in, n_in))
         np.add.at(g_pi, in_ids, c_in)
-        live = ~mdp.terminal[in_srcs]
-        np.add.at(g_lf, in_srcs[live], c_in[live])
+        np.add.at(g_lf, in_srcs, c_in)
     else:  # pragma: no cover - config.validate() rejects unknown objectives
         raise ValueError(config.objective)
 
@@ -495,7 +494,7 @@ def compute_loss_and_grads(
         lse = segment_logsumexp(parent_l, starts)
         res = model.l_hat[visited] - lse
         n_loss = float((weight * huber(res, hp)).sum())
-        c = weight * _coef(res, hp, 1.0)
+        c = weight * _coef(res, hp)
         g_l[visited] += c
         n_in = np.diff(mdp.in_offset)[visited]
         np.add.at(g_l, parent, -np.repeat(c, n_in) * np.exp(parent_l - np.repeat(lse, n_in)))

@@ -256,9 +256,9 @@ def _freeze(
     initials: Sequence[int],
     terminal: Sequence[bool],
     log_target: Sequence[float],
-    edges: Sequence[tuple[int, int, int]],
+    edges: Sequence[tuple[int, int, int]] | np.ndarray,
 ) -> EnumeratedMdp:
-    """Build the CSR tables from an edge list; edges are (src, action, dst)."""
+    """Build the CSR tables from (src, action, dst) edge rows."""
     n = len(states)
     table = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
     table = table[np.lexsort((table[:, 1], table[:, 0]))]
@@ -292,14 +292,16 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
     Indices come from reversed DFS postorder with children visited in
     action-index order, so the initial state gets index 0 and every edge
     goes from a lower to a higher index.  Deterministic for a deterministic
-    env.
+    env.  Every pair that ``env.parents`` omits is an error, and so is a
+    declared pair that enumeration did not step itself (say, one from an
+    unreachable state) unless ``env.step`` replays it to the state.
 
     Raises CycleDetected, StateBudgetExceeded, or ParentMismatch.
     """
     root = env.initial_state()
     index_of: dict[bytes, int] = {root: 0}
     states: list[bytes] = [root]
-    kids: list[list[int] | None] = [None]
+    kids: dict[int, list[int]] = {}  # discovery id -> child discovery ids
 
     def resolve(sid: int) -> list[int]:
         st = states[sid]
@@ -310,13 +312,9 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
             cid = index_of.get(child)
             if cid is None:
                 if len(states) >= max_states:
-                    raise StateBudgetExceeded(
-                        f"more than {max_states} reachable states"
-                    )
-                cid = len(states)
-                index_of[child] = cid
+                    raise StateBudgetExceeded(f"more than {max_states} reachable states")
+                cid = index_of[child] = len(states)
                 states.append(child)
-                kids.append(None)
             out.append(cid)
         return out
 
@@ -326,16 +324,14 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
     stack: list[list[int]] = [[0, 0]]  # (discovery id, next child position)
     while stack:
         sid, pos = stack[-1]
-        if kids[sid] is None:
+        if sid not in kids:
             kids[sid] = resolve(sid)
         children = kids[sid]
         if pos < len(children):
             stack[-1][1] = pos + 1
             c = children[pos]
             if c in on_path:
-                raise CycleDetected(
-                    f"state {states[c]!r} reached again along the current path"
-                )
+                raise CycleDetected(f"state {states[c]!r} reached again along the current path")
             if c not in done:
                 on_path.add(c)
                 stack.append([c, 0])
@@ -347,40 +343,29 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
 
     order = postorder[::-1]  # reverse postorder = topological, root first
     rank = {d: i for i, d in enumerate(order)}
-    n = len(order)
 
     new_states = [states[d] for d in order]
     terminal = [env.is_terminal(s) for s in new_states]
-    log_target = [
-        float(env.log_target(s)) if term else float("-inf")
-        for s, term in zip(new_states, terminal)
-    ]
-    edges = []
-    for d in order:
-        s = rank[d]
-        for a, c in enumerate(kids[d]):
-            edges.append((s, a, rank[c]))
-
+    log_target = [float(env.log_target(s)) if term else float("-inf")
+                  for s, term in zip(new_states, terminal)]
+    edges = [(rank[d], a, rank[c]) for d in order for a, c in enumerate(kids[d])]
     mdp = _freeze(new_states, (0,), terminal, log_target, edges)
 
-    # cross-check env.parents against discovered edges
-    discovered: dict[int, set[tuple[bytes, int]]] = {s: set() for s in range(n)}
+    # cross-check env.parents against discovered edges; a discovered pair is
+    # known to step to the state, so only the other declared pairs replay
+    discovered: list[set[tuple[bytes, int]]] = [set() for _ in order]
     for s, a, c in edges:
         discovered[c].add((new_states[s], a))
-    for c in range(n):
+    for c, state in enumerate(new_states):
         declared = set()
-        for p_state, p_action in env.parents(new_states[c]):
-            declared.add((bytes(p_state), int(p_action)))
-            if env.step(p_state, p_action) != new_states[c]:
-                raise ParentMismatch(
-                    f"parents({new_states[c]!r}) lists ({p_state!r}, {p_action}) "
-                    "which does not replay to it"
-                )
-        missing = discovered[c] - declared
-        if missing:
-            raise ParentMismatch(
-                f"parents({new_states[c]!r}) is missing the pairs {sorted(missing)}"
-            )
+        for p_state, p_action in env.parents(state):
+            pair = (bytes(p_state), int(p_action))
+            declared.add(pair)
+            if pair not in discovered[c] and env.step(p_state, p_action) != state:
+                raise ParentMismatch(f"parents({state!r}) lists ({p_state!r}, {p_action}) "
+                                     "which does not replay to it")
+        if missing := discovered[c] - declared:
+            raise ParentMismatch(f"parents({state!r}) is missing the pairs {sorted(missing)}")
     return mdp
 
 
@@ -389,98 +374,93 @@ def invert(mdp: EnumeratedMdp) -> EnumeratedMdp:
 
     Actions of the inverted MDP at a state are its original parent pairs in
     parent-list order, and the transition undoes the original action.
-    Indices are reassigned in reverse topological order.  The inverted MDP
-    has one initial-role state per original terminal; single-initial
-    consumers reject it via ``EnumeratedMdp.initial``.  The terminal-role
-    states (the original initials) get log-target 0.
+    Indices are reassigned in reverse topological order (state ``i`` becomes
+    ``n - 1 - i``).  The inverted MDP has one initial-role state per original
+    terminal; single-initial consumers reject it via ``EnumeratedMdp.initial``.
+    The terminal-role states (the original initials) get log-target 0.
     """
-    n = mdp.n_states
+    last = mdp.n_states - 1
+    edges = np.column_stack((last - mdp.edge_dst, mdp.parent_slot, last - mdp.edge_src))
+    terminal = np.isin(np.arange(last, -1, -1), mdp.initials)  # state i was state last - i
+    log_target = np.where(terminal, 0.0, float("-inf"))
+    initials = (last - mdp.terminal_ids[::-1]).tolist()
+    return _freeze(mdp.states[::-1], initials, terminal, log_target, edges)
 
-    def rho(i: int) -> int:
-        return n - 1 - i
 
-    states = [mdp.states[rho(i)] for i in range(n)]
-    edges = []
-    for e in range(mdp.n_edges):
-        edges.append(
-            (rho(int(mdp.edge_dst[e])), int(mdp.parent_slot[e]), rho(int(mdp.edge_src[e])))
-        )
-    initials = tuple(sorted(rho(int(t)) for t in mdp.terminal_ids))
-    terminal = np.zeros(n, dtype=bool)
-    for s0 in mdp.initials:
-        terminal[rho(int(s0))] = True
-    log_target = np.full(n, float("-inf"))
-    log_target[terminal] = 0.0
-    return _freeze(states, initials, terminal, log_target, edges)
+def _first(*checks: tuple[np.ndarray, str]) -> str | None:
+    """``message.format(i)`` for the lowest index ``i`` failing one of the
+    ``(bad, message)`` checks (the earlier check at a tie), or None."""
+    hits = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    i, k = min(hits, default=(0, None))
+    return None if k is None else checks[k][1].format(i)
+
+
+def _violations(mdp: EnumeratedMdp) -> Iterator[str | None]:
+    """The first violation of each group of invariants in checking order, or
+    None where a group holds; each group relies on the groups before it."""
+    n, m = mdp.n_states, mdp.n_edges
+    src, dst, terminal = mdp.edge_src, mdp.edge_dst, mdp.terminal
+
+    def slices(offset, entries, owner_key, rank_key):
+        """Per state: its slice of ``entries`` holds an edge whose key names
+        another state, and one whose rank key is not its rank in the slice."""
+        owner = np.repeat(np.arange(n), np.diff(offset))
+        rank = np.arange(m) - offset[owner]
+        return (np.bincount(owner, weights=owner_key[entries] != owner, minlength=n) > 0,
+                np.bincount(owner, weights=rank_key[entries] != rank, minlength=n) > 0)
+
+    if len(set(mdp.states)) != n:
+        yield "duplicate state encodings"
+    if not mdp.initials or len(set(mdp.initials)) != len(mdp.initials):
+        yield "initial states must be nonempty and distinct"
+    for name in ("out_offset", "in_offset"):
+        offset = getattr(mdp, name)
+        if (len(offset) != n + 1 or offset[0] != 0 or offset[-1] != m
+                or (np.diff(offset) < 0).any()):
+            yield f"malformed {name}"
+
+    unknown = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    if (unknown | (src >= dst)).any():
+        e = int(np.argmax(unknown | (src >= dst)))
+        yield (f"edge {e} references an unknown state" if unknown[e] else
+               f"acyclicity: edge {src[e]} -> {dst[e]} violates topological index order")
+
+    foreign, unranked = slices(mdp.out_offset, slice(None), src, mdp.edge_action)
+    has_children = np.diff(mdp.out_offset) > 0
+    yield _first(
+        (foreign, "out_offset slice of state {} contains foreign edges"),
+        (unranked, "state {} action ids are not dense 0..k-1"),
+        (terminal & has_children, "terminal state {} has children"),
+        (~terminal & ~has_children, "non-terminal state {} has no children"),
+    )
+
+    if not np.array_equal(np.sort(mdp.in_edges), np.arange(m)):
+        yield "in_edges is not a permutation of edge ids (parent/child duality)"
+    foreign, unranked = slices(mdp.in_offset, mdp.in_edges, dst, mdp.parent_slot)
+    yield _first((foreign, "in_offset slice of state {} contains foreign edges"),
+                 (unranked, "parent_slot ranks of state {} are wrong"))
+
+    target = mdp.log_target
+    yield _first((terminal & ~np.isfinite(target), "terminal state {} has non-finite log_target"),
+                 (~terminal & (target != -np.inf), "non-terminal state {} has a finite log_target"))
+
+    entry = np.zeros(n, dtype=bool)
+    entry[list(mdp.initials)] = True
+    yield _first((~entry & (np.diff(mdp.in_offset) == 0), "state {} unreachable from initials"))
 
 
 def validate(mdp: EnumeratedMdp) -> ValidationReport:
-    """Check all EnumeratedMdp invariants; report the first violation."""
-    n, m = mdp.n_states, mdp.n_edges
+    """Check all EnumeratedMdp invariants; report the first violation.
 
-    def fail(msg: str) -> ValidationReport:
-        return ValidationReport(ok=False, failure=msg)
-
-    if len(set(mdp.states)) != n:
-        return fail("duplicate state encodings")
-    if not mdp.initials or len(set(mdp.initials)) != len(mdp.initials):
-        return fail("initial states must be nonempty and distinct")
-
-    if len(mdp.out_offset) != n + 1 or mdp.out_offset[0] != 0 or mdp.out_offset[-1] != m:
-        return fail("malformed out_offset")
-    if len(mdp.in_offset) != n + 1 or mdp.in_offset[0] != 0 or mdp.in_offset[-1] != m:
-        return fail("malformed in_offset")
-
-    for e in range(m):
-        if not (0 <= mdp.edge_src[e] < n and 0 <= mdp.edge_dst[e] < n):
-            return fail(f"edge {e} references an unknown state")
-        if mdp.edge_src[e] >= mdp.edge_dst[e]:
-            return fail(
-                f"acyclicity: edge {int(mdp.edge_src[e])} -> {int(mdp.edge_dst[e])} "
-                "violates topological index order"
-            )
-
-    for s in range(n):
-        sl = mdp.out_slice(s)
-        if (mdp.edge_src[sl] != s).any():
-            return fail(f"out_offset slice of state {s} contains foreign edges")
-        acts = mdp.edge_action[sl]
-        if list(acts) != list(range(len(acts))):
-            return fail(f"state {s} action ids are not dense 0..k-1")
-        if mdp.terminal[s] and len(acts) > 0:
-            return fail(f"terminal state {s} has children")
-        if not mdp.terminal[s] and len(acts) == 0:
-            return fail(f"non-terminal state {s} has no children")
-
-    if sorted(mdp.in_edges.tolist()) != list(range(m)):
-        return fail("in_edges is not a permutation of edge ids (parent/child duality)")
-    for s in range(n):
-        ids = mdp.in_edge_ids(s)
-        if (mdp.edge_dst[ids] != s).any():
-            return fail(f"in_offset slice of state {s} contains foreign edges")
-        if (mdp.parent_slot[ids] != np.arange(len(ids))).any():
-            return fail(f"parent_slot ranks of state {s} are wrong")
-
-    for s in range(n):
-        if mdp.terminal[s] and not np.isfinite(mdp.log_target[s]):
-            return fail(f"terminal state {s} has non-finite log_target")
-        if not mdp.terminal[s] and mdp.log_target[s] != float("-inf"):
-            return fail(f"non-terminal state {s} has a finite log_target")
-
-    seen = np.zeros(n, dtype=bool)
-    frontier = list(mdp.initials)
-    for s in frontier:
-        seen[s] = True
-    while frontier:
-        s = frontier.pop()
-        for _, c in mdp.children(s):
-            if not seen[c]:
-                seen[c] = True
-                frontier.append(c)
-    if not seen.all():
-        return fail(f"state {int(np.flatnonzero(~seen)[0])} unreachable from initials")
-
-    return ValidationReport(ok=True)
+    Each invariant is one array predicate over the tables; the report names
+    its lowest offending index.  Reachability needs no traversal: edges go up
+    in index, so following parents from any state ends at a parentless state,
+    and every state is reachable iff every parentless state is an initial.
+    The lowest unreachable state is parentless (a parent would be lower and
+    unreachable), so it is the one reported.
+    """
+    failure = next(filter(None, _violations(mdp)), None)
+    return ValidationReport(ok=failure is None, failure=failure)
 
 
 class ExplicitDagEnv:
@@ -549,8 +529,8 @@ def parse_dag_text(text: str) -> ExplicitDagEnv:
     """Parse the plain-text DAG spec format.
 
     One line per edge ``parent_id action_id child_id``, one line per terminal
-    ``terminal id log_target``, one line ``initial id``.  Whitespace
-    separated; ``#`` starts a comment.
+    ``terminal id log_target`` (a finite log target), one line ``initial id``.
+    Whitespace separated; ``#`` starts a comment.
     """
     initial: int | None = None
     edges: list[tuple[int, int, int]] = []
@@ -567,17 +547,15 @@ def parse_dag_text(text: str) -> ExplicitDagEnv:
                 if len(parts) != 2:
                     raise DagFormatError(f"line {lineno}: expected 'initial id'")
                 initial = int(parts[1])
+            elif len(parts) != 3:
+                form = "terminal id log_target" if parts[0] == "terminal" else "parent action child"
+                raise DagFormatError(f"line {lineno}: expected '{form}'")
             elif parts[0] == "terminal":
-                if len(parts) != 3:
-                    raise DagFormatError(
-                        f"line {lineno}: expected 'terminal id log_target'"
-                    )
-                terminals[int(parts[1])] = float(parts[2])
+                value = float(parts[2])
+                if not np.isfinite(value):
+                    raise DagFormatError(f"line {lineno}: log_target {parts[2]} is not finite")
+                terminals[int(parts[1])] = value
             else:
-                if len(parts) != 3:
-                    raise DagFormatError(
-                        f"line {lineno}: expected 'parent action child'"
-                    )
                 edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
         except ValueError as exc:
             raise DagFormatError(f"line {lineno}: {exc}") from exc
@@ -591,10 +569,7 @@ def parse_dag_text(text: str) -> ExplicitDagEnv:
 def dump_dag_text(mdp: EnumeratedMdp) -> str:
     """Serialize an EnumeratedMdp to the plain-text DAG spec format."""
     lines = ["# gflowdp DAG spec", f"initial {mdp.initial}"]
-    for e in range(mdp.n_edges):
-        lines.append(
-            f"{int(mdp.edge_src[e])} {int(mdp.edge_action[e])} {int(mdp.edge_dst[e])}"
-        )
-    for t in mdp.terminal_ids:
-        lines.append(f"terminal {int(t)} {float(mdp.log_target[t])!r}")
+    lines += [f"{s} {a} {c}" for s, a, c in zip(
+        mdp.edge_src.tolist(), mdp.edge_action.tolist(), mdp.edge_dst.tolist())]
+    lines += [f"terminal {t} {float(mdp.log_target[t])!r}" for t in mdp.terminal_ids.tolist()]
     return "\n".join(lines) + "\n"

@@ -1,8 +1,11 @@
-"""The per-state Python loops of the exact layer and the training step, kept
-as reference oracles for the level-synchronous implementations.
+"""The per-state Python loops of the MDP tables, the exact layer and the
+training step, kept as reference oracles for the whole-array and
+level-synchronous implementations.
 
 Each function is the loop version verbatim, except that calls into
-functions that were rewritten go to the loop copies in this module.
+functions that were rewritten go to the loop copies in this module, and
+that ``_coef`` no longer divides, so its callers here divide by their own
+denominators.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from gflowdp.learner import (
     TrainConfig,
     _coef,
 )
-from gflowdp.mdp import EnumeratedMdp, Trajectory
+from gflowdp.mdp import EnumeratedMdp, Trajectory, ValidationReport
 from gflowdp.numerics import NEG_INF, entropy_from_log_probs, logsumexp
 from gflowdp.objectives import cross_cumsum, huber
 
@@ -68,6 +71,105 @@ def _freeze(
         in_offset=in_offset,
         parent_slot=parent_slot,
     )
+
+
+def invert_loop(mdp: EnumeratedMdp) -> EnumeratedMdp:
+    """Reverse every edge: initial roles and terminal roles swap.
+
+    Actions of the inverted MDP at a state are its original parent pairs in
+    parent-list order, and the transition undoes the original action.
+    Indices are reassigned in reverse topological order.  The inverted MDP
+    has one initial-role state per original terminal; single-initial
+    consumers reject it via ``EnumeratedMdp.initial``.  The terminal-role
+    states (the original initials) get log-target 0.
+    """
+    n = mdp.n_states
+
+    def rho(i: int) -> int:
+        return n - 1 - i
+
+    states = [mdp.states[rho(i)] for i in range(n)]
+    edges = []
+    for e in range(mdp.n_edges):
+        edges.append(
+            (rho(int(mdp.edge_dst[e])), int(mdp.parent_slot[e]), rho(int(mdp.edge_src[e])))
+        )
+    initials = tuple(sorted(rho(int(t)) for t in mdp.terminal_ids))
+    terminal = np.zeros(n, dtype=bool)
+    for s0 in mdp.initials:
+        terminal[rho(int(s0))] = True
+    log_target = np.full(n, float("-inf"))
+    log_target[terminal] = 0.0
+    return _freeze(states, initials, terminal, log_target, edges)
+
+
+def validate_loop(mdp: EnumeratedMdp) -> ValidationReport:
+    """Check all EnumeratedMdp invariants; report the first violation."""
+    n, m = mdp.n_states, mdp.n_edges
+
+    def fail(msg: str) -> ValidationReport:
+        return ValidationReport(ok=False, failure=msg)
+
+    if len(set(mdp.states)) != n:
+        return fail("duplicate state encodings")
+    if not mdp.initials or len(set(mdp.initials)) != len(mdp.initials):
+        return fail("initial states must be nonempty and distinct")
+
+    if len(mdp.out_offset) != n + 1 or mdp.out_offset[0] != 0 or mdp.out_offset[-1] != m:
+        return fail("malformed out_offset")
+    if len(mdp.in_offset) != n + 1 or mdp.in_offset[0] != 0 or mdp.in_offset[-1] != m:
+        return fail("malformed in_offset")
+
+    for e in range(m):
+        if not (0 <= mdp.edge_src[e] < n and 0 <= mdp.edge_dst[e] < n):
+            return fail(f"edge {e} references an unknown state")
+        if mdp.edge_src[e] >= mdp.edge_dst[e]:
+            return fail(
+                f"acyclicity: edge {int(mdp.edge_src[e])} -> {int(mdp.edge_dst[e])} "
+                "violates topological index order"
+            )
+
+    for s in range(n):
+        sl = mdp.out_slice(s)
+        if (mdp.edge_src[sl] != s).any():
+            return fail(f"out_offset slice of state {s} contains foreign edges")
+        acts = mdp.edge_action[sl]
+        if list(acts) != list(range(len(acts))):
+            return fail(f"state {s} action ids are not dense 0..k-1")
+        if mdp.terminal[s] and len(acts) > 0:
+            return fail(f"terminal state {s} has children")
+        if not mdp.terminal[s] and len(acts) == 0:
+            return fail(f"non-terminal state {s} has no children")
+
+    if sorted(mdp.in_edges.tolist()) != list(range(m)):
+        return fail("in_edges is not a permutation of edge ids (parent/child duality)")
+    for s in range(n):
+        ids = mdp.in_edge_ids(s)
+        if (mdp.edge_dst[ids] != s).any():
+            return fail(f"in_offset slice of state {s} contains foreign edges")
+        if (mdp.parent_slot[ids] != np.arange(len(ids))).any():
+            return fail(f"parent_slot ranks of state {s} are wrong")
+
+    for s in range(n):
+        if mdp.terminal[s] and not np.isfinite(mdp.log_target[s]):
+            return fail(f"terminal state {s} has non-finite log_target")
+        if not mdp.terminal[s] and mdp.log_target[s] != float("-inf"):
+            return fail(f"non-terminal state {s} has a finite log_target")
+
+    seen = np.zeros(n, dtype=bool)
+    frontier = list(mdp.initials)
+    for s in frontier:
+        seen[s] = True
+    while frontier:
+        s = frontier.pop()
+        for _, c in mdp.children(s):
+            if not seen[c]:
+                seen[c] = True
+                frontier.append(c)
+    if not seen.all():
+        return fail(f"state {int(np.flatnonzero(~seen)[0])} unreachable from initials")
+
+    return ValidationReport(ok=True)
 
 
 def count_paths(mdp: EnumeratedMdp) -> np.ndarray:
@@ -313,7 +415,7 @@ def compute_loss_and_grads(
             # full-trajectory consistency of the count-corrected soft values:
             # terminal value is log p~ - l, initial value is the log_z head
             res = model.log_z + sum_pi - (log_targets - l_table[batch.terminals])
-        c = _coef(res, hp, n_traj)
+        c = _coef(res, hp) / n_traj
         policy_loss = float(huber(res, hp).mean())
         g_z += float(c.sum())
         np.add.at(g_pi, se, c[st])
@@ -324,7 +426,7 @@ def compute_loss_and_grads(
 
     elif config.objective == "db":
         res = log_f[srcs] + log_pi[se] - log_q[se] - log_f[dsts]
-        c = _coef(res, hp, n_steps)
+        c = _coef(res, hp) / n_steps
         policy_loss = float(huber(res, hp).mean())
         np.add.at(g_pi, se, c)
         np.add.at(g_q, se, -c)
@@ -344,7 +446,7 @@ def compute_loss_and_grads(
             w[ii, jj] = config.lambda_stb ** (jj - ii + 1)
             w /= w.sum()
             policy_loss += float((w * huber(d, hp)).sum()) / n_traj
-            cmat = w * _coef(d, hp, n_traj)
+            cmat = w * (_coef(d, hp) / n_traj)
             # coefficient on step t is the mass of all (i, j) with i<=t<=j
             a = np.cumsum(cmat, axis=0)
             cover = np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
@@ -381,7 +483,7 @@ def compute_loss_and_grads(
             res = lse_out - lse_in
             weight = counts[s] / n_occ
             policy_loss += weight * float(huber(res, hp))
-            c = weight * float(_coef(res, hp, 1.0))
+            c = weight * float(_coef(res, hp))
             w_out = np.exp(out_terms - lse_out)
             if len(out_ids):
                 np.add.at(g_pi, out_ids, c * w_out[:-1])
@@ -413,7 +515,7 @@ def compute_loss_and_grads(
             res = float(model.l_hat[s]) - lse
             weight = counts[s] / n_occ
             n_loss += weight * float(huber(res, hp))
-            c = weight * float(_coef(res, hp, 1.0))
+            c = weight * float(_coef(res, hp))
             g_l[s] += c
             np.add.at(g_l, mdp.edge_src[ids], -c * np.exp(parent_l - lse))
     elif config.n_objective == "trajectory":
@@ -421,7 +523,7 @@ def compute_loss_and_grads(
         sum_ql = np.zeros(n_traj)
         np.add.at(sum_ql, st, log_ql[se])
         res = model.l_hat[batch.terminals] + sum_ql
-        c = _coef(res, hp, n_traj)
+        c = _coef(res, hp) / n_traj
         n_loss = float(huber(res, hp).mean())
         np.add.at(g_l, batch.terminals, c)
         np.add.at(g_ql, se, c[st])

@@ -341,6 +341,18 @@ def test_malformed_model_file_is_a_runtime_error(tmp_path, capsys, text):
     assert "malformed model file" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_dag_file_with_non_finite_target_is_a_runtime_error(tmp_path, capsys, value):
+    dag = tmp_path / "bad.dag"
+    dag.write_text(f"initial 0\n0 0 1\nterminal 1 {value}\n")
+    cfg = write_config(tmp_path, f"[env]\nname = dag-file\npath = {dag}\n[train]\nsteps = 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert _one_line_error(capsys) == f"error: line 3: log_target {value} is not finite"
+
+
 def test_train_stb_with_huge_lambda_has_finite_losses(tmp_path):
     cfg = write_config(tmp_path, (
         "[env]\nname = bitvector\nlength = 3\n\n"
