@@ -10,9 +10,9 @@ objective/backward combination against central finite differences.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .objectives import (
     backward_from_counts,
     huber,
     huber_grad,
-    row_positions,
     step_cells,
     subtrajectory_cells,
     subtrajectory_residuals,
@@ -239,43 +238,59 @@ def _segment_log_softmax(mdp: EnumeratedMdp, logits: np.ndarray, by_src: bool) -
 
 @dataclass
 class RolloutBatch:
-    """Sampled trajectories plus flattened per-step caches and the padded
-    rows the sub-trajectory residuals read."""
+    """Sampled trajectories as padded rows, with the flat per-step indexes
+    the residuals read; ``trajectories`` is a view built on first access."""
 
-    trajectories: list[Trajectory]
-    step_traj: np.ndarray  # trajectory index per flat step
-    step_edge: np.ndarray  # edge id per flat step
+    state_rows: np.ndarray  # [B, T+1] state ids, padded with the terminal
     lengths: np.ndarray  # [B]
     terminals: np.ndarray  # [B] terminal state id per trajectory
+    step_traj: np.ndarray  # trajectory index per flat step
     step_pos: np.ndarray  # flat index of each flat step in the [B, T] step rows
-    state_rows: np.ndarray  # [B, T+1] state ids, padded with the terminal
+    step_edge: np.ndarray  # edge id per flat step
+    edge_action: np.ndarray | None = None  # [E] action id, for the view
+    edge_log_behavior: np.ndarray | None = None  # [E] sampling log-prob, for the view
+
+    @classmethod
+    def from_rows(cls, state_rows, edge_rows, edge_action=None, edge_log_behavior=None):
+        """The batch of ``state_rows`` and ``edge_rows`` ([B, T], -1 past
+        each row's end)."""
+        steps = edge_rows >= 0
+        return cls(
+            state_rows=state_rows,
+            lengths=steps.sum(axis=1),
+            terminals=state_rows[:, -1],
+            step_traj=np.nonzero(steps)[0],
+            step_pos=np.flatnonzero(steps),
+            step_edge=edge_rows[steps],
+            edge_action=edge_action,
+            edge_log_behavior=edge_log_behavior,
+        )
 
     @classmethod
     def from_trajectories(cls, trajectories: list[Trajectory]) -> "RolloutBatch":
-        def flat(arrays):
-            return np.concatenate(arrays + [np.zeros(0, dtype=np.int64)]).astype(np.int64)
+        def rows(arrays, width, **pad):
+            padded = [np.pad(a, (0, width - len(a)), **pad) for a in arrays]
+            return np.array(padded, dtype=np.int64).reshape(len(arrays), width)
 
-        lengths = np.array([len(t) for t in trajectories], dtype=np.int64)
-        terminals = np.array([t.end for t in trajectories], dtype=np.int64)
-        width = int(lengths.max(initial=0))
-        step_traj, step_k = row_positions(lengths)
-        state_rows = np.repeat(terminals, width + 1).reshape(len(lengths), width + 1)
-        state_rows[row_positions(lengths + 1)] = flat([t.states for t in trajectories])
-        return cls(
-            trajectories=trajectories,
-            step_traj=step_traj,
-            step_edge=flat([t.edges for t in trajectories]),
-            lengths=lengths,
-            terminals=terminals,
-            step_pos=step_traj * width + step_k,
-            state_rows=state_rows,
-        )
+        width = max((len(t) for t in trajectories), default=0)
+        batch = cls.from_rows(rows([t.states for t in trajectories], width + 1, mode="edge"),
+                              rows([t.edges for t in trajectories], width, constant_values=-1))
+        batch.trajectories = list(trajectories)  # the view of a hand-built batch
+        return batch
+
+    @cached_property
+    def trajectories(self) -> list[Trajectory]:
+        edges = np.split(self.step_edge, np.cumsum(self.lengths)[:-1])
+        return [
+            Trajectory(states=self.state_rows[b, : len(e) + 1], actions=self.edge_action[e],
+                       edges=e, log_behavior=self.edge_log_behavior[e])
+            for b, e in enumerate(edges)
+        ]
 
 
 def _behavior_tables(mdp: EnumeratedMdp, model: PolicyModel, epsilon: float):
     """Per-edge sampling CDFs (within each state's out-edge segment) and log
-    probabilities of (1-eps) * softmax(logits) + eps * uniform, as lists for
-    the walker's bisection."""
+    probabilities of (1-eps) * softmax(logits) + eps * uniform."""
     log_pi = model.forward_log_probs(mdp)
     degree = np.diff(mdp.out_offset)
     p = (1.0 - epsilon) * np.exp(log_pi) + epsilon / degree[mdp.edge_src]
@@ -286,27 +301,52 @@ def _behavior_tables(mdp: EnumeratedMdp, model: PolicyModel, epsilon: float):
     for j in range(1, int(degree.max(initial=0))):
         at = starts[degree > j] + j
         cdf[at] += cdf[at - 1]
-    return cdf.tolist(), np.log(p).tolist()
+    return cdf, np.log(p)
 
 
-def _sample_one(mdp: EnumeratedMdp, tables, rng: np.random.Generator) -> Trajectory:
-    cdf, log_p = tables
-    s = mdp.initial
-    states, actions, edges, log_b = [s], [], [], []
-    while not mdp.terminal[s]:
-        lo, hi = int(mdp.out_offset[s]), int(mdp.out_offset[s + 1])
-        e = min(bisect.bisect_right(cdf, rng.random(), lo, hi), hi - 1)
-        s = int(mdp.edge_dst[e])
-        actions.append(e - lo)
-        edges.append(e)
-        log_b.append(log_p[e])
-        states.append(s)
-    return Trajectory(
-        states=np.array(states, dtype=np.int64),
-        actions=np.array(actions, dtype=np.int64),
-        edges=np.array(edges, dtype=np.int64),
-        log_behavior=np.array(log_b, dtype=float),
-    )
+def _walk(mdp: EnumeratedMdp, cdf: np.ndarray, n: int, streams: list[np.random.Generator]):
+    """Walk ``n`` walkers from the initial state to terminals in lockstep.
+
+    Each step, every live walker at a state with out-edges ``[lo, hi)`` draws
+    u and takes edge ``min(bisect_right(cdf, u, lo, hi), hi - 1)``.  Walker b
+    reads ``streams[b % len(streams)]``, and each stream draws one vector a
+    step for its live walkers, in walker order.  Returns state rows [n, T+1]
+    padded with the terminal and edge rows [n, T] padded with -1."""
+    offset, n_streams = mdp.out_offset, len(streams)
+    degree = np.diff(offset)
+    rounds = (int(degree.max(initial=1)) - 1).bit_length()
+    # the last edge of a segment compares above every u, so the bisection
+    # of [lo, hi - 1] needs no bound check and stops at hi - 1 at the latest
+    cdf = cdf.copy()
+    cdf[offset[1:][degree > 0] - 1] = np.inf
+    state = np.full(n, mdp.initial, dtype=np.int64)
+    live = np.flatnonzero(~mdp.terminal[state])
+    state_cols, edge_cols = [state], []
+    while len(live):
+        if n_streams == 1:
+            u = streams[0].random(len(live))
+        else:
+            shard = live % n_streams
+            u = np.empty(len(live))
+            u[np.argsort(shard, kind="stable")] = np.concatenate([
+                streams[w].random(k)
+                for w, k in enumerate(np.bincount(shard, minlength=n_streams).tolist()) if k])
+        s = state[live]
+        lo, hi = offset[s], offset[s + 1] - 1
+        for _ in range(rounds):
+            mid = (lo + hi) >> 1
+            right = cdf[mid] <= u
+            lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
+        dst = mdp.edge_dst[lo]
+        state = state.copy()
+        state[live] = dst
+        edge = np.full(n, -1, dtype=np.int64)
+        edge[live] = lo
+        state_cols.append(state)
+        edge_cols.append(edge)
+        live = live[~mdp.terminal[dst]]
+    edge_rows = np.stack(edge_cols, axis=1) if edge_cols else np.empty((n, 0), dtype=np.int64)
+    return np.stack(state_cols, axis=1), edge_rows
 
 
 def sample_trajectory(
@@ -316,7 +356,8 @@ def sample_trajectory(
     rng: np.random.Generator,
 ) -> Trajectory:
     """Roll out one trajectory under the epsilon-uniform behavior policy."""
-    return _sample_one(mdp, _behavior_tables(mdp, model, epsilon), rng)
+    config = TrainConfig(batch_size=1, epsilon_uniform=epsilon)
+    return collect_batch(mdp, model, config, [rng]).trajectories[0]
 
 
 def collect_batch(
@@ -325,13 +366,11 @@ def collect_batch(
     config: TrainConfig,
     streams: list[np.random.Generator],
 ) -> RolloutBatch:
-    """Sample a batch, round-robin across the worker RNG streams."""
-    tables = _behavior_tables(mdp, model, config.epsilon_uniform)
-    trajectories = [
-        _sample_one(mdp, tables, streams[b % len(streams)])
-        for b in range(config.batch_size)
-    ]
-    return RolloutBatch.from_trajectories(trajectories)
+    """Sample a batch by walking its walkers in lockstep; walker b draws
+    from ``streams[b % len(streams)]``."""
+    cdf, log_p = _behavior_tables(mdp, model, config.epsilon_uniform)
+    state_rows, edge_rows = _walk(mdp, cdf, config.batch_size, streams)
+    return RolloutBatch.from_rows(state_rows, edge_rows, mdp.edge_action, log_p)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +459,7 @@ def compute_loss_and_grads(
     Returns (stats, grads) where grads holds one array per parameter group
     with pinned/clamped entries already zeroed.
     """
-    if len(batch.trajectories) == 0:
+    if batch.lengths.size == 0:
         raise ValueError("batch must be nonempty")
 
     log_pi = model.forward_log_probs(mdp)
@@ -632,7 +671,7 @@ def run_training(
     Sampling uses an EMA copy of the train model with epsilon-uniform
     exploration.  With reward_exponent b the trained target is p~**b.
     Deterministic given (config, workers): each worker has its own
-    seed-derived stream and trajectories are assigned round-robin.
+    seed-derived stream, and walker b of every batch reads stream b % workers.
     """
     config.validate()
     if workers < 1:
@@ -658,20 +697,17 @@ def run_training(
 
     l_metrics = exact.count_paths(train_mdp)
     bound = exact.max_entropy_bound(train_mdp, l_metrics)
-    log_mode_threshold = np.log(mode_threshold)
-    visited: set[int] = set()
+    visited = np.zeros(mdp.n_states, dtype=bool)
+    is_mode = mdp.log_target >= np.log(mode_threshold)
     rows: list[MetricsRow] = []
     stats = {"policy_loss": float("nan"), "n_loss": float("nan")}
     for step in range(1, config.steps + 1):
         batch = collect_batch(train_mdp, sampling_model, config, streams)
-        visited.update(int(t) for t in batch.terminals)
+        visited[batch.terminals] = True
         stats = train_step(train_mdp, model, batch, config, opt_state, exact_l)
         ema_update(sampling_model, model, config.ema_decay)
         if step % metrics_every == 0 or step == config.steps:
             log_pi = model.forward_log_probs(train_mdp)
-            modes = sum(
-                1 for t in visited if mdp.log_target[t] >= log_mode_threshold
-            )
             rows.append(
                 MetricsRow(
                     step=step,
@@ -682,7 +718,7 @@ def run_training(
                     policy_loss=stats["policy_loss"],
                     n_loss=stats["n_loss"],
                     n_mse=metrics.n_mse(model.l_hat, l_metrics),
-                    modes_found=modes,
+                    modes_found=int((visited & is_mode).sum()),
                 )
             )
     return rows, model

@@ -302,10 +302,12 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
     index_of: dict[bytes, int] = {root: 0}
     states: list[bytes] = [root]
     kids: dict[int, list[int]] = {}  # discovery id -> child discovery ids
+    is_terminal: dict[int, bool] = {}  # discovery id -> env.is_terminal
 
     def resolve(sid: int) -> list[int]:
         st = states[sid]
-        n_act = 0 if env.is_terminal(st) else env.n_actions(st)
+        is_terminal[sid] = env.is_terminal(st)
+        n_act = 0 if is_terminal[sid] else env.n_actions(st)
         out = []
         for a in range(n_act):
             child = env.step(st, a)
@@ -345,7 +347,7 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
     rank = {d: i for i, d in enumerate(order)}
 
     new_states = [states[d] for d in order]
-    terminal = [env.is_terminal(s) for s in new_states]
+    terminal = [is_terminal[d] for d in order]
     log_target = [float(env.log_target(s)) if term else float("-inf")
                   for s, term in zip(new_states, terminal)]
     edges = [(rank[d], a, rank[c]) for d in order for a, c in enumerate(kids[d])]
@@ -411,8 +413,8 @@ def _violations(mdp: EnumeratedMdp) -> Iterator[str | None]:
 
     if len(set(mdp.states)) != n:
         yield "duplicate state encodings"
-    if not mdp.initials or len(set(mdp.initials)) != len(mdp.initials):
-        yield "initial states must be nonempty and distinct"
+    if not mdp.initials or len({s for s in mdp.initials if 0 <= s < n}) != len(mdp.initials):
+        yield "initial states must be nonempty, distinct and in range"
     for name in ("out_offset", "in_offset"):
         offset = getattr(mdp, name)
         if (len(offset) != n + 1 or offset[0] != 0 or offset[-1] != m

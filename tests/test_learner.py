@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -24,6 +25,7 @@ from gflowdp.learner import (
     sample_trajectory,
     train_step,
 )
+from gflowdp.mdp import Trajectory, enumerate_mdp, parse_dag_text
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +78,60 @@ def test_sampled_trajectories_are_legal(grid44):
         for s, a, s2 in t.steps():
             e = int(grid44.out_offset[s]) + a
             assert int(grid44.edge_dst[e]) == s2
+
+
+def test_lockstep_batch_matches_behavior_path_probabilities(fig_diamond):
+    # three streams share 20000 walkers; each of the 3 paths is sampled with
+    # the product of its behavior edge probabilities
+    model = PolicyModel.init(fig_diamond, np.random.default_rng(0), scale=1.5)
+    config = TrainConfig(batch_size=20000, epsilon_uniform=0.3)
+    batch = collect_batch(fig_diamond, model, config, np.random.default_rng(9).spawn(3))
+    _, log_p = learner._behavior_tables(fig_diamond, model, config.epsilon_uniform)
+    counts = {}
+    for t in batch.trajectories:
+        counts[tuple(t.edges.tolist())] = counts.get(tuple(t.edges.tolist()), 0) + 1
+    paths = list(exact.iter_trajectories(fig_diamond))
+    assert len(paths) == 3 and set(counts) <= {tuple(p) for p in paths}
+    for path in paths:
+        want = math.exp(float(log_p[path].sum()))
+        assert counts.get(tuple(path), 0) / config.batch_size == pytest.approx(want, abs=0.02)
+
+
+def test_lockstep_batch_is_reproducible(grid44):
+    model = PolicyModel.init(grid44, np.random.default_rng(1), scale=0.5)
+    config = TrainConfig(batch_size=50, epsilon_uniform=0.2)
+    a, b = (collect_batch(grid44, model, config, np.random.default_rng(4).spawn(3))
+            for _ in range(2))
+    for f in fields(RolloutBatch):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+    for ta, tb in zip(a.trajectories, b.trajectories):
+        assert np.array_equal(ta.log_behavior, tb.log_behavior)
+
+
+def test_batch_rows_are_padded_with_the_terminal():
+    # the initial steps straight to terminal 1 or walks 0 -> 2 -> 3 -> 4
+    m = enumerate_mdp(parse_dag_text(
+        "initial 0\n0 0 1\n0 1 2\n2 0 3\n3 0 4\nterminal 1 0.0\nterminal 4 0.0\n"))
+    batch = collect_batch(m, PolicyModel.init(m), TrainConfig(batch_size=16, epsilon_uniform=1.0),
+                          [np.random.default_rng(2)])
+    one, four = m.states.index(b"1"), m.states.index(b"4")
+    assert set(batch.lengths.tolist()) == {1, 3} and batch.state_rows.shape == (16, 4)
+    for b, (n, row) in enumerate(zip(batch.lengths, batch.state_rows)):
+        assert row[n:].tolist() == [batch.terminals[b]] * (4 - n)
+        assert batch.terminals[b] == (one if n == 1 else four)
+    # a zero-step walker next to a long one, as a hand-built batch
+    zero = Trajectory(states=np.array([one]), actions=np.zeros(0, dtype=np.int64),
+                      edges=np.zeros(0, dtype=np.int64), log_behavior=np.zeros(0))
+    longest = batch.trajectories[int(np.argmax(batch.lengths))]
+    mixed = RolloutBatch.from_trajectories([zero, longest])
+    assert mixed.state_rows[0].tolist() == [one] * 4
+    assert mixed.lengths.tolist() == [0, 3] and mixed.step_traj.tolist() == [1, 1, 1]
+    assert mixed.step_pos.tolist() == [3, 4, 5]
+    # a batch of only zero-step walkers has rows of the terminal alone
+    single = enumerate_mdp(parse_dag_text("initial 0\nterminal 0 0.5\n"))
+    batch = collect_batch(single, PolicyModel.init(single), TrainConfig(batch_size=3),
+                          [np.random.default_rng(0)])
+    assert batch.state_rows.tolist() == [[0]] * 3 and batch.step_edge.size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +426,24 @@ def test_zero_step_trajectories_train_log_z(single_state, objective):
     assert model.log_z == pytest.approx(0.0015, rel=1e-3)
 
 
-def test_benchmark_tracer_hooks_exist():
-    # benchmarks/tracer.py patches these module attributes and reads this
-    # batch field; a missing one would make every traced run fail
+def test_benchmark_tracer_hooks_exist(fig_diamond):
+    # benchmarks/tracer.py patches these module attributes and replays
+    # run_training's loop through these calls and batch fields; a missing or
+    # changed one would make every traced run fail
     for module, name in [(learner, "cross_cumsum"), (learner, "backward_from_counts"),
                          (learner, "logsumexp"), (objectives, "logsumexp"),
                          (exact, "logsumexp")]:
         assert callable(getattr(module, name, None)), (module.__name__, name)
-    assert "step_edge" in {f.name for f in fields(RolloutBatch)}
+    assert {"step_edge", "terminals"} <= {f.name for f in fields(RolloutBatch)}
+    m, config = fig_diamond, TrainConfig(batch_size=8)
+    model = PolicyModel.init(m)
+    sampling_model = model.copy()
+    opt_state = learner.adam_init(model)
+    streams = [np.random.default_rng(c) for c in np.random.SeedSequence(0).spawn(1)]
+    batch = learner.collect_batch(m, sampling_model, config, streams)
+    assert len(batch.step_edge) == int(batch.lengths.sum())
+    assert all(m.terminal[int(x)] for x in batch.terminals)
+    _, grads = learner.compute_loss_and_grads(m, model, batch, config, None)
+    learner.optimizer_update(model.param_groups(), grads, opt_state, config.learning_rate)
+    model.repin(m)
+    learner.ema_update(sampling_model, model, config.ema_decay)

@@ -204,13 +204,16 @@ def test_sampling_and_losses_match_loops(text, seed):
     for s in np.flatnonzero(~m.terminal):
         assert close(cdf[m.out_slice(s)], tables[s][0])
         assert close(log_p[m.out_slice(s)], tables[s][1])
-    trajs = []
-    for rng_new, rng_old in zip(*(np.random.default_rng(seed).spawn(8) for _ in range(2))):
-        a = learner._sample_one(m, (cdf, log_p), rng_new)
-        b = loops._sample_one(m, tables, rng_old)
-        assert np.array_equal(a.edges, b.edges)
-        trajs.append(a)
-    batch = RolloutBatch.from_trajectories(trajs)
+    # with one stream per walker, walker b reads stream b alone, as the loop did
+    batch = learner.collect_batch(m, model, TrainConfig(batch_size=8, epsilon_uniform=0.1),
+                                  np.random.default_rng(seed).spawn(8))
+    for a, rng in zip(batch.trajectories, np.random.default_rng(seed).spawn(8)):
+        b = loops._sample_one(m, tables, rng)
+        for name in ("states", "actions", "edges", "log_behavior"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    rebuilt = RolloutBatch.from_trajectories(batch.trajectories)
+    for name in ("state_rows", "lengths", "terminals", "step_traj", "step_pos", "step_edge"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(batch, name)), name
     l = exact.count_paths(m)
     for objective, backward, n_objective in itertools.product(
         learner.OBJECTIVES, learner.BACKWARDS, learner.N_OBJECTIVES

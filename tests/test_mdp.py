@@ -142,10 +142,11 @@ def test_enumerate_parent_mismatch():
 
 
 class _CountingEnv:
-    """Forwards every call to ``env`` and counts the ``step`` calls."""
+    """Forwards every call to ``env`` and counts the ``step`` and
+    ``is_terminal`` calls."""
 
     def __init__(self, env):
-        self.env, self.steps = env, 0
+        self.env, self.steps, self.terminal_asks = env, 0, 0
 
     def __getattr__(self, name):
         return getattr(self.env, name)
@@ -154,19 +155,34 @@ class _CountingEnv:
         self.steps += 1
         return self.env.step(state, action)
 
+    def is_terminal(self, state):
+        self.terminal_asks += 1
+        return self.env.is_terminal(state)
 
-@pytest.mark.parametrize("env", [
+
+ENV_ZOO = [
     envs.SimpleDagEnv(),
     envs.HypergridEnv(3, 4),
     envs.TreeBuildEnv(1, 5),
     envs.BitVectorEnv(4),
     envs.WordsEnv(2, 4, "append-either-side"),
-], ids=lambda env: type(env).__name__)
+]
+
+
+@pytest.mark.parametrize("env", ENV_ZOO, ids=lambda env: type(env).__name__)
 def test_enumerate_steps_each_edge_once(env):
     # parents() lists exactly the discovered pairs, so none is replayed
     counting = _CountingEnv(env)
     m = enumerate_mdp(counting)
     assert counting.steps == m.n_edges
+
+
+@pytest.mark.parametrize("env", ENV_ZOO, ids=lambda env: type(env).__name__)
+def test_enumerate_asks_is_terminal_once_per_state(env):
+    counting = _CountingEnv(env)
+    m = enumerate_mdp(counting)
+    assert counting.terminal_asks == m.n_states
+    assert np.array_equal(m.terminal, [env.is_terminal(s) for s in m.states])
 
 
 class _ExtraParentEnv(envs.SimpleDagEnv):
@@ -285,16 +301,25 @@ def _set(name, index, value):
 
 FOREIGN_OUT_0 = "out_offset slice of state 0 contains foreign edges"
 FOREIGN_IN_0 = "in_offset slice of state 0 contains foreign edges"
+INITIALS = "initial states must be nonempty, distinct and in range"
+LOOP_INITIALS = "initial states must be nonempty and distinct"
+# the loop indexes its tables with the initials: one past the last state
+# raises IndexError, and -1 reads as the last state, so it reports state 0
+# unreachable; these rows check validate alone
+LOOP_WRONG = object()
 
 # One corruption of the two-terminal DAG per validate message: the corrupted
 # MDP, the message, and the message of the seed's loop (the same except for
-# decreasing offsets, which the loop did not check as such).  Its states are
-# 0 '0', 1 '2', 2 '4' (terminal), 3 '1', 4 '3' (terminal); its edges are
-# 0->3, 0->1, 1->4, 1->2, 3->4.
+# decreasing offsets, which the loop did not check as such, and for the
+# initials, whose range it did not check).  Its states are 0 '0', 1 '2',
+# 2 '4' (terminal), 3 '1', 4 '3' (terminal); its edges are 0->3, 0->1, 1->4,
+# 1->2, 3->4.
 CORRUPTIONS = [
     (lambda m: replace(m, states=m.states[:1] + m.states[:-1]), "duplicate state encodings", None),
-    (lambda m: replace(m, initials=()), "initial states must be nonempty and distinct", None),
-    (lambda m: replace(m, initials=(0, 0)), "initial states must be nonempty and distinct", None),
+    (lambda m: replace(m, initials=()), INITIALS, LOOP_INITIALS),
+    (lambda m: replace(m, initials=(0, 0)), INITIALS, LOOP_INITIALS),
+    (lambda m: replace(m, initials=(m.n_states,)), INITIALS, LOOP_WRONG),
+    (lambda m: replace(m, initials=(-1,)), INITIALS, LOOP_WRONG),
     (lambda m: replace(m, out_offset=m.out_offset[:-1]), "malformed out_offset", None),
     (_set("out_offset", 0, 1), "malformed out_offset", None),
     (_set("out_offset", -1, 4), "malformed out_offset", None),
@@ -329,7 +354,9 @@ def test_validate_reports_each_invariant_like_the_loop(two_terminal, corrupt, me
                                                       loop_message):
     bad = corrupt(two_terminal)
     assert validate(bad) == ValidationReport(ok=False, failure=message)
-    assert loops.validate_loop(bad) == ValidationReport(ok=False, failure=loop_message or message)
+    if loop_message is not LOOP_WRONG:
+        assert loops.validate_loop(bad) == ValidationReport(ok=False,
+                                                            failure=loop_message or message)
 
 
 def test_validate_names_the_lowest_state_of_a_group(two_terminal):

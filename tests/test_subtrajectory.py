@@ -6,8 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gflowdp import learner
-from gflowdp.learner import PolicyModel, RolloutBatch
+from gflowdp.learner import PolicyModel, TrainConfig, collect_batch
 from gflowdp.mdp import enumerate_mdp, parse_dag_text
 from gflowdp.objectives import (
     TrajectoryView,
@@ -61,9 +60,9 @@ def test_cell_sets_match_per_trajectory_residuals(text, seed):
     m = enumerate_mdp(parse_dag_text(text))
     rng = np.random.default_rng(seed)
     model = PolicyModel.init(m, rng, 0.8)
-    tables = learner._behavior_tables(m, model, 0.2)
-    trajs = [learner._sample_one(m, tables, rng) for _ in range(6)]
-    batch = RolloutBatch.from_trajectories(trajs)
+    batch = collect_batch(m, model, TrainConfig(batch_size=6, epsilon_uniform=0.2),
+                          rng.spawn(6))
+    trajs = batch.trajectories
     rows, se = batch.state_rows, batch.step_edge
     log_pi, log_q = model.forward_log_probs(m), model.free_backward_log_probs(m)
     log_f = model.clamped_log_f(m)
@@ -103,9 +102,8 @@ def test_cell_sets_match_per_trajectory_residuals(text, seed):
 
 def test_trajectory_cell_of_a_zero_step_trajectory_reads_both_ends():
     m = enumerate_mdp(parse_dag_text("initial 0\nterminal 0 0.5\n"))
-    batch = RolloutBatch.from_trajectories(
-        [learner._sample_one(m, learner._behavior_tables(m, PolicyModel.init(m), 0.0),
-                             np.random.default_rng(0))])
+    batch = collect_batch(m, PolicyModel.init(m), TrainConfig(batch_size=1, epsilon_uniform=0.0),
+                          [np.random.default_rng(0)])
     v = m.log_target[batch.state_rows]
     head = np.full(v.shape, 0.2)
     res = subtrajectory_residuals(head, v, np.zeros((1, 0)), trajectory_cells(batch.lengths)[0])
