@@ -268,23 +268,22 @@ class RolloutBatch:
 
     @classmethod
     def from_trajectories(cls, trajectories: list[Trajectory]) -> "RolloutBatch":
-        def rows(arrays, width, **pad):
-            padded = [np.pad(a, (0, width - len(a)), **pad) for a in arrays]
-            return np.array(padded, dtype=np.int64).reshape(len(arrays), width)
-
-        width = max((len(t) for t in trajectories), default=0)
-        batch = cls.from_rows(rows([t.states for t in trajectories], width + 1, mode="edge"),
-                              rows([t.edges for t in trajectories], width, constant_values=-1))
+        b, width = len(trajectories), max((len(t) for t in trajectories), default=0)
+        states = [np.pad(t.states, (0, width - len(t)), mode="edge") for t in trajectories]
+        edges = [np.pad(t.edges, (0, width - len(t)), constant_values=-1) for t in trajectories]
+        batch = cls.from_rows(np.array(states, dtype=np.int64).reshape(b, width + 1),
+                              np.array(edges, dtype=np.int64).reshape(b, width))
         batch.trajectories = list(trajectories)  # the view of a hand-built batch
         return batch
 
     @cached_property
     def trajectories(self) -> list[Trajectory]:
+        # zip stops at the last row: a batch without walkers has one empty split
         edges = np.split(self.step_edge, np.cumsum(self.lengths)[:-1])
         return [
-            Trajectory(states=self.state_rows[b, : len(e) + 1], actions=self.edge_action[e],
+            Trajectory(states=row[: len(e) + 1], actions=self.edge_action[e],
                        edges=e, log_behavior=self.edge_log_behavior[e])
-            for b, e in enumerate(edges)
+            for row, e in zip(self.state_rows, edges)
         ]
 
 
@@ -312,7 +311,7 @@ def _walk(mdp: EnumeratedMdp, cdf: np.ndarray, n: int, streams: list[np.random.G
     reads ``streams[b % len(streams)]``, and each stream draws one vector a
     step for its live walkers, in walker order.  Returns state rows [n, T+1]
     padded with the terminal and edge rows [n, T] padded with -1."""
-    offset, n_streams = mdp.out_offset, len(streams)
+    offset = mdp.out_offset
     degree = np.diff(offset)
     rounds = (int(degree.max(initial=1)) - 1).bit_length()
     # the last edge of a segment compares above every u, so the bisection
@@ -320,17 +319,14 @@ def _walk(mdp: EnumeratedMdp, cdf: np.ndarray, n: int, streams: list[np.random.G
     cdf = cdf.copy()
     cdf[offset[1:][degree > 0] - 1] = np.inf
     state = np.full(n, mdp.initial, dtype=np.int64)
-    live = np.flatnonzero(~mdp.terminal[state])
+    # live walkers are grouped by stream, each group in walker order, so the
+    # streams' draws concatenate into the uniforms of the live walkers
+    live = np.argsort(np.arange(n) % len(streams), kind="stable")
+    live = live[~mdp.terminal[state[live]]]
     state_cols, edge_cols = [state], []
     while len(live):
-        if n_streams == 1:
-            u = streams[0].random(len(live))
-        else:
-            shard = live % n_streams
-            u = np.empty(len(live))
-            u[np.argsort(shard, kind="stable")] = np.concatenate([
-                streams[w].random(k)
-                for w, k in enumerate(np.bincount(shard, minlength=n_streams).tolist()) if k])
+        shard_sizes = np.bincount(live % len(streams)).tolist()
+        u = np.concatenate([stream.random(k) for stream, k in zip(streams, shard_sizes)])
         s = state[live]
         lo, hi = offset[s], offset[s + 1] - 1
         for _ in range(rounds):
@@ -338,14 +334,12 @@ def _walk(mdp: EnumeratedMdp, cdf: np.ndarray, n: int, streams: list[np.random.G
             right = cdf[mid] <= u
             lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
         dst = mdp.edge_dst[lo]
-        state = state.copy()
-        state[live] = dst
-        edge = np.full(n, -1, dtype=np.int64)
-        edge[live] = lo
+        state, edge = state.copy(), np.full(n, -1, dtype=np.int64)
+        state[live], edge[live] = dst, lo
         state_cols.append(state)
         edge_cols.append(edge)
         live = live[~mdp.terminal[dst]]
-    edge_rows = np.stack(edge_cols, axis=1) if edge_cols else np.empty((n, 0), dtype=np.int64)
+    edge_rows = np.array(edge_cols, dtype=np.int64).reshape(len(edge_cols), n).T
     return np.stack(state_cols, axis=1), edge_rows
 
 

@@ -134,6 +134,17 @@ def test_batch_rows_are_padded_with_the_terminal():
     assert batch.state_rows.tolist() == [[0]] * 3 and batch.step_edge.size == 0
 
 
+@pytest.mark.parametrize("n_streams", [1, 3])
+def test_batch_without_walkers_has_no_trajectories(fig_diamond, n_streams):
+    config = TrainConfig(batch_size=0)  # collect_batch does not validate its config
+    streams = np.random.default_rng(0).spawn(n_streams)
+    batch = collect_batch(fig_diamond, PolicyModel.init(fig_diamond), config, streams)
+    assert batch.state_rows.shape == (0, 1) and batch.lengths.size == 0
+    assert batch.trajectories == []
+    with pytest.raises(ValueError, match="nonempty"):
+        compute_loss_and_grads(fig_diamond, PolicyModel.init(fig_diamond), batch, config)
+
+
 # ---------------------------------------------------------------------------
 # gradients
 
