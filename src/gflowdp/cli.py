@@ -14,6 +14,7 @@ import configparser
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +39,16 @@ DEFAULT_SAMPLES = 10_000_000
 def load_config(path: str | None) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     if path is not None:
-        read = cp.read(path)
+        try:
+            read = cp.read(path)
+        except configparser.Error as exc:  # its message can span lines
+            raise UsageError("bad config file: " + " ".join(str(exc).split())) from exc
         if not read:
             raise UsageError(f"config file {path!r} not found")
     for section in ("env", "train", "eval"):
         if not cp.has_section(section):
             cp.add_section(section)
-    _check_eval_section(cp["eval"])
+    eval_settings(cp)  # a bad [eval] fails every command before any work
     return cp
 
 
@@ -52,24 +56,40 @@ def _positive(x: float) -> bool:
     return 0.0 < x < math.inf
 
 
-def _check_eval_section(ev: configparser.SectionProxy) -> None:
-    """Reject [eval] values that are malformed or out of range."""
+def _read(section: configparser.SectionProxy, defaults: dict) -> dict:
+    """``section``'s values for the keys of ``defaults``, each parsed as the
+    type of its default, which fills in a missing key; unknown keys raise."""
+    for key in section:
+        if key not in defaults:
+            raise ValueError(f"unknown key {key!r}")
+    parse = {int: section.getint, float: section.getfloat, str: section.get}
+    return {key: parse[type(default)](key, default) for key, default in defaults.items()}
+
+
+EVAL_DEFAULTS = {"metrics_every": 10, "mode_threshold": 1.0, "thresholds": "1.0",
+                 "pearson_samples": 512, "pearson_mode": "proportional"}
+
+
+def eval_settings(cp: configparser.ConfigParser) -> dict:
+    """The [eval] values with defaults filled in; a malformed, out-of-range
+    or unknown entry is a usage error."""
     try:
-        thresholds = [float(x) for x in ev.get("thresholds", "1.0").replace(",", " ").split()]
-        checks = [
-            (ev.getint("metrics_every", 10) >= 1, "metrics_every must be >= 1"),
-            (_positive(ev.getfloat("mode_threshold", 1.0)),
-             "mode_threshold must be finite and positive"),
-            (all(map(_positive, thresholds)), "thresholds must be finite and positive"),
-            (ev.getint("pearson_samples", 512) >= 2, "pearson_samples must be >= 2"),
-            (ev.get("pearson_mode", "proportional") in ("proportional", "uniform"),
-             "pearson_mode must be 'proportional' or 'uniform'"),
-        ]
+        ev = _read(cp["eval"], EVAL_DEFAULTS)
+        ev["thresholds"] = [float(x) for x in ev["thresholds"].replace(",", " ").split()]
     except ValueError as exc:
         raise UsageError(f"bad eval config: {exc}") from exc
+    checks = [
+        (ev["metrics_every"] >= 1, "metrics_every must be >= 1"),
+        (_positive(ev["mode_threshold"]), "mode_threshold must be finite and positive"),
+        (all(map(_positive, ev["thresholds"])), "thresholds must be finite and positive"),
+        (ev["pearson_samples"] >= 2, "pearson_samples must be >= 2"),
+        (ev["pearson_mode"] in ("proportional", "uniform"),
+         "pearson_mode must be 'proportional' or 'uniform'"),
+    ]
     for ok, message in checks:
         if not ok:
             raise UsageError(f"bad eval config: {message}")
+    return ev
 
 
 def build_env(cp: configparser.ConfigParser):
@@ -89,36 +109,25 @@ def build_env(cp: configparser.ConfigParser):
 
 
 def build_train_config(cp: configparser.ConfigParser, seed: int | None) -> TrainConfig:
-    t = cp["train"]
+    """The [train] section read by ``TrainConfig``'s fields and defaults, with
+    ``HuberParams``' fields as ``huber_<name>``.  Without ``steps`` the run
+    takes ``samples`` trajectories (DEFAULT_SAMPLES unless given)."""
+    defaults = TrainConfig()
+    keys = {f.name: getattr(defaults, f.name) for f in fields(TrainConfig) if f.name != "huber"}
+    huber = {f"huber_{f.name}": getattr(defaults.huber, f.name) for f in fields(HuberParams)}
     try:
-        batch_size = t.getint("batch_size", 256)
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if "steps" in t:
-            steps = t.getint("steps")
-        else:
-            samples = t.getfloat("samples", DEFAULT_SAMPLES)
-            if not _positive(samples):
-                raise ValueError("samples must be finite and positive")
-            steps = math.ceil(samples / batch_size)
+        values = _read(cp["train"], {**keys, **huber, "samples": float(DEFAULT_SAMPLES)})
         config = TrainConfig(
-            objective=t.get("objective", "tb"),
-            backward=t.get("backward", "maxent-learned"),
-            n_objective=t.get("n_objective", "trajectory"),
-            learning_rate=t.getfloat("learning_rate", 5e-4),
-            batch_size=batch_size,
-            epsilon_uniform=t.getfloat("epsilon_uniform", 1e-3),
-            reward_exponent=t.getfloat("reward_exponent", 1.0),
-            lambda_stb=t.getfloat("lambda_stb", 1.0),
-            huber=HuberParams(
-                delta=t.getfloat("huber_delta", 0.25),
-                beta=t.getfloat("huber_beta", 1.0),
-            ),
-            steps=steps,
-            seed=seed if seed is not None else t.getint("seed", 0),
-            ema_decay=t.getfloat("ema_decay", 0.95),
+            **{key: values[key] for key in keys},
+            huber=HuberParams(**{key.removeprefix("huber_"): values[key] for key in huber}),
         )
+        if seed is not None:
+            config.seed = seed
         config.validate()
+        if "steps" not in cp["train"]:
+            if not _positive(values["samples"]):
+                raise ValueError("samples must be finite and positive")
+            config.steps = math.ceil(values["samples"] / config.batch_size)
     except ValueError as exc:
         raise UsageError(f"bad train config: {exc}") from exc
     return config
@@ -142,50 +151,27 @@ def _fmt(x: float) -> str:
 
 
 def model_to_json(model: PolicyModel) -> str:
-    return json.dumps(
-        {
-            "forward_logits": model.forward_logits.tolist(),
-            "backward_logits": model.backward_logits.tolist(),
-            "l_hat": model.l_hat.tolist(),
-            "log_f_hat": model.log_f_hat.tolist(),
-            "log_z_hat": float(model.log_z_hat[0]),
-        },
-        indent=2,
-    )
+    doc = {f.name: getattr(model, f.name).tolist() for f in fields(PolicyModel)}
+    doc["log_z_hat"] = model.log_z
+    return json.dumps(doc, indent=2)
 
 
 def model_from_json(text: str) -> PolicyModel:
     try:
         doc = json.loads(text)
-        return PolicyModel(
-            forward_logits=np.asarray(doc["forward_logits"], dtype=float),
-            backward_logits=np.asarray(doc["backward_logits"], dtype=float),
-            l_hat=np.asarray(doc["l_hat"], dtype=float),
-            log_f_hat=np.asarray(doc["log_f_hat"], dtype=float),
-            log_z_hat=np.array([float(doc["log_z_hat"])]),
-        )
+        tables = {f.name: np.asarray(doc[f.name], dtype=float) for f in fields(PolicyModel)}
+        tables["log_z_hat"] = tables["log_z_hat"].reshape(1)
+        return PolicyModel(**tables)
     except (ValueError, KeyError, TypeError) as exc:
         raise learner.ModelMismatch(f"malformed model file: {exc!r}") from exc
 
 
 def metrics_csv(rows: list[MetricsRow]) -> str:
+    """One line per row: ints as ``str``, floats as ``repr(float)``."""
     lines = [",".join(MetricsRow.FIELDS)]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.step),
-                    _fmt(row.kl_forward),
-                    _fmt(row.kl_reverse),
-                    _fmt(row.entropy),
-                    _fmt(row.max_entropy_bound),
-                    _fmt(row.policy_loss),
-                    _fmt(row.n_loss),
-                    _fmt(row.n_mse),
-                    str(row.modes_found),
-                ]
-            )
-        )
+        values = (getattr(row, name) for name in MetricsRow.FIELDS)
+        lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in values))
     return "\n".join(lines) + "\n"
 
 
@@ -270,14 +256,14 @@ def cmd_train(args) -> int:
     mdp = _enumerate(cp)
     config = build_train_config(cp, args.seed)
     exact_l = exact.count_paths(mdp) if config.backward == "maxent-known" else None
-    ev = cp["eval"]
+    ev = eval_settings(cp)
     rows, model = learner.run_training(
         mdp,
         config,
         exact_l=exact_l,
         workers=args.threads,
-        metrics_every=ev.getint("metrics_every", 10),
-        mode_threshold=ev.getfloat("mode_threshold", 1.0),
+        metrics_every=ev["metrics_every"],
+        mode_threshold=ev["mode_threshold"],
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -302,24 +288,20 @@ def cmd_eval(args) -> int:
     else:
         log_pi = exact.gsql_policy(mdp, l_exact)
         l_hat = None
-    ev = cp["eval"]
-    thresholds = [
-        float(x) for x in ev.get("thresholds", "1.0").replace(",", " ").split()
-    ]
+    ev = eval_settings(cp)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    p = exact.target_distribution(mdp)
-    n_samples = ev.getint("pearson_samples", 512)
-    if ev.get("pearson_mode", "proportional") == "uniform":
-        terminals = mdp.terminal_ids
-        samples = rng.choice(terminals, size=n_samples, replace=True)
+    n_samples = ev["pearson_samples"]
+    if ev["pearson_mode"] == "uniform":
+        samples = rng.choice(mdp.terminal_ids, size=n_samples, replace=True)
     else:
+        p = exact.target_distribution(mdp)
         samples = rng.choice(mdp.n_states, size=n_samples, replace=True, p=p)
     report = metrics.evaluate_policy(
         mdp,
         log_pi,
         l_hat=l_hat,
         l_exact=l_exact,
-        thresholds=thresholds,
+        thresholds=ev["thresholds"],
         pearson_samples=samples,
     )
     out_dir = Path(args.out)
@@ -342,34 +324,26 @@ def cmd_render_grid(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    matrix = np.zeros((side, side))
-    if args.field == "mu":
+    if args.field == "target":
+        values = np.exp(mdp.log_target)
+    elif args.field == "l":
+        values = exact.count_paths(mdp)
+    else:
         if args.model is not None:
-            model = model_from_json(Path(args.model).read_text())
-            log_pi = model.forward_log_probs(mdp)
+            log_pi = model_from_json(Path(args.model).read_text()).forward_log_probs(mdp)
         elif args.backward == "uniform":
             _, log_pi = exact.forward_from_backward(mdp, exact.backward_uniform(mdp))
         else:
             log_pi = exact.gsql_policy(mdp, exact.count_paths(mdp))
-        mu = exact.terminal_distribution(mdp, log_pi)
-        for t in mdp.terminal_ids:
-            st = mdp.states[t]
-            matrix[st[2], st[1]] = mu[t]
+        values = exact.terminal_distribution(mdp, log_pi)
+    matrix = np.zeros((side, side))
+    for t in mdp.terminal_ids:
+        st = mdp.states[t]
+        matrix[st[2], st[1]] = values[t]
+    image = matrix
+    if args.field == "mu":
         with np.errstate(divide="ignore"):
             image = np.log(matrix)
-    elif args.field == "target":
-        for t in mdp.terminal_ids:
-            st = mdp.states[t]
-            matrix[st[2], st[1]] = math.exp(mdp.log_target[t])
-        image = matrix
-    elif args.field == "l":
-        l = exact.count_paths(mdp)
-        for t in mdp.terminal_ids:
-            st = mdp.states[t]
-            matrix[st[2], st[1]] = l[t]
-        image = matrix
-    else:
-        raise UsageError(f"unknown field {args.field!r}")
 
     stem = f"grid_{args.field}"
     write_pgm(out_dir / f"{stem}.pgm", image)
@@ -428,10 +402,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -379,12 +379,6 @@ def parse_tree(state: bytes) -> tuple[list[int], list[list[int]]]:
     return labels, adj
 
 
-def tree_n_from_state(state: bytes) -> int:
-    labels, adj = parse_tree(state)
-    edges = [(u, v) for u in range(len(adj)) for v in adj[u] if u < v]
-    return tree_n(len(labels), edges)
-
-
 class TreeBuildEnv:
     """Grows an unrooted labeled tree one node at a time.
 

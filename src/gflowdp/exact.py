@@ -8,7 +8,8 @@ trajectories).
 
 Policies are flat edge arrays: a forward policy is ``log_pi[E]`` normalized
 within each state's out-edge segment, a backward policy is ``log_q[E]``
-normalized within each state's in-edge segment.
+normalized within each state's in-edge segment by ``backward_softmax``,
+which ``backward_maxent`` applies to the parents' log counts.
 
 Every DP is one of two log-space recursions over the CSR edge tables:
 
@@ -31,7 +32,8 @@ from typing import Iterator
 import numpy as np
 
 from .mdp import EnumeratedMdp, segment_positions
-from .numerics import NEG_INF, entropy_from_log_probs, logsumexp, segment_logsumexp, segment_sum
+from .numerics import NEG_INF, entropy_from_log_probs, logsumexp
+from .numerics import segment_log_softmax, segment_logsumexp, segment_sum
 
 
 class ExactError(Exception):
@@ -180,15 +182,23 @@ def target_distribution(mdp: EnumeratedMdp) -> np.ndarray:
     return p
 
 
-def backward_maxent(mdp: EnumeratedMdp, l: np.ndarray) -> np.ndarray:
-    """Backward policy log q(s,a|s') = l(s) - l(s').
+def backward_softmax(mdp: EnumeratedMdp, logits: np.ndarray) -> np.ndarray:
+    """Backward policy: softmax of per-edge logits within each state's
+    in-edge segment."""
+    log_q = np.empty(mdp.n_edges)
+    log_q[mdp.in_edges] = segment_log_softmax(logits[mdp.in_edges], mdp.in_offset)
+    return log_q
 
-    Normalization per parent set holds by the path-count recursion; this is
-    the unique backward whose induced forward policy maximizes trajectory
-    entropy, and it is uniform over the backward trajectories of each
-    terminal state.
+
+def backward_maxent(mdp: EnumeratedMdp, l: np.ndarray) -> np.ndarray:
+    """Backward policy log q(s,a|s') = l(s) - logsumexp of l over the
+    parents of s', for exact or learned (``learner.backward_from_counts``) l.
+
+    On exact counts the logsumexp is l(s'), so q = n(s)/n(s'): the unique
+    backward whose induced forward policy maximizes trajectory entropy,
+    uniform over the backward trajectories of each terminal state.
     """
-    return l[mdp.edge_src] - l[mdp.edge_dst]
+    return backward_softmax(mdp, l[mdp.edge_src])
 
 
 def backward_uniform(mdp: EnumeratedMdp) -> np.ndarray:
@@ -302,22 +312,6 @@ class ExactTables:
             },
         }
         return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExactTables":
-        doc = json.loads(text)
-        n = len(doc["states"])
-        l = np.zeros(n)
-        v = np.zeros(n)
-        mu = np.zeros(n)
-        log_f = np.zeros(n)
-        for key, row in doc["states"].items():
-            s = int(key)
-            l[s] = row["l"]
-            v[s] = row["V"]
-            mu[s] = row["mu"]
-            log_f[s] = row["logF"]
-        return cls(l=l, V=v, mu=mu, logF=log_f, logZ=float(doc["logZ"]))
 
 
 def exact_tables(mdp: EnumeratedMdp) -> ExactTables:

@@ -4,6 +4,8 @@ The model is a flat table per parameter group: forward logits per edge,
 backward logits per edge (free-backward variant only), a log path-count
 estimate per state (initial pinned to 0), a log state-flow estimate per
 state (terminals clamped to the target), and a scalar log-Z estimate.
+The count-induced backward ``backward_from_counts`` is
+``exact.backward_maxent``; the free backward is ``exact.backward_softmax``.
 Gradients are computed analytically; ``tests`` cross-check every
 objective/backward combination against central finite differences.
 """
@@ -20,13 +22,13 @@ from . import exact, metrics
 from .mdp import EnumeratedMdp, Trajectory, segment_positions
 
 # ``logsumexp`` and ``cross_cumsum`` are not called here; benchmarks/tracer.py
-# counts calls made through this module's names for them.
+# counts calls made through this module's names for them and for
+# ``backward_from_counts``.
 from .numerics import logsumexp  # noqa: F401
 from .numerics import segment_log_softmax, segment_logsumexp
 from .objectives import cross_cumsum  # noqa: F401
 from .objectives import (
     HuberParams,
-    backward_from_counts,
     huber,
     huber_grad,
     step_cells,
@@ -41,6 +43,8 @@ BACKWARDS = ("uniform", "maxent-known", "maxent-learned", "free")
 N_OBJECTIVES = ("none", "bellman", "trajectory")
 
 PARAM_GROUPS = ("forward", "backward", "l", "log_f", "log_z")
+
+backward_from_counts = exact.backward_maxent
 
 # Residuals below double-precision resolution are rounding noise, but Adam's
 # scale-free steps would amplify them into an lr-sized noise ball around an
@@ -137,19 +141,6 @@ class PolicyModel:
         model.repin(mdp)
         return model
 
-    @classmethod
-    def from_exact(cls, mdp: EnumeratedMdp, tables: exact.ExactTables) -> "PolicyModel":
-        """Initialize at the fixed point: every residual is zero there."""
-        log_pi = exact.gsql_policy(mdp, tables.l)
-        log_q = exact.backward_maxent(mdp, tables.l)
-        return cls(
-            forward_logits=log_pi.copy(),
-            backward_logits=log_q.copy(),
-            l_hat=tables.l.copy(),
-            log_f_hat=tables.logF.copy(),
-            log_z_hat=np.array([tables.logZ]),
-        )
-
     def repin(self, mdp: EnumeratedMdp) -> None:
         """Re-apply the pinned initial count and clamped terminal flows."""
         for s0 in mdp.initials:
@@ -190,10 +181,10 @@ class PolicyModel:
     def forward_log_probs(self, mdp: EnumeratedMdp) -> np.ndarray:
         """Softmax of forward logits within each state's out-edge segment."""
         self.check_fits(mdp)
-        return _segment_log_softmax(mdp, self.forward_logits, by_src=True)
+        return segment_log_softmax(self.forward_logits, mdp.out_offset)
 
     def free_backward_log_probs(self, mdp: EnumeratedMdp) -> np.ndarray:
-        return _segment_log_softmax(mdp, self.backward_logits, by_src=False)
+        return exact.backward_softmax(mdp, self.backward_logits)
 
     def clamped_log_f(self, mdp: EnumeratedMdp) -> np.ndarray:
         out = self.log_f_hat.copy()
@@ -228,14 +219,6 @@ class PolicyModel:
         return np.concatenate([grads[k][free.get(k, slice(None))] for k in PARAM_GROUPS])
 
 
-def _segment_log_softmax(mdp: EnumeratedMdp, logits: np.ndarray, by_src: bool) -> np.ndarray:
-    if by_src:
-        return segment_log_softmax(logits, mdp.out_offset)
-    out = np.empty(mdp.n_edges)
-    out[mdp.in_edges] = segment_log_softmax(logits[mdp.in_edges], mdp.in_offset)
-    return out
-
-
 @dataclass
 class RolloutBatch:
     """Sampled trajectories as padded rows, with the flat per-step indexes
@@ -265,16 +248,6 @@ class RolloutBatch:
             edge_action=edge_action,
             edge_log_behavior=edge_log_behavior,
         )
-
-    @classmethod
-    def from_trajectories(cls, trajectories: list[Trajectory]) -> "RolloutBatch":
-        b, width = len(trajectories), max((len(t) for t in trajectories), default=0)
-        states = [np.pad(t.states, (0, width - len(t)), mode="edge") for t in trajectories]
-        edges = [np.pad(t.edges, (0, width - len(t)), constant_values=-1) for t in trajectories]
-        batch = cls.from_rows(np.array(states, dtype=np.int64).reshape(b, width + 1),
-                              np.array(edges, dtype=np.int64).reshape(b, width))
-        batch.trajectories = list(trajectories)  # the view of a hand-built batch
-        return batch
 
     @cached_property
     def trajectories(self) -> list[Trajectory]:
@@ -341,17 +314,6 @@ def _walk(mdp: EnumeratedMdp, cdf: np.ndarray, n: int, streams: list[np.random.G
         live = live[~mdp.terminal[dst]]
     edge_rows = np.array(edge_cols, dtype=np.int64).reshape(len(edge_cols), n).T
     return np.stack(state_cols, axis=1), edge_rows
-
-
-def sample_trajectory(
-    mdp: EnumeratedMdp,
-    model: PolicyModel,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> Trajectory:
-    """Roll out one trajectory under the epsilon-uniform behavior policy."""
-    config = TrainConfig(batch_size=1, epsilon_uniform=epsilon)
-    return collect_batch(mdp, model, config, [rng]).trajectories[0]
 
 
 def collect_batch(
@@ -673,12 +635,6 @@ def run_training(
     train_mdp = mdp
     if config.reward_exponent != 1.0:
         train_mdp = mdp.with_log_target(mdp.log_target * config.reward_exponent)
-    if config.backward == "maxent-known" and exact_l is None:
-        raise BackwardRequiresL("backward='maxent-known' needs exact_l")
-    if config.backward == "maxent-learned" and config.n_objective == "none" and exact_l is None:
-        raise BackwardRequiresL(
-            "backward='maxent-learned' with n_objective='none' needs exact_l"
-        )
 
     if model is None:
         model = PolicyModel.init(train_mdp)
@@ -690,9 +646,7 @@ def run_training(
     ]
 
     l_metrics = exact.count_paths(train_mdp)
-    bound = exact.max_entropy_bound(train_mdp, l_metrics)
     visited = np.zeros(mdp.n_states, dtype=bool)
-    is_mode = mdp.log_target >= np.log(mode_threshold)
     rows: list[MetricsRow] = []
     stats = {"policy_loss": float("nan"), "n_loss": float("nan")}
     for step in range(1, config.steps + 1):
@@ -701,18 +655,19 @@ def run_training(
         stats = train_step(train_mdp, model, batch, config, opt_state, exact_l)
         ema_update(sampling_model, model, config.ema_decay)
         if step % metrics_every == 0 or step == config.steps:
-            log_pi = model.forward_log_probs(train_mdp)
-            rows.append(
-                MetricsRow(
-                    step=step,
-                    kl_forward=metrics.kl_terminal(train_mdp, log_pi, "forward"),
-                    kl_reverse=metrics.kl_terminal(train_mdp, log_pi, "reverse"),
-                    entropy=exact.flow_entropy(train_mdp, log_pi),
-                    max_entropy_bound=bound,
-                    policy_loss=stats["policy_loss"],
-                    n_loss=stats["n_loss"],
-                    n_mse=metrics.n_mse(model.l_hat, l_metrics),
-                    modes_found=int((visited & is_mode).sum()),
-                )
-            )
+            # modes are counted on the untempered target, the rest on p~**b
+            report = metrics.evaluate_policy(train_mdp, model.forward_log_probs(train_mdp),
+                                             l_hat=model.l_hat, l_exact=l_metrics)
+            modes = metrics.mode_count(np.flatnonzero(visited), mdp.log_target, [mode_threshold])
+            rows.append(MetricsRow(
+                step=step,
+                kl_forward=report.kl_forward,
+                kl_reverse=report.kl_reverse,
+                entropy=report.entropy,
+                max_entropy_bound=report.max_entropy_bound,
+                policy_loss=stats["policy_loss"],
+                n_loss=stats["n_loss"],
+                n_mse=report.n_mse,
+                modes_found=modes[mode_threshold],
+            ))
     return rows, model

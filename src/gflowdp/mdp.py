@@ -129,15 +129,6 @@ class EnumeratedMdp:
         sl = self.out_slice(s)
         return list(zip(self.edge_action[sl].tolist(), self.edge_dst[sl].tolist()))
 
-    def parents_of(self, s: int) -> list[tuple[int, int]]:
-        """(parent, action) pairs in (parent, action) order."""
-        ids = self.in_edge_ids(s)
-        return list(zip(self.edge_src[ids].tolist(), self.edge_action[ids].tolist()))
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        """Edges as (src, dst) index pairs, ignoring action labels."""
-        return set(zip(self.edge_src.tolist(), self.edge_dst.tolist()))
-
     @cached_property
     def levels(self) -> "Levels":
         return Levels.of(self)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,14 +55,6 @@ def kl_terminal(mdp: EnumeratedMdp, log_pi: np.ndarray, direction: str = "forwar
     return _kl(*_terminal_logs(mdp, exact.log_marginals(mdp, log_pi)), direction)
 
 
-def _l1(log_mu: np.ndarray, log_p: np.ndarray) -> float:
-    return float(np.abs(np.exp(log_mu) - np.exp(log_p)).sum())
-
-
-def l1_terminal(mdp: EnumeratedMdp, log_pi: np.ndarray) -> float:
-    return _l1(*_terminal_logs(mdp, exact.log_marginals(mdp, log_pi)))
-
-
 def pearson_logprob(
     samples,
     policy_terminal_logprob: np.ndarray,
@@ -85,12 +77,8 @@ def pearson_logprob(
 
 def mode_count(visited_terminals, log_target: np.ndarray, thresholds) -> dict[float, int]:
     """Distinct visited terminals with target at or above each threshold."""
-    distinct = set(int(t) for t in visited_terminals)
-    out = {}
-    for theta in thresholds:
-        log_theta = np.log(theta)
-        out[float(theta)] = sum(1 for t in distinct if log_target[t] >= log_theta)
-    return out
+    targets = log_target[np.unique(np.asarray(visited_terminals, dtype=np.int64))]
+    return {float(theta): int((targets >= np.log(theta)).sum()) for theta in thresholds}
 
 
 def n_mse(l_hat: np.ndarray, l_exact: np.ndarray, weights: np.ndarray | None = None) -> float:
@@ -120,16 +108,8 @@ class EvalReport:
     modes: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        doc = {
-            "kl_forward": self.kl_forward,
-            "kl_reverse": self.kl_reverse,
-            "l1": self.l1,
-            "entropy": self.entropy,
-            "max_entropy_bound": self.max_entropy_bound,
-            "pearson": self.pearson,
-            "n_mse": self.n_mse,
-            "modes": {str(k): v for k, v in self.modes.items()},
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["modes"] = {str(k): v for k, v in self.modes.items()}
         return json.dumps(doc, indent=2)
 
 
@@ -150,12 +130,12 @@ def evaluate_policy(
     if pearson_samples is not None:
         pearson = pearson_logprob(pearson_samples, log_mu, mdp.log_target)
     if visited is None:
-        visited = [int(t) for t in mdp.terminal_ids]
+        visited = mdp.terminal_ids
     log_mu_t, log_p = _terminal_logs(mdp, log_mu)
     return EvalReport(
         kl_forward=_kl(log_mu_t, log_p, "forward"),
         kl_reverse=_kl(log_mu_t, log_p, "reverse"),
-        l1=_l1(log_mu_t, log_p),
+        l1=float(np.abs(np.exp(log_mu_t) - np.exp(log_p)).sum()),
         entropy=exact.flow_entropy(mdp, log_pi, np.exp(log_mu)),
         max_entropy_bound=exact.max_entropy_bound(mdp, l_exact),
         pearson=pearson,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import EnumeratedMdp
-from .numerics import logsumexp, segment_log_softmax, segment_logsumexp
+from .numerics import logsumexp, segment_logsumexp
 
 
 @dataclass(frozen=True)
@@ -216,21 +216,13 @@ def n_bellman_residual(l_state: float, parent_l_values) -> float:
     return float(l_state - logsumexp(parent_l_values))
 
 
-def backward_from_counts(mdp: EnumeratedMdp, l: np.ndarray) -> np.ndarray:
-    """Normalized backward policy induced by a (possibly learned) l table:
-    log q(s,a|s') = l(s) - logsumexp over parents of s' of l."""
-    log_q = np.empty(mdp.n_edges)
-    log_q[mdp.in_edges] = segment_log_softmax(l[mdp.edge_src[mdp.in_edges]], mdp.in_offset)
-    return log_q
-
-
 def n_trajectory_residual(
     mdp: EnumeratedMdp, state_ids: np.ndarray, l: np.ndarray
 ) -> float:
     """Full-trajectory path-count residual.
 
-    With the backward induced from ``l`` via ``backward_from_counts``, this
-    is l(s_T) + sum_t log q_l(s_t, a_t | s_{t+1}) minus the pinned l(s_0)=0;
+    With the backward ``exact.backward_maxent`` induces from ``l``, this is
+    l(s_T) + sum_t log q_l(s_t, a_t | s_{t+1}) minus the pinned l(s_0)=0;
     it vanishes exactly when l satisfies the count recursion along the
     trajectory's states.
     """

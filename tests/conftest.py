@@ -1,19 +1,23 @@
-"""Shared fixtures and test-local brute-force oracles.
+"""Shared fixtures, test-local brute-force oracles and test helpers.
 
 The oracles here deliberately avoid the library's DP code paths: path counts
 come from exhaustive recursion with exact integers, probabilities from
-explicit products over enumerated trajectories.
+explicit products over enumerated trajectories.  The helpers build and read
+what only tests need: a model at the exact fixed point, a batch from given
+trajectories, the exact tables back from their JSON.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gflowdp import envs, mdp
+from gflowdp import envs, exact, mdp
+from gflowdp.learner import PolicyModel, RolloutBatch
 from gflowdp.numerics import logsumexp
 
 # ---------------------------------------------------------------------------
@@ -190,3 +194,59 @@ def mdp_zoo(fig_diamond, two_terminal, grid33, grid44, chain, single_state, tree
 
 def find_state(m: mdp.EnumeratedMdp, encoding: bytes) -> int:
     return m.states.index(encoding)
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def parents_of(m: mdp.EnumeratedMdp, s: int) -> list[tuple[int, int]]:
+    """(parent, action) pairs of ``s`` in (parent, action) order."""
+    ids = m.in_edge_ids(s)
+    return list(zip(m.edge_src[ids].tolist(), m.edge_action[ids].tolist()))
+
+
+def edge_set(m: mdp.EnumeratedMdp) -> set[tuple[int, int]]:
+    """Edges as (src, dst) index pairs, ignoring action labels."""
+    return set(zip(m.edge_src.tolist(), m.edge_dst.tolist()))
+
+
+def tree_n_from_state(state: bytes) -> int:
+    """``envs.tree_n`` of the tree a ``TreeBuildEnv`` state encodes."""
+    labels, adj = envs.parse_tree(state)
+    edges = [(u, v) for u in range(len(adj)) for v in adj[u] if u < v]
+    return envs.tree_n(len(labels), edges)
+
+
+def exact_tables_from_json(text: str) -> exact.ExactTables:
+    """The tables ``ExactTables.to_json`` wrote."""
+    doc = json.loads(text)
+    n = len(doc["states"])
+    cols = {key: np.zeros(n) for key in ("l", "V", "mu", "logF")}
+    for s, row in doc["states"].items():
+        for key, col in cols.items():
+            col[int(s)] = row[key]
+    return exact.ExactTables(**cols, logZ=float(doc["logZ"]))
+
+
+def model_at_exact(m: mdp.EnumeratedMdp, tables: exact.ExactTables) -> PolicyModel:
+    """The model at the fixed point: every residual is zero there."""
+    return PolicyModel(
+        forward_logits=exact.gsql_policy(m, tables.l),
+        backward_logits=exact.backward_maxent(m, tables.l),
+        l_hat=tables.l.copy(),
+        log_f_hat=tables.logF.copy(),
+        log_z_hat=np.array([tables.logZ]),
+    )
+
+
+def batch_from_trajectories(trajectories: list[mdp.Trajectory]) -> RolloutBatch:
+    """The batch of the given trajectories, its ``trajectories`` view primed
+    with them."""
+    b, width = len(trajectories), max((len(t) for t in trajectories), default=0)
+    states = [np.pad(t.states, (0, width - len(t)), mode="edge") for t in trajectories]
+    edges = [np.pad(t.edges, (0, width - len(t)), constant_values=-1) for t in trajectories]
+    batch = RolloutBatch.from_rows(np.array(states, dtype=np.int64).reshape(b, width + 1),
+                                   np.array(edges, dtype=np.int64).reshape(b, width))
+    batch.trajectories = list(trajectories)
+    return batch

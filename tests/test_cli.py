@@ -3,11 +3,14 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gflowdp import cli, envs, exact, mdp
+
+from conftest import exact_tables_from_json
 
 
 def write_config(tmp_path, text, name="config.ini"):
@@ -84,7 +87,7 @@ def test_exact_simple_dag_reference_entropies(tmp_path):
     assert report["entropy_uniform"] == pytest.approx(1.5 * math.log(2), abs=1e-9)
     assert report["entropy_maxent"] == pytest.approx(math.log(3), abs=1e-9)
     assert report["logZ"] == pytest.approx(report["logZ_value"], abs=1e-9)
-    tables = exact.ExactTables.from_json((tmp_path / "exact_tables.json").read_text())
+    tables = exact_tables_from_json((tmp_path / "exact_tables.json").read_text())
     assert tables.mu.sum() > 0
 
 
@@ -94,7 +97,7 @@ def test_exact_words_terminal_count(tmp_path):
         "[env]\nname = words\nalphabet = 2\nlength = 5\nmode = append-either-side\n",
     )
     assert cli.main(["exact", "--config", cfg, "--out", str(tmp_path)]) == 0
-    tables = exact.ExactTables.from_json((tmp_path / "exact_tables.json").read_text())
+    tables = exact_tables_from_json((tmp_path / "exact_tables.json").read_text())
     m = mdp.enumerate_mdp(envs.WordsEnv(2, 5, "append-either-side"))
     for t in m.terminal_ids:
         assert tables.l[t] == pytest.approx(math.log(16), abs=1e-9)
@@ -103,7 +106,7 @@ def test_exact_words_terminal_count(tmp_path):
 def test_exact_large_grid_corner_count(tmp_path):
     cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 64\n")
     assert cli.main(["exact", "--config", cfg, "--out", str(tmp_path)]) == 0
-    tables = exact.ExactTables.from_json((tmp_path / "exact_tables.json").read_text())
+    tables = exact_tables_from_json((tmp_path / "exact_tables.json").read_text())
     m = mdp.enumerate_mdp(envs.HypergridEnv(2, 64))
     corner = m.states.index(bytes([0, 63, 63]))
     expect = math.lgamma(127) - 2 * math.lgamma(64)
@@ -307,6 +310,12 @@ def _one_line_error(capsys):
         ("eval", "[eval]\nthresholds = 1.0, nan\n", []),
         ("eval", "[eval]\nmode_threshold = -1\n", []),
         ("enumerate", "max_states = lots\n", []),
+        ("train", "[train]\nsteps = 1\nlearning_rat = 0.1\n", []),
+        ("train", "[train]\nsteps = 1\nhuber = 0.5\n", []),
+        ("eval", "[eval]\nthreshold = 2.0\n", []),
+        ("exact", "[eval]\nmetric_every = 5\n", []),
+        ("enumerate", "[env]\nside = 4\n", []),
+        ("enumerate", "side 4\n", []),
     ],
 )
 def test_bad_numeric_input_is_a_one_line_usage_error(tmp_path, capsys, command, sections, flags):
@@ -314,6 +323,25 @@ def test_bad_numeric_input_is_a_one_line_usage_error(tmp_path, capsys, command, 
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags])
     assert rc == 1
     _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("section, key", [("train", "learning_rat"), ("eval", "threshold")])
+def test_unknown_config_key_is_named(tmp_path, capsys, section, key):
+    header = "" if section == "train" else f"[{section}]\n"
+    cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 3\n"
+                                 f"[train]\nsteps = 1\n{header}{key} = 0.1\n")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert _one_line_error(capsys) == f"error: bad {section} config: unknown key {key!r}"
+
+
+def test_readme_config_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = write_config(tmp_path, readme.split("```ini\n")[1].split("```")[0])
+    assert cli.main(["exact", "--config", cfg, "--out", str(tmp_path)]) == 0
+    config = cli.build_train_config(cli.load_config(cfg), None)
+    assert (config.objective, config.backward, config.n_objective) == (
+        "tb", "maxent-learned", "bellman")
+    assert (config.steps, config.huber.delta, config.ema_decay) == (2000, 0.25, 0.95)
 
 
 @pytest.mark.parametrize("command", ["eval", "render-grid"])

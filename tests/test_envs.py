@@ -16,11 +16,10 @@ from gflowdp.envs import (
     make_env,
     parse_tree,
     tree_n,
-    tree_n_from_state,
     words_n,
 )
 
-from conftest import find_state, oracle_path_counts
+from conftest import find_state, oracle_path_counts, tree_n_from_state
 
 
 # ---------------------------------------------------------------------------

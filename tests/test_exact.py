@@ -5,7 +5,6 @@ import pytest
 
 from gflowdp import envs, mdp
 from gflowdp.exact import (
-    ExactTables,
     NonFiniteTarget,
     TrajectoryBudgetExceeded,
     ZeroFlow,
@@ -29,6 +28,7 @@ from gflowdp.exact import (
 from gflowdp.numerics import logsumexp
 
 from conftest import (
+    exact_tables_from_json,
     find_state,
     oracle_path_counts,
     oracle_terminal_probs,
@@ -260,6 +260,15 @@ def test_backward_normalization(mdp_zoo):
                     assert logsumexp(log_q[ids]) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_backward_maxent_of_exact_counts_is_the_count_ratio(mdp_zoo):
+    # the normalized in-edge softmax of exact counts is l(s) - l(s') per edge
+    for m in mdp_zoo:
+        for g in (m, mdp.invert(m)):
+            l = count_paths(g)
+            got = backward_maxent(g, l)
+            assert np.abs(got - (l[g.edge_src] - l[g.edge_dst])).max(initial=0.0) <= 1e-12
+
+
 def test_backward_maxent_telescoping(mdp_zoo):
     # products of the count-ratio backward telescope to count ratios
     for m in mdp_zoo:
@@ -426,7 +435,7 @@ def test_entropy_ordering(mdp_zoo, fig_diamond, tree_env_mdp):
 
 def test_exact_tables_json_round_trip(grid33):
     tables = exact_tables(grid33)
-    again = ExactTables.from_json(tables.to_json())
+    again = exact_tables_from_json(tables.to_json())
     assert np.allclose(again.l, tables.l, atol=0)
     assert np.allclose(again.V, tables.V, atol=0)
     assert np.allclose(again.mu, tables.mu, atol=0)

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gflowdp import exact, learner, objectives
+from gflowdp import exact, learner, metrics, objectives
 from gflowdp.learner import (
     BACKWARDS,
     N_OBJECTIVES,
@@ -22,25 +22,30 @@ from gflowdp.learner import (
     ema_update,
     optimizer_update,
     run_training,
-    sample_trajectory,
     train_step,
 )
 from gflowdp.mdp import Trajectory, enumerate_mdp, parse_dag_text
+
+from conftest import batch_from_trajectories, model_at_exact
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 
+def _sample(m, model, epsilon, n, rng):
+    """``n`` trajectories from one ``collect_batch`` on one stream."""
+    config = TrainConfig(batch_size=n, epsilon_uniform=epsilon)
+    return collect_batch(m, model, config, [rng]).trajectories
+
+
 def test_sample_uniform_exploration_path_frequencies(fig_diamond):
     # epsilon=1 ignores the logits: paths get 1/2, 1/4, 1/4
     model = PolicyModel.init(fig_diamond)
     model.forward_logits[:] = np.random.default_rng(0).normal(0, 3, fig_diamond.n_edges)
-    rng = np.random.default_rng(123)
     counts = {}
     n = 20000
-    for _ in range(n):
-        t = sample_trajectory(fig_diamond, model, 1.0, rng)
+    for t in _sample(fig_diamond, model, 1.0, n, np.random.default_rng(123)):
         counts[tuple(t.states.tolist())] = counts.get(tuple(t.states.tolist()), 0) + 1
     freqs = sorted(v / n for v in counts.values())
     assert len(freqs) == 3
@@ -52,16 +57,16 @@ def test_sample_uniform_exploration_path_frequencies(fig_diamond):
 def test_sample_deterministic_logits(fig_diamond):
     model = PolicyModel.init(fig_diamond)
     model.forward_logits[fig_diamond.out_slice(0)] = np.array([50.0, 0.0])
-    rng = np.random.default_rng(7)
-    ends = {tuple(sample_trajectory(fig_diamond, model, 0.0, rng).states.tolist())
-            for _ in range(50)}
+    ends = {tuple(t.states.tolist())
+            for t in _sample(fig_diamond, model, 0.0, 50, np.random.default_rng(7))}
     assert len(ends) == 1
 
 
 def test_sample_seed_reproducibility(grid33):
     model = PolicyModel.init(grid33)
-    a = [sample_trajectory(grid33, model, 0.3, np.random.default_rng(5)) for _ in range(20)]
-    b = [sample_trajectory(grid33, model, 0.3, np.random.default_rng(5)) for _ in range(20)]
+    a = _sample(grid33, model, 0.3, 20, np.random.default_rng(5))
+    b = _sample(grid33, model, 0.3, 20, np.random.default_rng(5))
+    assert len(a) == len(b) == 20
     for ta, tb in zip(a, b):
         assert np.array_equal(ta.states, tb.states)
         assert np.array_equal(ta.edges, tb.edges)
@@ -70,9 +75,7 @@ def test_sample_seed_reproducibility(grid33):
 
 def test_sampled_trajectories_are_legal(grid44):
     model = PolicyModel.init(grid44, np.random.default_rng(1), scale=0.5)
-    rng = np.random.default_rng(2)
-    for _ in range(40):
-        t = sample_trajectory(grid44, model, 0.1, rng)
+    for t in _sample(grid44, model, 0.1, 40, np.random.default_rng(2)):
         assert t.start == grid44.initial
         assert grid44.terminal[t.end]
         for s, a, s2 in t.steps():
@@ -123,7 +126,7 @@ def test_batch_rows_are_padded_with_the_terminal():
     zero = Trajectory(states=np.array([one]), actions=np.zeros(0, dtype=np.int64),
                       edges=np.zeros(0, dtype=np.int64), log_behavior=np.zeros(0))
     longest = batch.trajectories[int(np.argmax(batch.lengths))]
-    mixed = RolloutBatch.from_trajectories([zero, longest])
+    mixed = batch_from_trajectories([zero, longest])
     assert mixed.state_rows[0].tolist() == [one] * 4
     assert mixed.lengths.tolist() == [0, 3] and mixed.step_traj.tolist() == [1, 1, 1]
     assert mixed.step_pos.tolist() == [3, 4, 5]
@@ -180,7 +183,7 @@ def test_gradients_match_finite_differences(two_terminal):
 
 def test_fixed_point_zero_loss_and_gradient(grid33):
     tables = exact.exact_tables(grid33)
-    model = PolicyModel.from_exact(grid33, tables)
+    model = model_at_exact(grid33, tables)
     batch = collect_batch(grid33, model, TrainConfig(batch_size=16), [np.random.default_rng(0)])
     for obj in OBJECTIVES:
         cfg = TrainConfig(objective=obj, backward="maxent-learned", n_objective="trajectory")
@@ -191,7 +194,7 @@ def test_fixed_point_zero_loss_and_gradient(grid33):
 
 def test_fixed_point_training_is_stationary(grid33):
     tables = exact.exact_tables(grid33)
-    model = PolicyModel.from_exact(grid33, tables)
+    model = model_at_exact(grid33, tables)
     reference = model.copy()
     cfg = TrainConfig(objective="tb", backward="maxent-learned", n_objective="trajectory",
                       batch_size=16, steps=100, seed=0)
@@ -279,13 +282,26 @@ def test_train_step_requires_l_sources(fig_diamond):
     with pytest.raises(BackwardRequiresL):
         train_step(fig_diamond, model, batch, cfg, opt)
     with pytest.raises(ValueError):
-        compute_loss_and_grads(fig_diamond, model, RolloutBatch.from_trajectories([]),
+        compute_loss_and_grads(fig_diamond, model, batch_from_trajectories([]),
                                TrainConfig())
 
 
 def test_run_training_zero_steps_is_empty(fig_diamond):
     rows, _ = run_training(fig_diamond, TrainConfig(steps=0))
     assert rows == []
+
+
+def test_metrics_row_is_evaluate_policy_of_the_model(grid33):
+    # the row measures against the tempered target p~**b, like evaluate_policy
+    # of the trained model on that target
+    cfg = TrainConfig(objective="tb", n_objective="bellman", learning_rate=0.02, batch_size=16,
+                      steps=20, reward_exponent=2.0, seed=3)
+    rows, model = run_training(grid33, cfg, metrics_every=20)
+    tempered = grid33.with_log_target(grid33.log_target * 2.0)
+    report = metrics.evaluate_policy(tempered, model.forward_log_probs(tempered),
+                                     l_hat=model.l_hat)
+    for name in ("kl_forward", "kl_reverse", "entropy", "max_entropy_bound", "n_mse"):
+        assert getattr(rows[-1], name) == getattr(report, name), name
 
 
 def test_run_training_deterministic(two_terminal):

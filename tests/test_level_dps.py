@@ -11,12 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_oracles as loops
-from gflowdp import exact, learner, objectives
-from gflowdp.learner import PolicyModel, RolloutBatch, TrainConfig
+from gflowdp import exact, learner
+from gflowdp.learner import PolicyModel, TrainConfig
 from gflowdp.mdp import MultipleInitials, _freeze, enumerate_mdp, invert, parse_dag_text
 from gflowdp.numerics import logsumexp, segment_logsumexp, segment_sum
 
-from conftest import oracle_path_counts, oracle_terminal_probs, random_dag_text, random_log_pi
+from conftest import (
+    batch_from_trajectories,
+    oracle_path_counts,
+    oracle_terminal_probs,
+    random_dag_text,
+    random_log_pi,
+)
 
 TOL = 1e-12
 
@@ -188,10 +194,12 @@ def test_segment_softmax_and_counts_backward_match_loops(text, seed):
     rng = np.random.default_rng(seed)
     for m in both(text):
         logits, l = rng.normal(size=m.n_edges), rng.normal(size=m.n_states)
-        for by_src in (True, False):
-            assert close(learner._segment_log_softmax(m, logits, by_src),
-                         loops._segment_log_softmax(m, logits, by_src))
-        assert close(objectives.backward_from_counts(m, l), loops.backward_from_counts(m, l))
+        model = PolicyModel.init(m)
+        model.forward_logits, model.backward_logits = logits, logits
+        assert close(model.forward_log_probs(m), loops._segment_log_softmax(m, logits, True))
+        assert close(model.free_backward_log_probs(m),
+                     loops._segment_log_softmax(m, logits, False))
+        assert close(exact.backward_maxent(m, l), loops.backward_from_counts(m, l))
 
 
 @given(random_dag_text(), st.integers(0, 2**32 - 1))
@@ -211,7 +219,7 @@ def test_sampling_and_losses_match_loops(text, seed):
         b = loops._sample_one(m, tables, rng)
         for name in ("states", "actions", "edges", "log_behavior"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    rebuilt = RolloutBatch.from_trajectories(batch.trajectories)
+    rebuilt = batch_from_trajectories(batch.trajectories)
     for name in ("state_rows", "lengths", "terminals", "step_traj", "step_pos", "step_edge"):
         assert np.array_equal(getattr(rebuilt, name), getattr(batch, name)), name
     l = exact.count_paths(m)

@@ -11,7 +11,6 @@ from gflowdp.metrics import (
     SupportMismatch,
     evaluate_policy,
     kl_terminal,
-    l1_terminal,
     mode_count,
     n_mse,
     pearson_logprob,
@@ -28,7 +27,7 @@ def test_kl_zero_for_exact_policy(grid33):
     log_pi = exact.gsql_policy(grid33, exact.count_paths(grid33))
     assert kl_terminal(grid33, log_pi, "forward") == pytest.approx(0.0, abs=1e-9)
     assert kl_terminal(grid33, log_pi, "reverse") == pytest.approx(0.0, abs=1e-9)
-    assert l1_terminal(grid33, log_pi) == pytest.approx(0.0, abs=1e-9)
+    assert evaluate_policy(grid33, log_pi).l1 == pytest.approx(0.0, abs=1e-9)
 
 
 def test_kl_single_terminal_always_zero(fig_diamond):

@@ -6,11 +6,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gflowdp.learner import PolicyModel, TrainConfig, collect_batch
+from gflowdp.learner import PolicyModel, TrainConfig, backward_from_counts, collect_batch
 from gflowdp.mdp import enumerate_mdp, parse_dag_text
 from gflowdp.objectives import (
     TrajectoryView,
-    backward_from_counts,
     db_residual,
     n_trajectory_residual,
     stb_residuals,
