@@ -153,7 +153,7 @@ def _fmt(x: float) -> str:
 def model_to_json(model: PolicyModel) -> str:
     doc = {f.name: getattr(model, f.name).tolist() for f in fields(PolicyModel)}
     doc["log_z_hat"] = model.log_z
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc)
 
 
 def model_from_json(text: str) -> PolicyModel:
@@ -221,29 +221,26 @@ def cmd_exact(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tables = exact.exact_tables(mdp)
+    tables, log_pi_maxent, log_q_maxent = exact.maxent_solution(mdp)
     (out_dir / "exact_tables.json").write_text(tables.to_json())
 
-    log_pi_maxent = exact.gsql_policy(mdp, tables.l)
-    _, log_pi_uniform = exact.forward_from_backward(mdp, exact.backward_uniform(mdp))
-    entropy_maxent = exact.flow_entropy(mdp, log_pi_maxent)
-    entropy_uniform = exact.flow_entropy(mdp, log_pi_uniform)
-    log_z_direct, log_z_value = exact.log_partition(mdp, tables.l)
+    log_q_uniform = exact.backward_uniform(mdp)
+    _, log_pi_uniform = exact.forward_from_backward(mdp, log_q_uniform)
     policies = {
         "maxent_forward": log_pi_maxent.tolist(),
         "uniform_forward": log_pi_uniform.tolist(),
-        "maxent_backward": exact.backward_maxent(mdp, tables.l).tolist(),
-        "uniform_backward": exact.backward_uniform(mdp).tolist(),
+        "maxent_backward": log_q_maxent.tolist(),
+        "uniform_backward": log_q_uniform.tolist(),
     }
     (out_dir / "policies.json").write_text(json.dumps(policies, indent=2))
     report = {
         "n_states": mdp.n_states,
         "n_edges": mdp.n_edges,
         "n_terminals": int(mdp.terminal.sum()),
-        "logZ": log_z_direct,
-        "logZ_value": log_z_value,
-        "entropy_maxent": entropy_maxent,
-        "entropy_uniform": entropy_uniform,
+        "logZ": tables.logZ,
+        "logZ_value": float(tables.V[mdp.initial]),  # log_partition's second value
+        "entropy_maxent": exact.flow_entropy(mdp, log_pi_maxent),
+        "entropy_uniform": exact.flow_entropy(mdp, log_pi_uniform),
         "max_entropy_bound": exact.max_entropy_bound(mdp, tables.l),
     }
     (out_dir / "exact_report.json").write_text(json.dumps(report, indent=2))

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 from .numerics import NEG_INF
 
 
@@ -72,10 +70,11 @@ def hypergrid_target(coords: Sequence[int], side: int) -> float:
     0.1 + 0.5*prod(I[0.25 < |s_i-0.5|]) + 2*prod(I[0.3 < |s_i-0.5| < 0.4]).
     Indicator boundaries are strict.
     """
-    s = np.asarray(coords, dtype=float) / (side - 1)
-    d = np.abs(s - 0.5)
-    first = float(np.all(d > 0.25))
-    second = float(np.all((d > 0.3) & (d < 0.4)))
+    first = second = True
+    for x in coords:
+        d = abs(x / (side - 1) - 0.5)
+        first = first and d > 0.25
+        second = second and 0.3 < d < 0.4
     return 0.1 + 0.5 * first + 2.0 * second
 
 
@@ -98,46 +97,39 @@ class HypergridEnv:
     def initial_state(self) -> bytes:
         return bytes(1 + self.dims)
 
-    def _moves(self, coords: bytes) -> list[int]:
-        return [i for i in range(self.dims) if coords[i] < self.side - 1]
-
     def n_actions(self, state: bytes) -> int:
-        if state[0]:
-            return 0
-        return len(self._moves(state[1:])) + 1
+        return 0 if state[0] else self.dims + 1 - state.count(self.side - 1, 1)
 
     def step(self, state: bytes, action: int) -> bytes:
-        coords = state[1:]
-        moves = self._moves(coords)
-        if action < len(moves):
-            i = moves[action]
-            out = bytearray(state)
-            out[1 + i] += 1
-            return bytes(out)
-        if action == len(moves):
-            return bytes([1]) + coords
+        k = action  # the k-th coordinate below side-1 moves; k == their count stops
+        for i in range(1, len(state)):
+            if state[i] < self.side - 1:
+                if k == 0:
+                    out = bytearray(state)
+                    out[i] += 1
+                    return bytes(out)
+                k -= 1
+        if k == 0:
+            return b"\x01" + state[1:]
         raise IndexError(f"action {action} out of range")
 
     def is_terminal(self, state: bytes) -> bool:
         return bool(state[0])
 
     def log_target(self, state: bytes) -> float:
-        if not state[0]:
-            return NEG_INF
-        return math.log(hypergrid_target(list(state[1:]), self.side))
+        return math.log(hypergrid_target(state[1:], self.side)) if state[0] else NEG_INF
 
     def parents(self, state: bytes) -> list[tuple[bytes, int]]:
-        coords = state[1:]
         if state[0]:
-            lattice = bytes([0]) + coords
-            return [(lattice, len(self._moves(coords)))]
-        out = []
-        for i in range(self.dims):
-            if coords[i] > 0:
-                prev = bytearray(coords)
+            lattice = b"\x00" + state[1:]
+            return [(lattice, self.n_actions(lattice) - 1)]
+        out, below = [], 0  # below: coordinates before i that are below side-1
+        for i in range(1, len(state)):
+            if state[i]:
+                prev = bytearray(state)
                 prev[i] -= 1
-                prev_moves = self._moves(bytes(prev))
-                out.append((bytes([0]) + bytes(prev), prev_moves.index(i)))
+                out.append((bytes(prev), below))
+            below += state[i] < self.side - 1
         return out
 
 

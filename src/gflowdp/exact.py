@@ -311,14 +311,20 @@ class ExactTables:
                 for s, (l, v, mu, log_f) in enumerate(rows)
             },
         }
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc)
+
+
+def maxent_solution(mdp: EnumeratedMdp) -> tuple[ExactTables, np.ndarray, np.ndarray]:
+    """The exact tables with the max-entropy forward and backward policies
+    ``(log_pi, log_q)`` they were solved from, each DP run once."""
+    l = count_paths(mdp)
+    v, _, log_pi = gsql_solution(mdp, l)
+    log_q = backward_maxent(mdp, l)
+    log_f, _ = forward_from_backward(mdp, log_q)
+    log_z = float(logsumexp(mdp.log_target[mdp.terminal]))
+    return ExactTables(l=l, V=v, mu=marginals(mdp, log_pi), logF=log_f, logZ=log_z), log_pi, log_q
 
 
 def exact_tables(mdp: EnumeratedMdp) -> ExactTables:
     """Solve every table at once for the maximum-entropy flow solution."""
-    l = count_paths(mdp)
-    v, _, log_pi = gsql_solution(mdp, l)
-    mu = marginals(mdp, log_pi)
-    log_f, _ = forward_from_backward(mdp, backward_maxent(mdp, l))
-    log_z = logsumexp(mdp.log_target[mdp.terminal])
-    return ExactTables(l=l, V=v, mu=mu, logF=log_f, logZ=float(log_z))
+    return maxent_solution(mdp)[0]

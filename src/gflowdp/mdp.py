@@ -287,20 +287,21 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
     declared pair that enumeration did not step itself (say, one from an
     unreachable state) unless ``env.step`` replays it to the state.
 
+    Each state costs one ``is_terminal``, one ``n_actions`` unless terminal,
+    one ``parents`` and, if terminal, one ``log_target`` call; each edge one
+    ``step``.  Everything else runs on discovery ids.
+
     Raises CycleDetected, StateBudgetExceeded, or ParentMismatch.
     """
     root = env.initial_state()
     index_of: dict[bytes, int] = {root: 0}
-    states: list[bytes] = [root]
-    kids: dict[int, list[int]] = {}  # discovery id -> child discovery ids
-    is_terminal: dict[int, bool] = {}  # discovery id -> env.is_terminal
-
-    def resolve(sid: int) -> list[int]:
-        st = states[sid]
-        is_terminal[sid] = env.is_terminal(st)
-        n_act = 0 if is_terminal[sid] else env.n_actions(st)
-        out = []
-        for a in range(n_act):
+    states: list[bytes] = [root]  # by discovery id
+    terminal: list[bool] = []
+    kids: list[int] = []  # child discovery ids, state after state, in action order
+    first_kid = [0]  # CSR offsets into kids
+    for st in states:  # grows while the walk resolves each state once
+        terminal.append(env.is_terminal(st))
+        for a in range(0 if terminal[-1] else env.n_actions(st)):
             child = env.step(st, a)
             cid = index_of.get(child)
             if cid is None:
@@ -308,57 +309,61 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
                     raise StateBudgetExceeded(f"more than {max_states} reachable states")
                 cid = index_of[child] = len(states)
                 states.append(child)
-            out.append(cid)
-        return out
+            kids.append(cid)
+        first_kid.append(len(kids))
 
-    postorder: list[int] = []
-    done: set[int] = set()
-    on_path: set[int] = {0}
-    stack: list[list[int]] = [[0, 0]]  # (discovery id, next child position)
+    n = len(states)
+    seen = bytearray(n)
+    seen[0] = 1
+    cursor = first_kid[:-1]  # next child position of each state
+    stack, postorder = [0], []
     while stack:
-        sid, pos = stack[-1]
-        if sid not in kids:
-            kids[sid] = resolve(sid)
-        children = kids[sid]
-        if pos < len(children):
-            stack[-1][1] = pos + 1
-            c = children[pos]
-            if c in on_path:
-                raise CycleDetected(f"state {states[c]!r} reached again along the current path")
-            if c not in done:
-                on_path.add(c)
-                stack.append([c, 0])
+        sid = stack[-1]
+        pos = cursor[sid]
+        if pos < first_kid[sid + 1]:
+            cursor[sid] = pos + 1
+            c = kids[pos]
+            if not seen[c]:
+                seen[c] = 1
+                stack.append(c)
         else:
-            stack.pop()
-            on_path.discard(sid)
-            done.add(sid)
-            postorder.append(sid)
+            postorder.append(stack.pop())
 
     order = postorder[::-1]  # reverse postorder = topological, root first
-    rank = {d: i for i, d in enumerate(order)}
+    rank = np.argsort(order)  # the inverse permutation
+    offset = np.array(first_kid, dtype=np.int64)
+    src = np.repeat(np.arange(n), np.diff(offset))
+    act = np.arange(len(kids)) - offset[src]
+    dst = np.array(kids, dtype=np.int64)
+    # in reverse postorder, only an edge back to a state on the DFS path, one
+    # that closes a cycle, fails to go up in rank
+    if (back := rank[src] >= rank[dst]).any():
+        c = states[dst[np.argmax(back)]]
+        raise CycleDetected(f"state {c!r} reached again along the current path")
 
     new_states = [states[d] for d in order]
-    terminal = [is_terminal[d] for d in order]
+    terminal = [terminal[d] for d in order]
     log_target = [float(env.log_target(s)) if term else float("-inf")
                   for s, term in zip(new_states, terminal)]
-    edges = [(rank[d], a, rank[c]) for d in order for a, c in enumerate(kids[d])]
-    mdp = _freeze(new_states, (0,), terminal, log_target, edges)
+    mdp = _freeze(new_states, (0,), terminal, log_target,
+                  np.column_stack((rank[src], act, rank[dst])))
 
-    # cross-check env.parents against discovered edges; a discovered pair is
-    # known to step to the state, so only the other declared pairs replay
-    discovered: list[set[tuple[bytes, int]]] = [set() for _ in order]
-    for s, a, c in edges:
-        discovered[c].add((new_states[s], a))
-    for c, state in enumerate(new_states):
-        declared = set()
+    # cross-check env.parents against the stepped edges, keyed by (child,
+    # parent, action) discovery ids; only the other declared pairs replay
+    stepped = set(zip(kids, src.tolist(), act.tolist()))
+    n_parents = np.bincount(dst, minlength=n).tolist()
+    for d in order:
+        state, declared = states[d], set()
         for p_state, p_action in env.parents(state):
-            pair = (bytes(p_state), int(p_action))
-            declared.add(pair)
-            if pair not in discovered[c] and env.step(p_state, p_action) != state:
+            key = (d, index_of.get(bytes(p_state)), int(p_action))
+            if key in stepped:
+                declared.add(key)
+            elif env.step(p_state, p_action) != state:
                 raise ParentMismatch(f"parents({state!r}) lists ({p_state!r}, {p_action}) "
                                      "which does not replay to it")
-        if missing := discovered[c] - declared:
-            raise ParentMismatch(f"parents({state!r}) is missing the pairs {sorted(missing)}")
+        if len(declared) < n_parents[d]:
+            missing = sorted((states[p], a) for c, p, a in stepped - declared if c == d)
+            raise ParentMismatch(f"parents({state!r}) is missing the pairs {missing}")
     return mdp
 
 

@@ -110,7 +110,7 @@ class EvalReport:
     def to_json(self) -> str:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["modes"] = {str(k): v for k, v in self.modes.items()}
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc)
 
 
 def evaluate_policy(

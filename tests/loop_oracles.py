@@ -1,6 +1,7 @@
 """The per-state Python loops of the MDP tables, the exact layer and the
 training step, kept as reference oracles for the whole-array and
-level-synchronous implementations.
+level-synchronous implementations, together with the depth-first
+``enumerate_mdp`` and the hypergrid env calls that rebuild their move list.
 
 Each function is the loop version verbatim, except that calls into
 functions that were rewritten go to the loop copies in this module, and
@@ -10,11 +11,13 @@ denominators.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from gflowdp import exact
+from gflowdp.envs import HypergridEnv
 from gflowdp.exact import NonFiniteTarget, ZeroFlow
 from gflowdp.learner import (
     BackwardRequiresL,
@@ -24,7 +27,16 @@ from gflowdp.learner import (
     TrainConfig,
     _coef,
 )
-from gflowdp.mdp import EnumeratedMdp, Trajectory, ValidationReport
+from gflowdp.mdp import (
+    DEFAULT_MAX_STATES,
+    CycleDetected,
+    EnumeratedMdp,
+    Env,
+    ParentMismatch,
+    StateBudgetExceeded,
+    Trajectory,
+    ValidationReport,
+)
 from gflowdp.numerics import NEG_INF, entropy_from_log_probs, logsumexp
 from gflowdp.objectives import cross_cumsum, huber
 
@@ -101,6 +113,148 @@ def invert_loop(mdp: EnumeratedMdp) -> EnumeratedMdp:
     log_target = np.full(n, float("-inf"))
     log_target[terminal] = 0.0
     return _freeze(states, initials, terminal, log_target, edges)
+
+
+def enumerate_mdp_dfs(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedMdp:
+    """Enumerate the reachable states of ``env`` in topological order.
+
+    Indices come from reversed DFS postorder with children visited in
+    action-index order, so the initial state gets index 0 and every edge
+    goes from a lower to a higher index.  Deterministic for a deterministic
+    env.  Every pair that ``env.parents`` omits is an error, and so is a
+    declared pair that enumeration did not step itself (say, one from an
+    unreachable state) unless ``env.step`` replays it to the state.
+
+    Raises CycleDetected, StateBudgetExceeded, or ParentMismatch.
+    """
+    root = env.initial_state()
+    index_of: dict[bytes, int] = {root: 0}
+    states: list[bytes] = [root]
+    kids: dict[int, list[int]] = {}  # discovery id -> child discovery ids
+    is_terminal: dict[int, bool] = {}  # discovery id -> env.is_terminal
+
+    def resolve(sid: int) -> list[int]:
+        st = states[sid]
+        is_terminal[sid] = env.is_terminal(st)
+        n_act = 0 if is_terminal[sid] else env.n_actions(st)
+        out = []
+        for a in range(n_act):
+            child = env.step(st, a)
+            cid = index_of.get(child)
+            if cid is None:
+                if len(states) >= max_states:
+                    raise StateBudgetExceeded(f"more than {max_states} reachable states")
+                cid = index_of[child] = len(states)
+                states.append(child)
+            out.append(cid)
+        return out
+
+    postorder: list[int] = []
+    done: set[int] = set()
+    on_path: set[int] = {0}
+    stack: list[list[int]] = [[0, 0]]  # (discovery id, next child position)
+    while stack:
+        sid, pos = stack[-1]
+        if sid not in kids:
+            kids[sid] = resolve(sid)
+        children = kids[sid]
+        if pos < len(children):
+            stack[-1][1] = pos + 1
+            c = children[pos]
+            if c in on_path:
+                raise CycleDetected(f"state {states[c]!r} reached again along the current path")
+            if c not in done:
+                on_path.add(c)
+                stack.append([c, 0])
+        else:
+            stack.pop()
+            on_path.discard(sid)
+            done.add(sid)
+            postorder.append(sid)
+
+    order = postorder[::-1]  # reverse postorder = topological, root first
+    rank = {d: i for i, d in enumerate(order)}
+
+    new_states = [states[d] for d in order]
+    terminal = [is_terminal[d] for d in order]
+    log_target = [float(env.log_target(s)) if term else float("-inf")
+                  for s, term in zip(new_states, terminal)]
+    edges = [(rank[d], a, rank[c]) for d in order for a, c in enumerate(kids[d])]
+    mdp = _freeze(new_states, (0,), terminal, log_target, edges)
+
+    # cross-check env.parents against discovered edges; a discovered pair is
+    # known to step to the state, so only the other declared pairs replay
+    discovered: list[set[tuple[bytes, int]]] = [set() for _ in order]
+    for s, a, c in edges:
+        discovered[c].add((new_states[s], a))
+    for c, state in enumerate(new_states):
+        declared = set()
+        for p_state, p_action in env.parents(state):
+            pair = (bytes(p_state), int(p_action))
+            declared.add(pair)
+            if pair not in discovered[c] and env.step(p_state, p_action) != state:
+                raise ParentMismatch(f"parents({state!r}) lists ({p_state!r}, {p_action}) "
+                                     "which does not replay to it")
+        if missing := discovered[c] - declared:
+            raise ParentMismatch(f"parents({state!r}) is missing the pairs {sorted(missing)}")
+    return mdp
+
+
+def hypergrid_target_np(coords: Sequence[int], side: int) -> float:
+    """Unnormalized target over lattice cells.
+
+    With s_i the ratio of coordinate i to the maximum position side-1:
+    0.1 + 0.5*prod(I[0.25 < |s_i-0.5|]) + 2*prod(I[0.3 < |s_i-0.5| < 0.4]).
+    Indicator boundaries are strict.
+    """
+    s = np.asarray(coords, dtype=float) / (side - 1)
+    d = np.abs(s - 0.5)
+    first = float(np.all(d > 0.25))
+    second = float(np.all((d > 0.3) & (d < 0.4)))
+    return 0.1 + 0.5 * first + 2.0 * second
+
+
+class HypergridMovesEnv(HypergridEnv):
+    """The hypergrid env whose calls rebuild the list of movable coordinates."""
+
+    def _moves(self, coords: bytes) -> list[int]:
+        return [i for i in range(self.dims) if coords[i] < self.side - 1]
+
+    def n_actions(self, state: bytes) -> int:
+        if state[0]:
+            return 0
+        return len(self._moves(state[1:])) + 1
+
+    def step(self, state: bytes, action: int) -> bytes:
+        coords = state[1:]
+        moves = self._moves(coords)
+        if action < len(moves):
+            i = moves[action]
+            out = bytearray(state)
+            out[1 + i] += 1
+            return bytes(out)
+        if action == len(moves):
+            return bytes([1]) + coords
+        raise IndexError(f"action {action} out of range")
+
+    def log_target(self, state: bytes) -> float:
+        if not state[0]:
+            return NEG_INF
+        return math.log(hypergrid_target_np(list(state[1:]), self.side))
+
+    def parents(self, state: bytes) -> list[tuple[bytes, int]]:
+        coords = state[1:]
+        if state[0]:
+            lattice = bytes([0]) + coords
+            return [(lattice, len(self._moves(coords)))]
+        out = []
+        for i in range(self.dims):
+            if coords[i] > 0:
+                prev = bytearray(coords)
+                prev[i] -= 1
+                prev_moves = self._moves(bytes(prev))
+                out.append((bytes([0]) + bytes(prev), prev_moves.index(i)))
+        return out
 
 
 def validate_loop(mdp: EnumeratedMdp) -> ValidationReport:

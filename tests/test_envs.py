@@ -19,6 +19,7 @@ from gflowdp.envs import (
     words_n,
 )
 
+import loop_oracles as loops
 from conftest import find_state, oracle_path_counts, tree_n_from_state
 
 
@@ -47,6 +48,42 @@ def test_target_ring_cell_h64():
 def test_target_boundary_is_strict():
     # H=5 puts x=1 exactly at |s - 0.5| = 0.25, which must not count
     assert hypergrid_target([1, 1], 5) == pytest.approx(0.1)
+
+
+def test_target_matches_numpy_oracle_on_every_cell():
+    # every 2-D cell of sides 2..64, and every cell of the 4-D side-10 grid
+    cells = [(c, side) for side in range(2, 65) for c in itertools.product(range(side), repeat=2)]
+    cells += [(c, 10) for c in itertools.product(range(10), repeat=4)]
+    for coords, side in cells:
+        assert hypergrid_target(coords, side) == loops.hypergrid_target_np(coords, side), coords
+        assert hypergrid_target(bytes(coords), side) == hypergrid_target(coords, side)
+
+
+@pytest.mark.parametrize("dims, side", [(1, 2), (2, 2), (3, 5), (2, 64)])
+def test_hypergrid_calls_match_move_list_oracle_on_every_state(dims, side):
+    env, oracle = HypergridEnv(dims, side), loops.HypergridMovesEnv(dims, side)
+    for state in mdp.enumerate_mdp(env).states:
+        assert env.n_actions(state) == oracle.n_actions(state)
+        assert env.log_target(state) == oracle.log_target(state)
+        assert env.parents(state) == oracle.parents(state)
+        assert all(type(p) is bytes and type(a) is int for p, a in env.parents(state))
+        # terminal states too: their moves land on cells no walk reaches
+        for action in range(dims + 2):
+            try:
+                expected = oracle.step(state, action)
+            except IndexError:
+                with pytest.raises(IndexError, match=f"action {action} out of range"):
+                    env.step(state, action)
+            else:
+                assert env.step(state, action) == expected
+
+
+def test_hypergrid_out_of_range_action_raises():
+    env = HypergridEnv(2, 3)
+    for state in (bytes([0, 0, 0]), bytes([0, 2, 1]), bytes([0, 2, 2]), bytes([1, 2, 2])):
+        for action in (env.dims + 1, 7, -1):
+            with pytest.raises(IndexError, match=f"action {action} out of range"):
+                env.step(state, action)
 
 
 def test_hypergrid_lattice_counts_are_multinomial(grid33):

@@ -121,6 +121,17 @@ def test_enumerate_cycle_detected():
         enumerate_mdp(_CyclicEnv())
 
 
+@pytest.mark.parametrize("text", [
+    "initial 0\n0 0 1\n1 0 2\n2 0 1\n2 1 3\nterminal 3 0.0\n",  # 0 -> 1 -> 2 -> 1
+    "initial 0\n0 0 1\n1 0 1\n1 1 2\nterminal 2 0.0\n",  # self-loop at 1
+])
+def test_enumerate_cycle_below_the_root(text):
+    env = parse_dag_text(text)
+    for f in (enumerate_mdp, loops.enumerate_mdp_dfs):
+        with pytest.raises(CycleDetected, match="state b'1' reached again along the current path"):
+            f(env)
+
+
 class _BadParentsEnv(envs.SimpleDagEnv):
     def parents(self, state):
         return []  # forgets every parent
@@ -134,30 +145,63 @@ class _LyingParentsEnv(envs.SimpleDagEnv):
         return good
 
 
+def _mismatch(enumerate_fn, env) -> str:
+    with pytest.raises(ParentMismatch) as info:
+        enumerate_fn(env)
+    return str(info.value)
+
+
 def test_enumerate_parent_mismatch():
-    with pytest.raises(ParentMismatch):
-        enumerate_mdp(_BadParentsEnv())
-    with pytest.raises(ParentMismatch):
-        enumerate_mdp(_LyingParentsEnv())
+    # each message as the depth-first enumeration words it
+    cases = [
+        (_BadParentsEnv, "parents(b's2') is missing the pairs [(b's0', 1)]"),
+        (_LyingParentsEnv, "parents(b'sT') lists (b's0', 0) which does not replay to it"),
+        (lambda: _ExtraParentEnv(b"s1"),
+         "parents(b'sT') lists (b'x', 0) which does not replay to it"),
+    ]
+    for make, message in cases:
+        assert _mismatch(enumerate_mdp, make()) == message
+        assert _mismatch(loops.enumerate_mdp_dfs, make()) == message
 
 
-class _CountingEnv:
-    """Forwards every call to ``env`` and counts the ``step`` and
-    ``is_terminal`` calls."""
+class _DroppedParentEnv:
+    """``env`` whose ``parents`` of the ``k``-th state it is asked about
+    lists no pair."""
 
-    def __init__(self, env):
-        self.env, self.steps, self.terminal_asks = env, 0, 0
+    def __init__(self, env, k):
+        self.env, self.k = env, k
 
     def __getattr__(self, name):
         return getattr(self.env, name)
 
+    def parents(self, state):
+        pairs = list(self.env.parents(state))
+        self.k -= 1
+        return [] if self.k == -1 else pairs
+
+
+class _CountingEnv:
+    """Forwards every call to ``env``, counts the ``step`` calls and lists,
+    in call order, the states that ``n_actions``, ``is_terminal``,
+    ``log_target`` and ``parents`` were asked about."""
+
+    def __init__(self, env):
+        self.env, self.steps = env, 0
+        self.asked = {name: [] for name in ("n_actions", "is_terminal", "log_target", "parents")}
+
+    def __getattr__(self, name):
+        if name not in self.asked:
+            return getattr(self.env, name)
+
+        def ask(state):
+            self.asked[name].append(state)
+            return getattr(self.env, name)(state)
+
+        return ask
+
     def step(self, state, action):
         self.steps += 1
         return self.env.step(state, action)
-
-    def is_terminal(self, state):
-        self.terminal_asks += 1
-        return self.env.is_terminal(state)
 
 
 ENV_ZOO = [
@@ -178,11 +222,39 @@ def test_enumerate_steps_each_edge_once(env):
 
 
 @pytest.mark.parametrize("env", ENV_ZOO, ids=lambda env: type(env).__name__)
-def test_enumerate_asks_is_terminal_once_per_state(env):
+def test_enumerate_env_call_budget(env):
+    # one is_terminal() and one parents() per state, one log_target() per
+    # terminal and one n_actions() per non-terminal state: a repeated call
+    # fails here
     counting = _CountingEnv(env)
     m = enumerate_mdp(counting)
-    assert counting.terminal_asks == m.n_states
     assert np.array_equal(m.terminal, [env.is_terminal(s) for s in m.states])
+    asked = {name: sorted(states) for name, states in counting.asked.items()}
+    assert asked["is_terminal"] == asked["parents"] == sorted(m.states)
+    assert asked["log_target"] == sorted(s for s, t in zip(m.states, m.terminal) if t)
+    assert asked["n_actions"] == sorted(s for s, t in zip(m.states, m.terminal) if not t)
+
+
+@pytest.mark.parametrize("env", ENV_ZOO + [envs.HypergridEnv(4, 4)],
+                         ids=lambda env: type(env).__name__)
+def test_enumerate_matches_dfs_oracle(env):
+    assert_same_tables(enumerate_mdp(env), loops.enumerate_mdp_dfs(env))
+
+
+@given(random_dag_text())
+@settings(max_examples=100, deadline=None)
+def test_enumerate_matches_dfs_oracle_on_random_dags(text):
+    env = parse_dag_text(text)
+    assert_same_tables(enumerate_mdp(env), loops.enumerate_mdp_dfs(env))
+
+
+@pytest.mark.parametrize("env", ENV_ZOO, ids=lambda env: type(env).__name__)
+def test_enumerate_budget_like_dfs_oracle(env):
+    n = enumerate_mdp(env).n_states
+    assert_same_tables(enumerate_mdp(env, max_states=n), loops.enumerate_mdp_dfs(env, n))
+    for f in (enumerate_mdp, loops.enumerate_mdp_dfs):
+        with pytest.raises(StateBudgetExceeded, match=f"more than {n - 1} reachable states"):
+            f(env, max_states=n - 1)
 
 
 class _ExtraParentEnv(envs.SimpleDagEnv):
@@ -205,6 +277,19 @@ def test_enumerate_replays_declared_pairs_it_did_not_step():
     assert_same_tables(m, enumerate_mdp(envs.SimpleDagEnv()))
     with pytest.raises(ParentMismatch, match="which does not replay to it"):
         enumerate_mdp(_ExtraParentEnv(b"s1"))
+
+
+@given(random_dag_text(), st.integers(0, 9))
+@settings(max_examples=60, deadline=None)
+def test_enumerate_missing_parent_message_like_dfs_oracle(text, k):
+    # both enumerations ask parents() once per state, in index order
+    m = enumerate_mdp(parse_dag_text(text))
+    k %= m.n_states
+    if k == 0:  # the root has no parent pair to drop
+        return
+    new = _mismatch(enumerate_mdp, _DroppedParentEnv(parse_dag_text(text), k))
+    assert new == _mismatch(loops.enumerate_mdp_dfs, _DroppedParentEnv(parse_dag_text(text), k))
+    assert new.startswith(f"parents({m.states[k]!r}) is missing the pairs")
 
 
 def test_parent_child_duality(mdp_zoo):
