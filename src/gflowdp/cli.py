@@ -21,7 +21,7 @@ import numpy as np
 
 from . import envs, exact, learner, metrics
 from .learner import MetricsRow, PolicyModel, TrainConfig
-from .mdp import EnumeratedMdp, MdpError, dump_dag_text, enumerate_mdp, parse_dag_text
+from .mdp import EnumeratedMdp, MdpError, dump_dag_text, enumerate_mdp
 from .objectives import HuberParams
 
 
@@ -93,18 +93,16 @@ def eval_settings(cp: configparser.ConfigParser) -> dict:
 
 
 def build_env(cp: configparser.ConfigParser):
+    """The env of the [env] section: ``name``, ``max_states`` (read by the
+    enumeration) and the keys ``envs.make_env`` reads for that env."""
     section = dict(cp["env"])
     name = section.pop("name", None)
+    section.pop("max_states", None)
     if name is None:
         raise UsageError("config needs [env] name = ...")
-    if name == "dag-file":
-        path = section.get("path")
-        if path is None:
-            raise UsageError("env 'dag-file' needs [env] path = ...")
-        return parse_dag_text(Path(path).read_text())
     try:
         return envs.make_env(name, section)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad env config: {exc}") from exc
 
 

@@ -9,8 +9,10 @@ path-counting DP.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 from typing import Sequence
 
+from .mdp import parse_dag_text
 from .numerics import NEG_INF
 
 
@@ -454,25 +456,32 @@ class TreeBuildEnv:
 
 
 def make_env(name: str, params: dict):
-    """Build an env from a config-style name and parameter dict."""
+    """Build an env from a config-style name and parameter dict; ``dag-file``
+    parses the DAG text file at ``path``.  A missing required key or a key
+    the env does not read raises ValueError."""
+    left = dict(params)
+
+    def take(key, parse, default=None):
+        if default is None and key not in left:
+            raise ValueError(f"missing key {key!r}")
+        return parse(left.pop(key, default))
+
     if name == "simple-dag":
-        return SimpleDagEnv(target=float(params.get("target", 1.0)))
-    if name == "hypergrid":
-        return HypergridEnv(dims=int(params["dims"]), side=int(params["side"]))
-    if name == "words":
-        return WordsEnv(
-            alphabet_size=int(params.get("alphabet", 2)),
-            length=int(params["length"]),
-            mode=params.get("mode", "append-right"),
-        )
-    if name == "bitvector":
-        return BitVectorEnv(
-            length=int(params["length"]),
-            ones_reward=float(params.get("ones_reward", 0.0)),
-        )
-    if name == "tree":
-        return TreeBuildEnv(
-            n_labels=int(params.get("labels", 1)),
-            max_nodes=int(params["max_nodes"]),
-        )
-    raise ValueError(f"unknown env {name!r}")
+        env = SimpleDagEnv(target=take("target", float, 1.0))
+    elif name == "hypergrid":
+        env = HypergridEnv(dims=take("dims", int), side=take("side", int))
+    elif name == "words":
+        env = WordsEnv(alphabet_size=take("alphabet", int, 2), length=take("length", int),
+                       mode=take("mode", str, "append-right"))
+    elif name == "bitvector":
+        env = BitVectorEnv(length=take("length", int),
+                           ones_reward=take("ones_reward", float, 0.0))
+    elif name == "tree":
+        env = TreeBuildEnv(n_labels=take("labels", int, 1), max_nodes=take("max_nodes", int))
+    elif name == "dag-file":
+        env = parse_dag_text(Path(take("path", str)).read_text())
+    else:
+        raise ValueError(f"unknown env {name!r}")
+    if left:
+        raise ValueError(f"unknown key {next(iter(left))!r}")
+    return env

@@ -6,6 +6,9 @@ estimate per state (initial pinned to 0), a log state-flow estimate per
 state (terminals clamped to the target), and a scalar log-Z estimate.
 The count-induced backward ``backward_from_counts`` is
 ``exact.backward_maxent``; the free backward is ``exact.backward_softmax``.
+The loss has two residual shapes: ``_balance`` over sub-trajectories of the
+sampled rows (tb, db, stb, pcl, n-trajectory) and ``_in_balance`` over the
+in-edges of the visited states (fm, n-bellman).
 Gradients are computed analytically; ``tests`` cross-check every
 objective/backward combination against central finite differences.
 """
@@ -86,12 +89,10 @@ class TrainConfig:
     ema_decay: float = 0.95
 
     def validate(self) -> None:
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.backward not in BACKWARDS:
-            raise ValueError(f"backward must be one of {BACKWARDS}")
-        if self.n_objective not in N_OBJECTIVES:
-            raise ValueError(f"n_objective must be one of {N_OBJECTIVES}")
+        choices = {"objective": OBJECTIVES, "backward": BACKWARDS, "n_objective": N_OBJECTIVES}
+        for name, allowed in choices.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
         for name in ("learning_rate", "reward_exponent", "lambda_stb"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
@@ -389,11 +390,26 @@ def _balance(batch: RolloutBatch, v, x, cell_set, hp: HuberParams, head=None):
     return float((weights * huber(res, hp)).sum()), g_v, g_x, g_head
 
 
-def _visits(mdp: EnumeratedMdp, states: np.ndarray):
-    """The distinct visited states and each one's share of the visits."""
-    counts = np.bincount(states, minlength=mdp.n_states)
-    visited = np.flatnonzero(counts)
-    return visited, counts[visited] / float(counts.sum())
+def _in_balance(mdp: EnumeratedMdp, v, w, visits, hp: HuberParams, head):
+    """Huber loss of v(s) - logsumexp over the in-edges e of s of v(src e) +
+    w(e) (``head`` where s has no parents), weighted by each state's share of
+    ``visits``, and its coefficients on the tables ``v``, ``w`` and ``head``."""
+    counts = np.bincount(visits, minlength=mdp.n_states)
+    states = np.flatnonzero(counts)
+    weight = counts[states] / float(counts.sum())
+    pos, starts = segment_positions(mdp.in_offset, states)
+    edges = mdp.in_edges[pos]
+    srcs = mdp.edge_src[edges]
+    terms = v[srcs] + w[edges]
+    n_in = np.diff(mdp.in_offset)[states]
+    lse = np.full(len(states), head)
+    lse[n_in > 0] = segment_logsumexp(terms, starts[n_in > 0])
+    res = v[states] - lse
+    c = weight * _coef(res, hp)
+    c_in = -np.repeat(c, n_in) * np.exp(terms - np.repeat(lse, n_in))
+    g_v = np.bincount(np.concatenate([states, srcs]), np.concatenate([c, c_in]), len(v))
+    g_w = np.bincount(edges, c_in, len(w))
+    return float((weight * huber(res, hp)).sum()), g_v, g_w, -float(c[n_in == 0].sum())
 
 
 def _softmax_vjp(g, log_p, segment, n_segments: int) -> np.ndarray:
@@ -428,7 +444,6 @@ def compute_loss_and_grads(
     hp = config.huber
     lengths = batch.lengths
 
-    g_pi = np.zeros(mdp.n_edges)
     g_q = np.zeros(mdp.n_edges)  # coefficients on log q however it is produced
     g_lf = np.zeros(mdp.n_states)
     g_l = np.zeros(mdp.n_states)  # direct l terms (not through log q)
@@ -454,45 +469,20 @@ def compute_loss_and_grads(
         if not l_known:
             g_l -= g_v
     elif config.objective == "fm":
-        # flow matching per visited state, weighted by visits (a trajectory
-        # visits its steps' sources and its terminal); the out side
-        # sum_a F(s) pi(a|s) is F(s), the target at terminals, the in side
-        # the in-flows, or log Z alone for a state without parents
-        visited, weight = _visits(
-            mdp, np.concatenate([mdp.edge_src[batch.step_edge], batch.terminals]))
-        in_pos, in_starts = segment_positions(mdp.in_offset, visited)
-        in_ids = mdp.in_edges[in_pos]
-        in_srcs = mdp.edge_src[in_ids]
-        in_terms = log_f[in_srcs] + log_pi[in_ids]
-        n_in = np.diff(mdp.in_offset)[visited]
-        lse_in = np.full(len(visited), model.log_z)
-        lse_in[n_in > 0] = segment_logsumexp(in_terms, in_starts[n_in > 0])
-
-        res = log_f[visited] - lse_in
-        policy_loss = float((weight * huber(res, hp)).sum())
-        c = weight * _coef(res, hp)
-        g_lf[visited] = c
-        g_z = -float(c[n_in == 0].sum())
-        c_in = -np.repeat(c, n_in) * np.exp(in_terms - np.repeat(lse_in, n_in))
-        np.add.at(g_pi, in_ids, c_in)
-        np.add.at(g_lf, in_srcs, c_in)
+        # log F(s) (the target at terminals) against its in-flows or log Z, at
+        # the states a trajectory visits: its steps' sources and its terminal
+        visits = np.concatenate([mdp.edge_src[batch.step_edge], batch.terminals])
+        policy_loss, g_lf, g_pi, g_z = _in_balance(mdp, log_f, log_pi, visits, hp, model.log_z)
     else:  # pragma: no cover - config.validate() rejects unknown objectives
         raise ValueError(config.objective)
 
     # ---- n objective ------------------------------------------------------
     n_loss = 0.0
     if config.n_objective == "bellman":
-        visited, weight = _visits(mdp, mdp.edge_dst[batch.step_edge])
-        pos, starts = segment_positions(mdp.in_offset, visited)
-        parent = mdp.edge_src[mdp.in_edges[pos]]
-        parent_l = model.l_hat[parent]
-        lse = segment_logsumexp(parent_l, starts)
-        res = model.l_hat[visited] - lse
-        n_loss = float((weight * huber(res, hp)).sum())
-        c = weight * _coef(res, hp)
-        g_l[visited] += c
-        n_in = np.diff(mdp.in_offset)[visited]
-        np.add.at(g_l, parent, -np.repeat(c, n_in) * np.exp(parent_l - np.repeat(lse, n_in)))
+        # l(s) against the logsumexp of l over the parents of each step's child
+        n_loss, g_v, _, _ = _in_balance(mdp, model.l_hat, np.zeros(mdp.n_edges),
+                                        mdp.edge_dst[batch.step_edge], hp, 0.0)
+        g_l += g_v
     elif config.n_objective == "trajectory":
         # l(s_T) + sum log q_l, with the pinned l(s_0) = 0 as the head
         n_loss, g_v, g_ql, _ = _balance(
@@ -648,7 +638,6 @@ def run_training(
     l_metrics = exact.count_paths(train_mdp)
     visited = np.zeros(mdp.n_states, dtype=bool)
     rows: list[MetricsRow] = []
-    stats = {"policy_loss": float("nan"), "n_loss": float("nan")}
     for step in range(1, config.steps + 1):
         batch = collect_batch(train_mdp, sampling_model, config, streams)
         visited[batch.terminals] = True

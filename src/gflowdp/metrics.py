@@ -119,18 +119,19 @@ def evaluate_policy(
     l_hat: np.ndarray | None = None,
     l_exact: np.ndarray | None = None,
     thresholds=(1.0,),
-    visited=None,
     pearson_samples=None,
 ) -> EvalReport:
-    """Assemble the standard report for one policy on an enumerable MDP."""
+    """Assemble the standard report for one policy on an enumerable MDP; modes
+    count every terminal, and ``pearson`` is None where it is undefined."""
     if l_exact is None:
         l_exact = exact.count_paths(mdp)
     log_mu = exact.log_marginals(mdp, log_pi)
     pearson = None
     if pearson_samples is not None:
-        pearson = pearson_logprob(pearson_samples, log_mu, mdp.log_target)
-    if visited is None:
-        visited = mdp.terminal_ids
+        try:
+            pearson = pearson_logprob(pearson_samples, log_mu, mdp.log_target)
+        except DegenerateVariance:
+            pass
     log_mu_t, log_p = _terminal_logs(mdp, log_mu)
     return EvalReport(
         kl_forward=_kl(log_mu_t, log_p, "forward"),
@@ -140,5 +141,5 @@ def evaluate_policy(
         max_entropy_bound=exact.max_entropy_bound(mdp, l_exact),
         pearson=pearson,
         n_mse=None if l_hat is None else n_mse(l_hat, l_exact),
-        modes=mode_count(visited, mdp.log_target, thresholds),
+        modes=mode_count(mdp.terminal_ids, mdp.log_target, thresholds),
     )

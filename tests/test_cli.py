@@ -190,6 +190,34 @@ def test_eval_trained_model(tmp_path):
     assert report["n_mse"] is not None
 
 
+# every env kind with its default parameters; a uniform target (or a single
+# terminal) leaves the Pearson correlation undefined
+EVERY_ENV = {
+    "simple-dag": ("name = simple-dag\n", True),
+    "hypergrid": ("name = hypergrid\ndims = 2\nside = 4\n", False),
+    "words": ("name = words\nalphabet = 2\nlength = 4\nmode = append-either-side\n", True),
+    "bitvector": ("name = bitvector\nlength = 3\n", True),
+    "bitvector-reward": ("name = bitvector\nlength = 3\nones_reward = 0.5\n", False),
+    "tree": ("name = tree\nlabels = 1\nmax_nodes = 5\n", True),
+    "dag-file": ("name = dag-file\npath = {dag}\n", False),
+}
+
+
+@pytest.mark.parametrize("kind", EVERY_ENV)
+def test_eval_with_default_settings_on_every_env(tmp_path, kind):
+    dag = tmp_path / "toy.dag"
+    dag.write_text("initial 0\n0 0 1\n0 1 2\nterminal 1 0.0\nterminal 2 0.3\n")
+    env, degenerate = EVERY_ENV[kind]
+    cfg = write_config(tmp_path, "[env]\n" + env.format(dag=dag) + "[eval]\n")
+    assert cli.main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "eval_report.json").read_text())
+    assert report["kl_forward"] < 1e-9
+    if degenerate:
+        assert report["pearson"] is None
+    else:
+        assert report["pearson"] == pytest.approx(1.0, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # render-grid
 
@@ -316,6 +344,9 @@ def _one_line_error(capsys):
         ("exact", "[eval]\nmetric_every = 5\n", []),
         ("enumerate", "[env]\nside = 4\n", []),
         ("enumerate", "side 4\n", []),
+        ("exact", "sidee = 9\n", []),
+        ("train", "dim = 2\n[train]\nsteps = 1\n", []),
+        ("eval", "path = mdp.dag\n", []),
     ],
 )
 def test_bad_numeric_input_is_a_one_line_usage_error(tmp_path, capsys, command, sections, flags):
@@ -325,13 +356,40 @@ def test_bad_numeric_input_is_a_one_line_usage_error(tmp_path, capsys, command, 
     _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("section, key", [("train", "learning_rat"), ("eval", "threshold")])
+# the env each [env] misspelling is tried on; the others use the 3x3 grid
+MISSPELT_ENV = {
+    "ones_rewrad": "name = bitvector\nlength = 3\n",
+    "alphabet_size": "name = words\nlength = 2\n",
+    "label": "name = tree\nmax_nodes = 3\n",
+    "targets": "name = simple-dag\n",
+}
+
+
+@pytest.mark.parametrize("section, key", [
+    ("train", "learning_rat"), ("eval", "threshold"), ("env", "sidee"),
+    *(("env", key) for key in MISSPELT_ENV),
+])
 def test_unknown_config_key_is_named(tmp_path, capsys, section, key):
-    header = "" if section == "train" else f"[{section}]\n"
-    cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 3\n"
-                                 f"[train]\nsteps = 1\n{header}{key} = 0.1\n")
+    env = MISSPELT_ENV.get(key, "name = hypergrid\ndims = 2\nside = 3\n")
+    sections = {"env": env, "train": "steps = 1\n", "eval": ""}
+    sections[section] += f"{key} = 0.1\n"
+    cfg = write_config(tmp_path, "".join(f"[{name}]\n{body}" for name, body in sections.items()))
     assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert _one_line_error(capsys) == f"error: bad {section} config: unknown key {key!r}"
+
+
+def test_dag_file_with_an_unknown_key_is_named(tmp_path, capsys):
+    dag = tmp_path / "toy.dag"
+    dag.write_text("initial 0\n0 0 1\nterminal 1 0.0\n")
+    cfg = write_config(tmp_path, f"[env]\nname = dag-file\npath = {dag}\nside = 3\n")
+    assert cli.main(["exact", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert _one_line_error(capsys) == "error: bad env config: unknown key 'side'"
+
+
+def test_missing_env_key_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[env]\nname = dag-file\n")
+    assert cli.main(["exact", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert _one_line_error(capsys) == "error: bad env config: missing key 'path'"
 
 
 def test_readme_config_example_runs(tmp_path):

@@ -185,11 +185,11 @@ def test_fixed_point_zero_loss_and_gradient(grid33):
     tables = exact.exact_tables(grid33)
     model = model_at_exact(grid33, tables)
     batch = collect_batch(grid33, model, TrainConfig(batch_size=16), [np.random.default_rng(0)])
-    for obj in OBJECTIVES:
-        cfg = TrainConfig(objective=obj, backward="maxent-learned", n_objective="trajectory")
-        stats, grads = compute_loss_and_grads(grid33, model, batch, cfg)
-        assert stats["loss"] < 1e-12
-        assert max(np.abs(g).max() for g in grads.values()) < 1e-9
+    for obj, nobj in itertools.product(OBJECTIVES, N_OBJECTIVES):
+        cfg = TrainConfig(objective=obj, backward="maxent-learned", n_objective=nobj)
+        stats, grads = compute_loss_and_grads(grid33, model, batch, cfg, exact_l=tables.l)
+        assert stats["loss"] < 1e-12, (obj, nobj)
+        assert max(np.abs(g).max() for g in grads.values()) < 1e-9, (obj, nobj)
 
 
 def test_fixed_point_training_is_stationary(grid33):
