@@ -164,6 +164,16 @@ def model_from_json(text: str) -> PolicyModel:
         raise learner.ModelMismatch(f"malformed model file: {exc!r}") from exc
 
 
+def lists_json(doc: dict[str, list]) -> str:
+    """``json.dumps(doc, indent=2)`` of a dict of number lists, byte for
+    byte, but each list dumped by the C encoder, which ``indent`` disables."""
+    items = []
+    for key, values in doc.items():
+        body = json.dumps(values)[1:-1].replace(", ", ",\n    ")
+        items.append(f"  {json.dumps(key)}: " + (f"[\n    {body}\n  ]" if values else "[]"))
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
 def metrics_csv(rows: list[MetricsRow]) -> str:
     """One line per row: ints as ``str``, floats as ``repr(float)``."""
     lines = [",".join(MetricsRow.FIELDS)]
@@ -230,7 +240,7 @@ def cmd_exact(args) -> int:
         "maxent_backward": log_q_maxent.tolist(),
         "uniform_backward": log_q_uniform.tolist(),
     }
-    (out_dir / "policies.json").write_text(json.dumps(policies, indent=2))
+    (out_dir / "policies.json").write_text(lists_json(policies))
     report = {
         "n_states": mdp.n_states,
         "n_edges": mdp.n_edges,

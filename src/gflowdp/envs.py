@@ -12,6 +12,8 @@ import math
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .mdp import parse_dag_text
 from .numerics import NEG_INF
 
@@ -77,7 +79,15 @@ def hypergrid_target(coords: Sequence[int], side: int) -> float:
         d = abs(x / (side - 1) - 0.5)
         first = first and d > 0.25
         second = second and 0.3 < d < 0.4
+    return _grid_target(first, second)
+
+
+def _grid_target(first: bool, second: bool) -> float:
     return 0.1 + 0.5 * first + 2.0 * second
+
+
+# the log of each target value, by first + 2 * second
+_GRID_LOG_TARGETS = np.array([math.log(_grid_target(f, s)) for s in (0, 1) for f in (0, 1)])
 
 
 class HypergridEnv:
@@ -86,6 +96,10 @@ class HypergridEnv:
     Each action increments one coordinate that is below side-1; one extra
     stop action moves to a distinct terminal copy of the cell, where the
     target is defined.  State encoding: bytes([done, x_0, ..., x_{d-1}]).
+
+    The ``batch_*`` calls answer for many states at once, with numpy on the
+    states' ``uint8`` rows; the per-state calls are their specification, so a
+    subclass that changes one must change its batched counterpart too.
     """
 
     def __init__(self, dims: int, side: int):
@@ -95,6 +109,8 @@ class HypergridEnv:
             raise ValueError("side must be in [2, 255]")
         self.dims = dims
         self.side = side
+        # row j < dims moves coordinate j, row dims the done flag
+        self._unit = np.eye(dims + 1, dtype=np.uint8)[np.arange(1, dims + 2) % (dims + 1)]
 
     def initial_state(self) -> bytes:
         return bytes(1 + self.dims)
@@ -133,6 +149,43 @@ class HypergridEnv:
                 out.append((bytes(prev), below))
             below += state[i] < self.side - 1
         return out
+
+    def _rows(self, states: Sequence[bytes]) -> np.ndarray:
+        return np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), 1 + self.dims)
+
+    def _moved(self, rows: np.ndarray, moves: np.ndarray, step) -> list[bytes]:
+        """``step(row r, unit j)`` for every ``moves[r, j]``, row-major."""
+        out = step(rows[:, None, :], self._unit)[moves]
+        return out.view(f"V{out.shape[1]}").ravel().tolist()  # void items are bytes
+
+    def batch_children(self, states: Sequence[bytes]):
+        """(is_terminal, n_actions, children in action order) of the states,
+        children one state after another."""
+        rows = self._rows(states)
+        done = rows[:, :1] != 0
+        moves = np.concatenate((rows[:, 1:] < self.side - 1, ~done), axis=1) & ~done
+        return done[:, 0], moves.sum(axis=1), self._moved(rows, moves, np.add)
+
+    def batch_parents(self, states: Sequence[bytes]):
+        """(number of pairs, parent states, actions) of ``parents`` of the
+        states, pairs one state after another."""
+        rows = self._rows(states)
+        done = rows[:, :1] != 0
+        below = rows[:, 1:] < self.side - 1
+        moves = np.concatenate(((rows[:, 1:] > 0) & ~done, done), axis=1)
+        # the k-th coordinate below side-1 moves by action k; the stop action
+        # comes after all of them
+        actions = np.concatenate((np.cumsum(below, axis=1) - below,
+                                  below.sum(axis=1, keepdims=True)), axis=1)
+        return moves.sum(axis=1), self._moved(rows, moves, np.subtract), actions[moves]
+
+    def batch_log_target(self, states: Sequence[bytes]) -> np.ndarray:
+        """``log_target`` of the states, bit for bit."""
+        rows = self._rows(states)
+        d = np.abs(rows[:, 1:] / (self.side - 1) - 0.5)
+        first = (d > 0.25).all(axis=1)
+        second = ((0.3 < d) & (d < 0.4)).all(axis=1)
+        return np.where(rows[:, 0] != 0, _GRID_LOG_TARGETS[first + 2 * second], NEG_INF)
 
 
 # ---------------------------------------------------------------------------

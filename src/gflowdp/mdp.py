@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import count, filterfalse, repeat
 from typing import Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
@@ -49,6 +50,22 @@ class Env(Protocol):
     ``0..n_actions(s)-1``.  ``step`` must be deterministic and acyclic,
     ``log_target`` must be finite exactly on terminal states, and
     ``parents(step(s, a))`` must contain ``(s, a)`` for every legal pair.
+
+    For ``enumerate_mdp`` an env may also answer a batch of F states at once
+    through three optional calls, which must agree with the per-state ones:
+
+    - ``batch_children(states) -> (terminal, n_children, children)``: F
+      ``is_terminal`` flags, F child counts (0 at a terminal), and the
+      ``step`` results of every state in action order, state after state;
+    - ``batch_parents(states) -> (n_pairs, parents, actions)``: F counts of
+      ``parents`` pairs, then the pairs' states (bytes) and their actions,
+      state after state;
+    - ``batch_log_target(states)``: the F ``log_target`` values.
+
+    They are looked up on the env's class, not the instance, so a wrapper
+    that forwards attributes per instance is asked one state at a time.  An
+    env whose class lacks any of them goes through ``_PerState``, which
+    makes the per-state calls in batch order.
     """
 
     def initial_state(self) -> bytes: ...
@@ -256,7 +273,7 @@ def _freeze(
     src, act, dst = (np.ascontiguousarray(col) for col in table.T)
 
     out_offset = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-    in_edges = np.lexsort((act, src, dst))
+    in_edges = np.argsort(dst, kind="stable")  # by (dst, src, action)
     in_offset = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
 
     parent_slot = np.empty(len(src), dtype=np.int64)
@@ -277,6 +294,33 @@ def _freeze(
     )
 
 
+class _PerState:
+    """The batched calls of ``Env`` made through the env's per-state methods,
+    one state at a time in batch order."""
+
+    def __init__(self, env: Env):
+        self.env = env
+
+    def batch_children(self, states):
+        env, terminal, counts, children = self.env, [], [], []
+        for st in states:
+            terminal.append(env.is_terminal(st))
+            counts.append(0 if terminal[-1] else env.n_actions(st))
+            children += [env.step(st, a) for a in range(counts[-1])]
+        return terminal, counts, children
+
+    def batch_parents(self, states):
+        pairs = [list(self.env.parents(st)) for st in states]
+        flat = [pair for ps in pairs for pair in ps]
+        return [len(ps) for ps in pairs], [bytes(p) for p, _ in flat], [a for _, a in flat]
+
+    def batch_log_target(self, states):
+        return [float(self.env.log_target(st)) for st in states]
+
+
+BATCHED_CALLS = ("batch_children", "batch_parents", "batch_log_target")
+
+
 def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedMdp:
     """Enumerate the reachable states of ``env`` in topological order.
 
@@ -287,53 +331,58 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
     declared pair that enumeration did not step itself (say, one from an
     unreachable state) unless ``env.step`` replays it to the state.
 
-    Each state costs one ``is_terminal``, one ``n_actions`` unless terminal,
-    one ``parents`` and, if terminal, one ``log_target`` call; each edge one
-    ``step``.  Everything else runs on discovery ids.
+    The env answers through the batched calls of ``Env``: one
+    ``batch_children`` per discovery frontier, then one ``batch_log_target``
+    on all terminals and one ``batch_parents`` on all states, both in index
+    order.  An env whose class lacks them is asked one state at a time: per
+    state one ``is_terminal``, one ``n_actions`` unless terminal, one
+    ``parents`` and, if terminal, one ``log_target``; per edge one ``step``.
+    Only a declared pair that enumeration did not step costs one more
+    ``step``, its replay.  Everything else runs on discovery ids.
 
     Raises CycleDetected, StateBudgetExceeded, or ParentMismatch.
     """
-    root = env.initial_state()
-    index_of: dict[bytes, int] = {root: 0}
-    states: list[bytes] = [root]  # by discovery id
-    terminal: list[bool] = []
-    kids: list[int] = []  # child discovery ids, state after state, in action order
-    first_kid = [0]  # CSR offsets into kids
-    for st in states:  # grows while the walk resolves each state once
-        terminal.append(env.is_terminal(st))
-        for a in range(0 if terminal[-1] else env.n_actions(st)):
-            child = env.step(st, a)
-            cid = index_of.get(child)
-            if cid is None:
-                if len(states) >= max_states:
-                    raise StateBudgetExceeded(f"more than {max_states} reachable states")
-                cid = index_of[child] = len(states)
-                states.append(child)
-            kids.append(cid)
-        first_kid.append(len(kids))
+    calls = env if all(hasattr(type(env), name) for name in BATCHED_CALLS) else _PerState(env)
+    frontier = [env.initial_state()]
+    index_of: dict[bytes, int] = {frontier[0]: 0}
+    states: list[bytes] = []  # by discovery id, one frontier after another
+    terminal, n_kids, kids = [], [], []  # per frontier; kids are child discovery ids
+    while frontier:
+        states += frontier
+        term, counts, children = calls.batch_children(frontier)
+        # the next frontier: the new children, in order of first appearance
+        frontier = list(filterfalse(index_of.__contains__, dict.fromkeys(children)))
+        index_of.update(zip(frontier, count(len(index_of))))
+        if len(index_of) > max(max_states, len(states)):  # a new state past the budget
+            raise StateBudgetExceeded(f"more than {max_states} reachable states")
+        kids += map(index_of.__getitem__, children)
+        terminal.append(np.asarray(term, dtype=bool))
+        n_kids.append(np.asarray(counts, dtype=np.int64))
 
     n = len(states)
+    offset = np.concatenate(([0], np.cumsum(np.concatenate(n_kids))))
+    first = offset.tolist()
     seen = bytearray(n)
     seen[0] = 1
-    cursor = first_kid[:-1]  # next child position of each state
-    stack, postorder = [0], []
-    while stack:
-        sid = stack[-1]
-        pos = cursor[sid]
-        if pos < first_kid[sid + 1]:
-            cursor[sid] = pos + 1
-            c = kids[pos]
+    path, unvisited, postorder = [0], [iter(kids[first[0]:first[1]])], []
+    while path:
+        for c in unvisited[-1]:
             if not seen[c]:
                 seen[c] = 1
-                stack.append(c)
+                if first[c] == first[c + 1]:  # a childless state finishes at once
+                    postorder.append(c)
+                else:
+                    path.append(c)
+                    unvisited.append(iter(kids[first[c]:first[c + 1]]))
+                    break
         else:
-            postorder.append(stack.pop())
+            unvisited.pop()
+            postorder.append(path.pop())
 
-    order = postorder[::-1]  # reverse postorder = topological, root first
-    rank = np.argsort(order)  # the inverse permutation
-    offset = np.array(first_kid, dtype=np.int64)
+    order = np.array(postorder[::-1])  # reverse postorder = topological, root first
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
     src = np.repeat(np.arange(n), np.diff(offset))
-    act = np.arange(len(kids)) - offset[src]
     dst = np.array(kids, dtype=np.int64)
     # in reverse postorder, only an edge back to a state on the DFS path, one
     # that closes a cycle, fails to go up in rank
@@ -341,30 +390,48 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
         c = states[dst[np.argmax(back)]]
         raise CycleDetected(f"state {c!r} reached again along the current path")
 
-    new_states = [states[d] for d in order]
-    terminal = [terminal[d] for d in order]
-    log_target = [float(env.log_target(s)) if term else float("-inf")
-                  for s, term in zip(new_states, terminal)]
-    mdp = _freeze(new_states, (0,), terminal, log_target,
-                  np.column_stack((rank[src], act, rank[dst])))
-
-    # cross-check env.parents against the stepped edges, keyed by (child,
-    # parent, action) discovery ids; only the other declared pairs replay
-    stepped = set(zip(kids, src.tolist(), act.tolist()))
-    n_parents = np.bincount(dst, minlength=n).tolist()
-    for d in order:
-        state, declared = states[d], set()
-        for p_state, p_action in env.parents(state):
-            key = (d, index_of.get(bytes(p_state)), int(p_action))
-            if key in stepped:
-                declared.add(key)
-            elif env.step(p_state, p_action) != state:
-                raise ParentMismatch(f"parents({state!r}) lists ({p_state!r}, {p_action}) "
-                                     "which does not replay to it")
-        if len(declared) < n_parents[d]:
-            missing = sorted((states[p], a) for c, p, a in stepped - declared if c == d)
-            raise ParentMismatch(f"parents({state!r}) is missing the pairs {missing}")
+    new_states = list(map(states.__getitem__, order.tolist()))
+    terminal = np.concatenate(terminal)[order]
+    log_target = np.full(n, -np.inf)
+    ends = np.flatnonzero(terminal)
+    log_target[ends] = calls.batch_log_target(list(map(new_states.__getitem__, ends.tolist())))
+    edges = np.column_stack((rank[src], np.arange(len(kids)) - offset[src], rank[dst]))
+    pos, _ = segment_positions(offset, order)  # by source rank, then action: as _freeze sorts
+    mdp = _freeze(new_states, (0,), terminal, log_target, edges[pos])
+    n_pairs, parents, actions = calls.batch_parents(new_states)
+    ranks = np.append(rank, n)  # n: a parent that enumeration never reached
+    parent_rank = ranks[np.fromiter(map(index_of.get, parents, repeat(n)),
+                                    dtype=np.int64, count=len(parents))]
+    _check_parents(env, mdp, np.repeat(np.arange(n), n_pairs), parent_rank, parents, actions)
     return mdp
+
+
+def _check_parents(env: Env, mdp: EnumeratedMdp, child: np.ndarray, parent_rank: np.ndarray,
+                   parents: Sequence[bytes], actions: Sequence[int]) -> None:
+    """Raise ParentMismatch at the first state, in index order, whose declared
+    pairs (``parents[i]``, ``actions[i]``) of state ``child[i]``, with the
+    parent at index ``parent_rank[i]`` (n when unreached), either omit a
+    stepped edge or hold one that was not stepped and does not replay
+    through ``env.step``; at one state, a failed replay comes first."""
+    n = mdp.n_states
+    offset = np.append(mdp.out_offset, mdp.n_edges)  # state n has no edges
+    action = np.asarray(actions, dtype=np.int64)
+    edge = offset[parent_rank] + action
+    stepped = (action >= 0) & (edge < offset[parent_rank + 1])
+    stepped[stepped] = mdp.edge_dst[edge[stepped]] == child[stepped]
+    declared = np.zeros(mdp.n_edges, dtype=bool)
+    declared[edge[stepped]] = True
+    worst = int(mdp.edge_dst[~declared].min(initial=n))  # the first state missing a pair
+    for i in np.flatnonzero(~stepped & (child <= worst)).tolist():
+        state = mdp.states[child[i]]
+        if env.step(parents[i], actions[i]) != state:
+            raise ParentMismatch(f"parents({state!r}) lists ({parents[i]!r}, {actions[i]}) "
+                                 "which does not replay to it")
+    if worst < n:
+        lost = np.flatnonzero(~declared & (mdp.edge_dst == worst))
+        missing = sorted(zip([mdp.states[s] for s in mdp.edge_src[lost].tolist()],
+                             mdp.edge_action[lost].tolist()))
+        raise ParentMismatch(f"parents({mdp.states[worst]!r}) is missing the pairs {missing}")
 
 
 def invert(mdp: EnumeratedMdp) -> EnumeratedMdp:

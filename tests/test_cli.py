@@ -218,6 +218,48 @@ def test_eval_with_default_settings_on_every_env(tmp_path, kind):
         assert report["pearson"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("kind", [*EVERY_ENV, "one-state"])
+def test_policies_json_is_the_indent_2_encoding(tmp_path, kind):
+    dag = tmp_path / "toy.dag"
+    if kind == "one-state":
+        dag.write_text("initial 0\nterminal 0 0.5\n")
+    else:
+        dag.write_text("initial 0\n0 0 1\n0 1 2\nterminal 1 0.0\nterminal 2 0.3\n")
+    env = EVERY_ENV.get(kind, EVERY_ENV["dag-file"])[0]
+    cfg = write_config(tmp_path, "[env]\n" + env.format(dag=dag))
+    assert cli.main(["exact", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "policies.json").read_text()
+    policies = json.loads(text)
+    assert list(policies) == ["maxent_forward", "uniform_forward", "maxent_backward",
+                              "uniform_backward"]
+    assert text == json.dumps(policies, indent=2)
+    if kind == "one-state":
+        assert all(values == [] for values in policies.values())
+
+
+def test_lists_json_matches_the_indent_2_encoder():
+    doc = {"a": [0.1, -math.inf, 5e-324, 1e300, -0.0], "empty": [], "b\"q": [2.5]}
+    assert cli.lists_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    # np.unique's first call imports numpy.ma, about 12 ms
+    cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 4\n"
+                       "[train]\nsteps = 3\nbatch_size = 8\n")
+    out = str(tmp_path / "out")
+    script = (
+        "import sys\n"
+        "from gflowdp.cli import main\n"
+        f"for argv in (['enumerate'], ['exact'], ['train'], ['eval'], "
+        f"['eval', '--model', {out + '/model.json'!r}]):\n"
+        f"    assert main(argv + ['--config', {cfg!r}, '--out', {out!r}]) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 # ---------------------------------------------------------------------------
 # render-grid
 

@@ -307,3 +307,23 @@ def test_env_parameter_validation():
         BitVectorEnv(0)
     with pytest.raises(ValueError):
         TreeBuildEnv(1, 0)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+def test_hypergrid_batched_calls_match_per_state_calls_on_every_state(dims):
+    for side in range(2, 11):
+        env = HypergridEnv(dims, side)
+        states = [bytes((done,) + cell) for done in (0, 1)
+                  for cell in itertools.product(range(side), repeat=dims)]
+        terminal, n_children, children = env.batch_children(states)
+        assert terminal.tolist() == [env.is_terminal(s) for s in states]
+        assert n_children.tolist() == [0 if s[0] else env.n_actions(s) for s in states]
+        assert children == [env.step(s, a) for s, k in zip(states, n_children) for a in range(k)]
+        n_pairs, parents, actions = env.batch_parents(states)
+        pairs = [env.parents(s) for s in states]
+        assert n_pairs.tolist() == [len(p) for p in pairs]
+        assert list(zip(parents, actions.tolist())) == [pair for p in pairs for pair in p]
+        assert all(type(p) is bytes for p in children + parents)
+        # bit for bit, -inf off the terminals included
+        bits = env.batch_log_target(states).view(np.int64)
+        assert bits.tolist() == np.array([env.log_target(s) for s in states]).view(np.int64).tolist()

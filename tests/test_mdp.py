@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -592,3 +593,137 @@ def test_random_dag_invariants_and_counts(text):
     assert validate(inv) == loops.validate_loop(inv) and validate(m) == loops.validate_loop(m)
     inv_edges = {(inv.states[d], inv.states[s]) for s, d in edge_set(inv)}
     assert inv_edges == {(m.states[s], m.states[d]) for s, d in edge_set(m)}
+
+
+# ---------------------------------------------------------------------------
+# batched env calls
+
+
+class _PerStateOnly:
+    """Forwards every attribute of ``env``; its class has no batched calls,
+    so enumeration asks the env one state at a time."""
+
+    def __init__(self, env):
+        self.env = env
+
+    def __getattr__(self, name):
+        return getattr(self.env, name)
+
+
+GRIDS = [envs.HypergridEnv(d, side) for d, side in ((1, 2), (1, 7), (2, 2), (2, 8), (3, 5), (4, 4))]
+
+
+@pytest.mark.parametrize("env", GRIDS, ids=lambda env: f"{env.dims}x{env.side}")
+def test_enumerate_batched_calls_match_per_state_calls(env):
+    assert all(hasattr(type(env), name) for name in mdp.BATCHED_CALLS)
+    assert not hasattr(type(_PerStateOnly(env)), "batch_children")
+    assert_same_tables(enumerate_mdp(env), enumerate_mdp(_PerStateOnly(env)))
+
+
+class _RecordingGrid(envs.HypergridEnv):
+    """Lists the states each batched call receives and counts the per-state
+    calls."""
+
+    def __init__(self, dims, side):
+        super().__init__(dims, side)
+        self.batches = {name: [] for name in mdp.BATCHED_CALLS}
+        self.per_state = 0
+
+    def __getattribute__(self, name):
+        if name in ("n_actions", "step", "is_terminal", "log_target", "parents"):
+            self.per_state += 1
+        return super().__getattribute__(name)
+
+    def batch_children(self, states):
+        self.batches["batch_children"].append(list(states))
+        return super().batch_children(states)
+
+    def batch_parents(self, states):
+        self.batches["batch_parents"].append(list(states))
+        return super().batch_parents(states)
+
+    def batch_log_target(self, states):
+        self.batches["batch_log_target"].append(list(states))
+        return super().batch_log_target(states)
+
+
+@pytest.mark.parametrize("dims, side", [(1, 3), (2, 8), (3, 4)])
+def test_enumerate_batched_calls_get_each_state_once(dims, side):
+    env = _RecordingGrid(dims, side)
+    m = enumerate_mdp(env)
+    assert env.per_state == 0
+    frontiers = env.batches["batch_children"]
+    assert frontiers[0] == [env.initial_state()]
+    assert sorted(s for f in frontiers for s in f) == sorted(m.states)
+    # a frontier holds the states first stepped to from the one before
+    assert len(frontiers) == dims * (side - 1) + 2
+    assert env.batches["batch_parents"] == [list(m.states)]
+    assert env.batches["batch_log_target"] == [[s for s, t in zip(m.states, m.terminal) if t]]
+
+
+class _EditedParentsGrid(envs.HypergridEnv):
+    """Both the batched and the per-state parents of each state in ``edits``
+    have their first pair replaced by the listed pairs."""
+
+    def __init__(self, dims, side, edits):
+        super().__init__(dims, side)
+        self.edits = edits
+
+    def parents(self, state):
+        pairs = super().parents(state)
+        return self.edits[state] + pairs[1:] if state in self.edits else pairs
+
+    def batch_parents(self, states):
+        n_pairs, parents, actions = super().batch_parents(states)
+        n_pairs = n_pairs.copy()
+        for k in sorted(map(states.index, self.edits), reverse=True):
+            at, head = int(n_pairs[:k].sum()), self.edits[states[k]]
+            n_pairs[k] += len(head) - 1
+            parents = parents[:at] + [p for p, _ in head] + parents[at + 1:]
+            actions = np.concatenate((actions[:at], np.array([a for _, a in head], dtype=np.int64),
+                                      actions[at + 1:]))
+        return n_pairs, parents, actions
+
+
+HEAD = (b"\x00\x00\x01", 0)  # the first parent pair of (1,1)
+FORGED = (b"\x00\x00\x00", 0)  # (0,0) steps to (1,0) by action 0
+DROPPED = {b"\x00\x01\x02": []}
+
+
+@pytest.mark.parametrize("edits, message", [
+    (DROPPED, r"parents(b'\x00\x01\x02') is missing the pairs [(b'\x00\x00\x02', 0)]"),
+    ({b"\x01\x02\x01": []},
+     r"parents(b'\x01\x02\x01') is missing the pairs [(b'\x00\x02\x01', 1)]"),
+    ({b"\x00\x01\x01": [FORGED, HEAD]},
+     r"parents(b'\x00\x01\x01') lists (b'\x00\x00\x00', 0) which does not replay to it"),
+    ({b"\x00\x02\x02": [(b"\x00\x02\x01", 1), (b"\x00\x01\x02", 0)]},
+     r"parents(b'\x00\x02\x02') lists (b'\x00\x02\x01', 1) which does not replay to it"),
+    # at one state a failed replay comes before a missing pair
+    ({b"\x00\x01\x01": [FORGED]},
+     r"parents(b'\x00\x01\x01') lists (b'\x00\x00\x00', 0) which does not replay to it"),
+    # the first offender in index order
+    ({**DROPPED, b"\x00\x01\x01": [FORGED, HEAD]}, None),
+    ({b"\x00\x01\x01": [], b"\x00\x02\x02": [(b"\x00\x02\x01", 1), (b"\x00\x01\x02", 0)]},
+     None),
+])
+def test_enumerate_batched_parent_mismatch_messages(edits, message):
+    got = _mismatch(enumerate_mdp, _EditedParentsGrid(2, 3, edits))
+    assert got == _mismatch(enumerate_mdp, _PerStateOnly(_EditedParentsGrid(2, 3, edits)))
+    assert got == _mismatch(loops.enumerate_mdp_dfs, _EditedParentsGrid(2, 3, edits))
+    assert got == message or message is None
+
+
+def test_enumerate_batched_first_offender_is_lowest_in_index_order():
+    env = envs.HypergridEnv(2, 3)
+    states = enumerate_mdp(env).states
+    for a, b in itertools.permutations(states[1:], 2):
+        forged = next((states[0], k) for k in range(3) if env.step(states[0], k) != b)
+        got = _mismatch(enumerate_mdp, _EditedParentsGrid(2, 3, {a: [], b: [forged]}))
+        first = min(a, b, key=states.index)
+        assert got.startswith(f"parents({first!r}) " + ("is missing" if first == a else "lists"))
+
+
+def test_enumerate_batched_accepts_a_declared_pair_that_replays():
+    # (1,1) is stepped to from (0,1) by action 0; declaring that twice is fine
+    env = _EditedParentsGrid(2, 3, {b"\x00\x01\x01": [HEAD, HEAD]})
+    assert_same_tables(enumerate_mdp(env), enumerate_mdp(envs.HypergridEnv(2, 3)))
