@@ -22,6 +22,7 @@ import numpy as np
 from . import envs, exact, learner, metrics
 from .learner import MetricsRow, PolicyModel, TrainConfig
 from .mdp import EnumeratedMdp, MdpError, dump_dag_text, enumerate_mdp
+from .numerics import json_float_texts
 from .objectives import HuberParams
 
 
@@ -149,28 +150,43 @@ def _fmt(x: float) -> str:
 
 
 def model_to_json(model: PolicyModel) -> str:
-    doc = {f.name: getattr(model, f.name).tolist() for f in fields(PolicyModel)}
-    doc["log_z_hat"] = model.log_z
-    return json.dumps(doc)
+    """``json.dumps`` of the model's tables as lists, but ``log_z_hat`` as
+    its one number, byte for byte, with each distinct value formatted once
+    (``json_float_texts``)."""
+    tables = {f.name: getattr(model, f.name) for f in fields(PolicyModel)}
+    log_z_hat = tables.pop("log_z_hat")  # the last field
+    texts = json_float_texts(np.concatenate([*tables.values(), log_z_hat])).tolist()
+    items, start = [], 0
+    for name, table in tables.items():
+        items.append(f'"{name}": [{", ".join(texts[start:start + table.size])}]')
+        start += table.size
+    items.append(f'"log_z_hat": {texts[start]}')
+    return "{" + ", ".join(items) + "}"
 
 
 def model_from_json(text: str) -> PolicyModel:
+    """The model ``model_to_json`` wrote; ModelMismatch unless each table is
+    a flat list of finite numbers and ``log_z_hat`` one finite number."""
     try:
         doc = json.loads(text)
         tables = {f.name: np.asarray(doc[f.name], dtype=float) for f in fields(PolicyModel)}
         tables["log_z_hat"] = tables["log_z_hat"].reshape(1)
+        for name, table in tables.items():
+            if table.ndim != 1 or not np.isfinite(table).all():
+                raise ValueError(f"{name} is not a list of finite numbers")
         return PolicyModel(**tables)
     except (ValueError, KeyError, TypeError) as exc:
         raise learner.ModelMismatch(f"malformed model file: {exc!r}") from exc
 
 
-def lists_json(doc: dict[str, list]) -> str:
-    """``json.dumps(doc, indent=2)`` of a dict of number lists, byte for
-    byte, but each list dumped by the C encoder, which ``indent`` disables."""
+def lists_json(doc: dict[str, np.ndarray | list[float]]) -> str:
+    """``json.dumps(doc, indent=2)`` of a dict of float arrays or lists, byte
+    for byte, with each distinct value formatted once (``json_float_texts``)."""
     items = []
     for key, values in doc.items():
-        body = json.dumps(values)[1:-1].replace(", ", ",\n    ")
-        items.append(f"  {json.dumps(key)}: " + (f"[\n    {body}\n  ]" if values else "[]"))
+        texts = json_float_texts(values).tolist()
+        body = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+        items.append(f"  {json.dumps(key)}: {body}")
     return "{\n" + ",\n".join(items) + "\n}"
 
 
@@ -235,10 +251,10 @@ def cmd_exact(args) -> int:
     log_q_uniform = exact.backward_uniform(mdp)
     _, log_pi_uniform = exact.forward_from_backward(mdp, log_q_uniform)
     policies = {
-        "maxent_forward": log_pi_maxent.tolist(),
-        "uniform_forward": log_pi_uniform.tolist(),
-        "maxent_backward": log_q_maxent.tolist(),
-        "uniform_backward": log_q_uniform.tolist(),
+        "maxent_forward": log_pi_maxent,
+        "uniform_forward": log_pi_uniform,
+        "maxent_backward": log_q_maxent,
+        "uniform_backward": log_q_uniform,
     }
     (out_dir / "policies.json").write_text(lists_json(policies))
     report = {

@@ -25,14 +25,13 @@ Python iteration per level, never one per state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .mdp import EnumeratedMdp, segment_positions
-from .numerics import NEG_INF, entropy_from_log_probs, logsumexp
+from .numerics import NEG_INF, entropy_from_log_probs, json_float_texts, logsumexp
 from .numerics import segment_log_softmax, segment_logsumexp, segment_sum
 
 
@@ -303,15 +302,19 @@ class ExactTables:
     logZ: float
 
     def to_json(self) -> str:
-        rows = zip(self.l.tolist(), self.V.tolist(), self.mu.tolist(), self.logF.tolist())
-        doc = {
-            "logZ": float(self.logZ),
-            "states": {
-                str(s): {"l": l, "V": v, "mu": mu, "logF": log_f}
-                for s, (l, v, mu, log_f) in enumerate(rows)
-            },
-        }
-        return json.dumps(doc)
+        """``json.dumps`` of ``{"logZ": logZ, "states": {"<s>": {"l": ..,
+        "V": .., "mu": .., "logF": ..}}}``, byte for byte, with each distinct
+        value formatted once (``json_float_texts``)."""
+        n = self.l.size
+        columns = np.column_stack((self.l, self.V, self.mu, self.logF))
+        texts = json_float_texts(np.append(columns, self.logZ))
+        cells = np.empty((n, 9), dtype=object)
+        cells[:, 0] = [f'"{s}": {{"l": ' for s in range(n)]
+        cells[:, 1::2] = texts[:-1].reshape(n, 4)
+        cells[:, 2:8:2] = [', "V": ', ', "mu": ', ', "logF": ']
+        cells[:, 8] = "}, "
+        states = "".join(cells.ravel().tolist())[:-2]  # no ", " after the last state
+        return f'{{"logZ": {texts[-1]}, "states": {{{states}}}}}'
 
 
 def maxent_solution(mdp: EnumeratedMdp) -> tuple[ExactTables, np.ndarray, np.ndarray]:

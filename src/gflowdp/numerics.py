@@ -7,9 +7,13 @@ the grids get interesting, so linear-space arithmetic is never an option.
 The ``segment_*`` helpers reduce many consecutive segments of one flat array
 at once (the CSR layout of ``EnumeratedMdp``'s edge tables) with the same
 arithmetic as the scalar helpers applied segment by segment.
+
+``json_float_texts`` gives the JSON writers the text of each table entry.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -42,8 +46,12 @@ def segment_sum(values, starts) -> np.ndarray:
     starts = np.asarray(starts, dtype=np.int64)
     if starts.size == 0:
         return np.zeros(0)
-    padded = np.insert(values, starts, 0.0)
-    return np.add.reduceat(padded, starts + np.arange(starts.size))
+    heads = starts + np.arange(starts.size)
+    keep = np.ones(values.size + starts.size, dtype=bool)
+    keep[heads] = False
+    padded = np.zeros(keep.size)
+    padded[keep] = values
+    return np.add.reduceat(padded, heads)
 
 
 def segment_logsumexp(values, starts) -> np.ndarray:
@@ -72,6 +80,28 @@ def segment_log_softmax(values, offset) -> np.ndarray:
     live = lengths > 0
     lse = segment_logsumexp(values, offset[:-1][live])
     return values - np.repeat(lse, lengths[live])
+
+
+def json_float_texts(values) -> np.ndarray:
+    """``json.dumps``'s text of each entry of a float array, as an object
+    array of the same shape, with each distinct value formatted once: the
+    tables a DP solves on a symmetric DAG repeat few values.
+
+    Entries are grouped by their bits, not by ``==``: ``-0.0`` and ``0.0``
+    print differently, and NaN equals nothing.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    flat = values.reshape(-1)
+    bits = flat.view(np.int64)
+    order = np.argsort(bits)
+    bits = bits[order]
+    first = np.ones(flat.size, dtype=bool)  # first of a run of equal bits
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    # no float's text holds ", "; with no values, the one "" is never read
+    texts = json.dumps(flat[order[first]].tolist())[1:-1].split(", ")
+    rank = np.empty(flat.size, dtype=np.intp)
+    rank[order] = np.cumsum(first) - 1
+    return np.array(texts, dtype=object)[rank].reshape(values.shape)
 
 
 def entropy_from_log_probs(log_p) -> float:

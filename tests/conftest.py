@@ -2,15 +2,18 @@
 
 The oracles here deliberately avoid the library's DP code paths: path counts
 come from exhaustive recursion with exact integers, probabilities from
-explicit products over enumerated trajectories.  The helpers build and read
-what only tests need: a model at the exact fixed point, a batch from given
-trajectories, the exact tables back from their JSON.
+explicit products over enumerated trajectories.  The ``oracle_*_json``
+writers are the plain ``json.dumps`` forms of the package's JSON writers.
+The helpers build and read what only tests need: a model at the exact fixed
+point, a batch from given trajectories, the exact tables back from their
+JSON.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -227,6 +230,32 @@ def exact_tables_from_json(text: str) -> exact.ExactTables:
         for key, col in cols.items():
             col[int(s)] = row[key]
     return exact.ExactTables(**cols, logZ=float(doc["logZ"]))
+
+
+def oracle_exact_tables_json(tables: exact.ExactTables) -> str:
+    """``ExactTables.to_json``'s bytes, from ``json.dumps`` of the lists."""
+    rows = zip(tables.l.tolist(), tables.V.tolist(), tables.mu.tolist(), tables.logF.tolist())
+    doc = {
+        "logZ": float(tables.logZ),
+        "states": {
+            str(s): {"l": l, "V": v, "mu": mu, "logF": log_f}
+            for s, (l, v, mu, log_f) in enumerate(rows)
+        },
+    }
+    return json.dumps(doc)
+
+
+def oracle_lists_json(doc: dict) -> str:
+    """``cli.lists_json``'s bytes: ``json.dumps`` with ``indent=2``."""
+    return json.dumps({key: np.asarray(v, dtype=float).tolist() for key, v in doc.items()},
+                      indent=2)
+
+
+def oracle_model_json(model: PolicyModel) -> str:
+    """``cli.model_to_json``'s bytes, from ``json.dumps`` of the lists."""
+    doc = {f.name: getattr(model, f.name).tolist() for f in fields(PolicyModel)}
+    doc["log_z_hat"] = model.log_z
+    return json.dumps(doc)
 
 
 def model_at_exact(m: mdp.EnumeratedMdp, tables: exact.ExactTables) -> PolicyModel:

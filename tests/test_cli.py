@@ -7,10 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gflowdp import cli, envs, exact, mdp
+from gflowdp.learner import PolicyModel
+from gflowdp.numerics import json_float_texts
 
-from conftest import exact_tables_from_json
+from conftest import (
+    exact_tables_from_json,
+    oracle_exact_tables_json,
+    oracle_lists_json,
+    oracle_model_json,
+)
 
 
 def write_config(tmp_path, text, name="config.ini"):
@@ -242,6 +251,46 @@ def test_lists_json_matches_the_indent_2_encoder():
     assert cli.lists_json(doc) == json.dumps(doc, indent=2)
 
 
+@st.composite
+def float_arrays(draw):
+    """Up to 40 entries drawn from a pool of up to 8 floats, so values repeat."""
+    special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-7])
+    pool = draw(st.lists(st.one_of(st.floats(), special), min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), max_size=40))
+
+
+@given(float_arrays())
+@example([])
+@example([-0.0])
+@settings(max_examples=300, deadline=None)
+def test_json_float_texts_is_json_dumps_of_each_entry(values):
+    texts = json_float_texts(np.array(values, dtype=float))
+    assert texts.shape == (len(values),)
+    assert texts.tolist() == [json.dumps(x) for x in values]
+
+
+@pytest.mark.parametrize("kind", [*EVERY_ENV, "one-state"])
+def test_json_writers_match_their_oracles(tmp_path, kind):
+    dag = tmp_path / "toy.dag"
+    if kind == "one-state":
+        dag.write_text("initial 0\nterminal 0 0.5\n")
+    else:
+        dag.write_text("initial 0\n0 0 1\n0 1 2\nterminal 1 0.0\nterminal 2 0.3\n")
+    env = EVERY_ENV.get(kind, EVERY_ENV["dag-file"])[0]
+    cfg = write_config(tmp_path, "[env]\n" + env.format(dag=dag) +
+                       "[train]\nsteps = 3\nbatch_size = 8\n")
+    out = tmp_path / "out"
+    for command in ("exact", "train"):
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    tables = (out / "exact_tables.json").read_text()
+    assert tables == oracle_exact_tables_json(exact_tables_from_json(tables))
+    policies = (out / "policies.json").read_text()
+    assert policies == oracle_lists_json(json.loads(policies))
+    model = cli.model_from_json((out / "model.json").read_text())
+    assert cli.model_to_json(model) == oracle_model_json(model)
+    assert (out / "model.json").read_text() == oracle_model_json(model)
+
+
 def test_commands_leave_numpy_ma_unimported(tmp_path):
     # np.unique's first call imports numpy.ma, about 12 ms
     cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 4\n"
@@ -459,7 +508,21 @@ def test_model_from_another_grid_is_a_runtime_error(tmp_path, capsys, command, s
     assert "model forward_logits has" in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("text", ["{}", "not json", '{"forward_logits": "abc"}'])
+def _grid3_model(**changes) -> str:
+    """The zero model file of the 3x3 grid, each named table passed through
+    its change."""
+    doc = json.loads(cli.model_to_json(PolicyModel.init(mdp.enumerate_mdp(envs.HypergridEnv(2, 3)))))
+    return json.dumps({**doc, **{name: change(doc[name]) for name, change in changes.items()}})
+
+
+@pytest.mark.parametrize("text", [
+    "{}", "not json", '{"forward_logits": "abc"}',
+    pytest.param(_grid3_model(l_hat=lambda v: 3.0), id="scalar"),
+    pytest.param(_grid3_model(forward_logits=lambda v: None), id="null"),
+    pytest.param(_grid3_model(forward_logits=lambda v: [[x] for x in v]), id="nested"),
+    pytest.param(_grid3_model(l_hat=lambda v: v[:-1] + [math.nan]), id="nan"),
+    pytest.param(_grid3_model(log_z_hat=lambda v: math.inf), id="inf"),
+])
 def test_malformed_model_file_is_a_runtime_error(tmp_path, capsys, text):
     cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 3\n")
     model = tmp_path / "model.json"

@@ -73,6 +73,17 @@ def test_segment_reductions_match_scalar_helpers(segments):
     assert close(got_sum, want_sum)
 
 
+@given(segment_lists)
+@settings(max_examples=200, deadline=None)
+def test_segment_sum_is_the_insert_form_bit_for_bit(segments):
+    values = np.concatenate([np.asarray(seg, dtype=float) for seg in segments])
+    starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.add.reduceat(np.insert(values, starts, 0.0), starts + np.arange(starts.size))
+        got = segment_sum(values, starts)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_all_neg_inf_segment_is_neg_inf():
     values = np.array([-math.inf, -math.inf, 0.0, math.log(3.0)])
     out = segment_logsumexp(values, [0, 2])
