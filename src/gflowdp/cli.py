@@ -132,8 +132,8 @@ def build_train_config(cp: configparser.ConfigParser, seed: int | None) -> Train
     return config
 
 
-def _enumerate(cp: configparser.ConfigParser) -> EnumeratedMdp:
-    env = build_env(cp)
+def _enumerate(cp: configparser.ConfigParser, env=None) -> EnumeratedMdp:
+    env = build_env(cp) if env is None else env
     try:
         max_states = cp["env"].getint("max_states", 1_000_000)
     except ValueError as exc:
@@ -187,7 +187,7 @@ def lists_json(doc: dict[str, np.ndarray | list[float]]) -> str:
         texts = json_float_texts(values).tolist()
         body = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
         items.append(f"  {json.dumps(key)}: {body}")
-    return "{\n" + ",\n".join(items) + "\n}"
+    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
 
 
 def metrics_csv(rows: list[MetricsRow]) -> str:
@@ -334,13 +334,12 @@ def cmd_eval(args) -> int:
 
 def cmd_render_grid(args) -> int:
     cp = load_config(args.config)
-    name = cp["env"].get("name")
-    if name != "hypergrid":
-        raise DimensionUnsupported("render-grid needs a hypergrid env")
-    if cp["env"].getint("dims") != 2:
-        raise DimensionUnsupported("render-grid supports dims=2 only")
     env = build_env(cp)
-    mdp = _enumerate(cp)
+    if not isinstance(env, envs.HypergridEnv):
+        raise DimensionUnsupported("render-grid needs a hypergrid env")
+    if env.dims != 2:
+        raise DimensionUnsupported("render-grid supports dims=2 only")
+    mdp = _enumerate(cp, env)
     side = env.side
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mdp import parse_dag_text
+from .mdp import ExplicitDagEnv, parse_dag_text
 from .numerics import NEG_INF
 
 
@@ -22,45 +22,21 @@ from .numerics import NEG_INF
 # four-state diamond with a cross edge: exactly three distinct trajectories
 
 
-class SimpleDagEnv:
+class SimpleDagEnv(ExplicitDagEnv):
     """Fixed 4-state DAG {s0, s1, s2, sT} with edges s0->s1, s0->s2, s2->s1,
-    s1->sT, s2->sT.  There are exactly three trajectories from s0 to sT."""
-
-    _CHILDREN = {
-        b"s0": (b"s1", b"s2"),
-        b"s1": (b"sT",),
-        b"s2": (b"s1", b"sT"),
-        b"sT": (),
-    }
-    _PARENTS = {
-        b"s0": (),
-        b"s1": ((b"s0", 0), (b"s2", 0)),
-        b"s2": ((b"s0", 1),),
-        b"sT": ((b"s1", 0), (b"s2", 1)),
-    }
+    s1->sT, s2->sT, each state encoded by its name (``b"s0"``).  There are
+    exactly three trajectories from s0 to sT, whose target is ``target``
+    (finite and positive)."""
 
     def __init__(self, target: float = 1.0):
-        if target <= 0:
-            raise ValueError("target must be positive")
-        self._log_target = math.log(target)
-
-    def initial_state(self) -> bytes:
-        return b"s0"
-
-    def n_actions(self, state: bytes) -> int:
-        return len(self._CHILDREN[state])
-
-    def step(self, state: bytes, action: int) -> bytes:
-        return self._CHILDREN[state][action]
-
-    def is_terminal(self, state: bytes) -> bool:
-        return state == b"sT"
-
-    def log_target(self, state: bytes) -> float:
-        return self._log_target if state == b"sT" else NEG_INF
-
-    def parents(self, state: bytes) -> list[tuple[bytes, int]]:
-        return list(self._PARENTS[state])
+        if not 0 < target < math.inf:
+            raise ValueError("target must be finite and positive")
+        super().__init__(
+            b"s0",
+            [(b"s0", 0, b"s1"), (b"s0", 1, b"s2"), (b"s2", 0, b"s1"),
+             (b"s1", 0, b"sT"), (b"s2", 1, b"sT")],
+            {b"sT": math.log(target)},
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +256,8 @@ class BitVectorEnv:
     def __init__(self, length: int, ones_reward: float = 0.0):
         if length < 1:
             raise ValueError("length must be >= 1")
+        if not math.isfinite(ones_reward):
+            raise ValueError("ones_reward must be finite")
         self.length = length
         self.ones_reward = float(ones_reward)
 

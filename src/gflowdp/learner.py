@@ -228,7 +228,6 @@ class RolloutBatch:
     state_rows: np.ndarray  # [B, T+1] state ids, padded with the terminal
     lengths: np.ndarray  # [B]
     terminals: np.ndarray  # [B] terminal state id per trajectory
-    step_traj: np.ndarray  # trajectory index per flat step
     step_pos: np.ndarray  # flat index of each flat step in the [B, T] step rows
     step_edge: np.ndarray  # edge id per flat step
     edge_action: np.ndarray | None = None  # [E] action id, for the view
@@ -243,7 +242,6 @@ class RolloutBatch:
             state_rows=state_rows,
             lengths=steps.sum(axis=1),
             terminals=state_rows[:, -1],
-            step_traj=np.nonzero(steps)[0],
             step_pos=np.flatnonzero(steps),
             step_edge=edge_rows[steps],
             edge_action=edge_action,
@@ -540,11 +538,9 @@ def optimizer_update(
     grads: dict[str, np.ndarray],
     state: AdamState,
     learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
-    """One Adam step, in place on the parameter arrays."""
+    """One Adam step (betas 0.9, 0.999, eps 1e-8), in place on the parameters."""
+    beta1, beta2 = 0.9, 0.999
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
@@ -554,7 +550,7 @@ def optimizer_update(
             raise NonFiniteGradient(f"non-finite gradient in group {key!r}")
         state.m[key] = beta1 * state.m[key] + (1.0 - beta1) * g
         state.v[key] = beta2 * state.v[key] + (1.0 - beta2) * g * g
-        p -= learning_rate * (state.m[key] / bc1) / (np.sqrt(state.v[key] / bc2) + eps)
+        p -= learning_rate * (state.m[key] / bc1) / (np.sqrt(state.v[key] / bc2) + 1e-8)
 
 
 def train_step(

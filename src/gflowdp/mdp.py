@@ -141,11 +141,6 @@ class EnumeratedMdp:
     def in_edge_ids(self, s: int) -> np.ndarray:
         return self.in_edges[self.in_slice(s)]
 
-    def children(self, s: int) -> list[tuple[int, int]]:
-        """(action, child) pairs in action order."""
-        sl = self.out_slice(s)
-        return list(zip(self.edge_action[sl].tolist(), self.edge_dst[sl].tolist()))
-
     @cached_property
     def levels(self) -> "Levels":
         return Levels.of(self)
@@ -529,65 +524,54 @@ def validate(mdp: EnumeratedMdp) -> ValidationReport:
 
 
 class ExplicitDagEnv:
-    """Env over explicitly listed integer states, as read from DAG spec text."""
+    """Env over explicitly listed states: (parent, action, child) ``edges``
+    and the log target of each of the ``terminals``, all keyed by the states'
+    encodings.  Messages name a state by its encoding as text, so a DAG
+    file's state is named by its decimal id (``state 1``)."""
 
     def __init__(
         self,
-        initial: int,
-        edges: Sequence[tuple[int, int, int]],
-        terminals: dict[int, float],
+        initial: bytes,
+        edges: Sequence[tuple[bytes, int, bytes]],
+        terminals: dict[bytes, float],
     ):
         self._initial = initial
-        self._children: dict[int, dict[int, int]] = {}
-        self._parents: dict[int, list[tuple[int, int]]] = {}
-        nodes = {initial} | set(terminals)
+        self._children: dict[bytes, dict[int, bytes]] = {}
+        self._parents: dict[bytes, list[tuple[bytes, int]]] = {}
         for p, a, c in edges:
-            nodes.update((p, c))
-            self._children.setdefault(p, {})
-            if a in self._children[p]:
-                raise DagFormatError(f"duplicate action {a} at state {p}")
-            self._children[p][a] = c
+            acts = self._children.setdefault(p, {})
+            if a in acts:
+                raise DagFormatError(f"duplicate action {a} at state {p.decode()}")
+            acts[a] = c
             self._parents.setdefault(c, []).append((p, a))
         for p, acts in self._children.items():
             if sorted(acts) != list(range(len(acts))):
-                raise DagFormatError(f"state {p} action ids are not dense 0..k-1")
+                raise DagFormatError(f"state {p.decode()} action ids are not dense 0..k-1")
         self._terminals = dict(terminals)
         for t in self._terminals:
             if t in self._children:
-                raise DagFormatError(f"terminal state {t} has outgoing edges")
-        for s in nodes:
+                raise DagFormatError(f"terminal state {t.decode()} has outgoing edges")
+        for s in (initial, *self._parents):  # a state only seen as a parent has edges
             if s not in self._terminals and s not in self._children:
-                raise DagFormatError(f"state {s} is neither terminal nor has edges")
-        self._nodes = nodes
-
-    @staticmethod
-    def _encode(s: int) -> bytes:
-        return str(s).encode()
-
-    @staticmethod
-    def _decode(b: bytes) -> int:
-        return int(b.decode())
+                raise DagFormatError(f"state {s.decode()} is neither terminal nor has edges")
 
     def initial_state(self) -> bytes:
-        return self._encode(self._initial)
+        return self._initial
 
     def n_actions(self, state: bytes) -> int:
-        return len(self._children.get(self._decode(state), {}))
+        return len(self._children.get(state, ()))
 
     def step(self, state: bytes, action: int) -> bytes:
-        return self._encode(self._children[self._decode(state)][action])
+        return self._children[state][action]
 
     def is_terminal(self, state: bytes) -> bool:
-        return self._decode(state) in self._terminals
+        return state in self._terminals
 
     def log_target(self, state: bytes) -> float:
-        return self._terminals.get(self._decode(state), float("-inf"))
+        return self._terminals.get(state, float("-inf"))
 
     def parents(self, state: bytes) -> list[tuple[bytes, int]]:
-        return [
-            (self._encode(p), a)
-            for p, a in sorted(self._parents.get(self._decode(state), []))
-        ]
+        return list(self._parents.get(state, ()))
 
 
 def parse_dag_text(text: str) -> ExplicitDagEnv:
@@ -595,11 +579,12 @@ def parse_dag_text(text: str) -> ExplicitDagEnv:
 
     One line per edge ``parent_id action_id child_id``, one line per terminal
     ``terminal id log_target`` (a finite log target), one line ``initial id``.
-    Whitespace separated; ``#`` starts a comment.
+    Whitespace separated; ``#`` starts a comment.  A state is encoded as its
+    id written back in decimal: ``007`` is ``b"7"``.
     """
-    initial: int | None = None
-    edges: list[tuple[int, int, int]] = []
-    terminals: dict[int, float] = {}
+    initial: bytes | None = None
+    edges: list[tuple[bytes, int, bytes]] = []
+    terminals: dict[bytes, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -611,7 +596,7 @@ def parse_dag_text(text: str) -> ExplicitDagEnv:
                     raise DagFormatError(f"line {lineno}: duplicate initial line")
                 if len(parts) != 2:
                     raise DagFormatError(f"line {lineno}: expected 'initial id'")
-                initial = int(parts[1])
+                initial = b"%d" % int(parts[1])
             elif len(parts) != 3:
                 form = "terminal id log_target" if parts[0] == "terminal" else "parent action child"
                 raise DagFormatError(f"line {lineno}: expected '{form}'")
@@ -619,9 +604,9 @@ def parse_dag_text(text: str) -> ExplicitDagEnv:
                 value = float(parts[2])
                 if not np.isfinite(value):
                     raise DagFormatError(f"line {lineno}: log_target {parts[2]} is not finite")
-                terminals[int(parts[1])] = value
+                terminals[b"%d" % int(parts[1])] = value
             else:
-                edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
+                edges.append((b"%d" % int(parts[0]), int(parts[1]), b"%d" % int(parts[2])))
         except ValueError as exc:
             raise DagFormatError(f"line {lineno}: {exc}") from exc
     if initial is None:

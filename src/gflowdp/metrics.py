@@ -88,19 +88,10 @@ def mode_count(visited_terminals, log_target: np.ndarray, thresholds) -> dict[fl
     return {float(theta): int((targets >= np.log(theta)).sum()) for theta in thresholds}
 
 
-def n_mse(l_hat: np.ndarray, l_exact: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """Mean squared error between log path-count tables.
-
-    Uniform over states unless ``weights`` (e.g. visit counts) are given.
-    """
+def n_mse(l_hat: np.ndarray, l_exact: np.ndarray) -> float:
+    """Mean squared error between log path-count tables, uniform over states."""
     d = np.asarray(l_hat, dtype=float) - np.asarray(l_exact, dtype=float)
-    if weights is None:
-        return float((d * d).mean())
-    w = np.asarray(weights, dtype=float)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must have positive mass")
-    return float((w * d * d).sum() / total)
+    return float((d * d).mean())
 
 
 @dataclass(frozen=True)

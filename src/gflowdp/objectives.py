@@ -197,18 +197,14 @@ def stb_residuals(
     return d, weights
 
 
-def pcl_residuals(
-    view: TrajectoryView, tau: float = 1.0, gamma: float = 1.0
-) -> np.ndarray:
+def pcl_residuals(view: TrajectoryView) -> np.ndarray:
     """Soft-consistency residuals for every sub-trajectory.
 
     Entry (i, j) covers states s_i..s_{j+1}:
-    V(s_i) + sum_t gamma^{t-i} (tau log pi_t - R_t) - gamma^{j+1-i} V(s_{j+1}).
-    Times gamma^i it is cross_cumsum over gamma^k V(s_k) and gamma^t x_t.
+    V(s_i) + sum_{t=i..j} (log pi_t - R_t) - V(s_{j+1}), the cross_cumsum of
+    V and log pi - R.
     """
-    powers = gamma ** np.arange(len(view.log_pi) + 1)
-    x = tau * view.log_pi - view.reward
-    return cross_cumsum(powers * view.value, powers[:-1] * x) / powers[:-1, None]
+    return cross_cumsum(view.value, view.log_pi - view.reward)
 
 
 def n_bellman_residual(l_state: float, parent_l_values) -> float:

@@ -33,7 +33,7 @@ def oracle_path_counts(m: mdp.EnumeratedMdp) -> list[int]:
 
     def walk(s: int) -> None:
         counts[s] += 1
-        for _, c in m.children(s):
+        for c in m.edge_dst[m.out_slice(s)].tolist():
             walk(c)
 
     walk(m.initial)

@@ -316,7 +316,7 @@ def validate_loop(mdp: EnumeratedMdp) -> ValidationReport:
         seen[s] = True
     while frontier:
         s = frontier.pop()
-        for _, c in mdp.children(s):
+        for c in mdp.edge_dst[mdp.out_slice(s)].tolist():
             if not seen[c]:
                 seen[c] = True
                 frontier.append(c)
@@ -543,7 +543,7 @@ def compute_loss_and_grads(
     l_table = exact_l if l_known else model.l_hat
 
     se = batch.step_edge
-    st = batch.step_traj
+    st = np.repeat(np.arange(len(batch.lengths)), batch.lengths)  # trajectory of each step
     srcs = mdp.edge_src[se]
     dsts = mdp.edge_dst[se]
     n_steps = len(se)

@@ -248,7 +248,8 @@ def test_policies_json_is_the_indent_2_encoding(tmp_path, kind):
 
 def test_lists_json_matches_the_indent_2_encoder():
     doc = {"a": [0.1, -math.inf, 5e-324, 1e300, -0.0], "empty": [], "b\"q": [2.5]}
-    assert cli.lists_json(doc) == json.dumps(doc, indent=2)
+    for d in (doc, {}):
+        assert cli.lists_json(d) == json.dumps(d, indent=2)
 
 
 @st.composite
@@ -445,6 +446,21 @@ def test_bad_numeric_input_is_a_one_line_usage_error(tmp_path, capsys, command, 
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags])
     assert rc == 1
     _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command, env, message", [
+    *((command, env, message) for command in ("exact", "train", "eval") for env, message in [
+        ("name = bitvector\nlength = 3\nones_reward = nan\n", "ones_reward must be finite"),
+        ("name = bitvector\nlength = 3\nones_reward = inf\n", "ones_reward must be finite"),
+        ("name = simple-dag\ntarget = nan\n", "target must be finite and positive"),
+    ]),
+    ("render-grid", "name = hypergrid\ndims = abc\nside = 3\n",
+     "invalid literal for int() with base 10: 'abc'"),
+])
+def test_bad_env_value_is_a_one_line_usage_error(tmp_path, capsys, command, env, message):
+    cfg = write_config(tmp_path, f"[env]\n{env}[train]\nsteps = 1\n")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: bad env config: {message}\n"
 
 
 # the env each [env] misspelling is tried on; the others use the 3x3 grid

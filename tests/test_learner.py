@@ -128,7 +128,7 @@ def test_batch_rows_are_padded_with_the_terminal():
     longest = batch.trajectories[int(np.argmax(batch.lengths))]
     mixed = batch_from_trajectories([zero, longest])
     assert mixed.state_rows[0].tolist() == [one] * 4
-    assert mixed.lengths.tolist() == [0, 3] and mixed.step_traj.tolist() == [1, 1, 1]
+    assert mixed.lengths.tolist() == [0, 3]
     assert mixed.step_pos.tolist() == [3, 4, 5]
     # a batch of only zero-step walkers has rows of the terminal alone
     single = enumerate_mdp(parse_dag_text("initial 0\nterminal 0 0.5\n"))

@@ -231,7 +231,7 @@ def test_sampling_and_losses_match_loops(text, seed):
         for name in ("states", "actions", "edges", "log_behavior"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
     rebuilt = batch_from_trajectories(batch.trajectories)
-    for name in ("state_rows", "lengths", "terminals", "step_traj", "step_pos", "step_edge"):
+    for name in ("state_rows", "lengths", "terminals", "step_pos", "step_edge"):
         assert np.array_equal(getattr(rebuilt, name), getattr(batch, name)), name
     l = exact.count_paths(m)
     for objective, backward, n_objective in itertools.product(

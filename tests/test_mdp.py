@@ -295,7 +295,7 @@ def test_enumerate_missing_parent_message_like_dfs_oracle(text, k):
 
 def test_parent_child_duality(mdp_zoo):
     for m in mdp_zoo:
-        n_children = sum(len(m.children(s)) for s in range(m.n_states))
+        n_children = sum(len(m.out_edge_ids(s)) for s in range(m.n_states))
         n_parents = sum(len(parents_of(m, s)) for s in range(m.n_states))
         assert n_children == n_parents == m.n_edges
 
@@ -320,7 +320,7 @@ def test_invert_diamond_structure(fig_diamond):
     assert len(inv.initials) == 1
     s_t = inv.initials[0]
     assert inv.states[s_t] == b"sT"
-    assert len(inv.children(s_t)) == 2
+    assert len(inv.out_edge_ids(s_t)) == 2
     # the old initial is the terminal role
     term = int(np.flatnonzero(inv.terminal)[0])
     assert inv.states[term] == b"s0"
@@ -331,7 +331,7 @@ def test_invert_words_append_right_unique_chain():
     inv = invert(m)
     for s in range(inv.n_states):
         if not inv.terminal[s]:
-            assert len(inv.children(s)) == 1
+            assert len(inv.out_edge_ids(s)) == 1
 
 
 def test_invert_multi_initial_flagged(grid33):
@@ -553,6 +553,15 @@ def test_dag_text_comments_and_whitespace():
     assert m.log_target[1] == -0.5
 
 
+# the message of each case that names a state, by its decimal id
+DAG_STATE_MESSAGES = {
+    "initial 0\n0 0 1\n1 0 2\nterminal 1 0.0\nterminal 2 0.0\n":
+        "terminal state 1 has outgoing edges",
+    "initial 0\n0 0 1\n0 0 2\nterminal 1 0.0\nterminal 2 0.0\n": "duplicate action 0 at state 0",
+    "initial 0\n0 0 1\n0 1 2\nterminal 1 0.0\n": "state 2 is neither terminal nor has edges",
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -561,6 +570,8 @@ def test_dag_text_comments_and_whitespace():
         "initial 0\ninitial 1\nterminal 0 0.0\n",  # duplicate initial
         "initial 0\n0 5 1\nterminal 1 0.0\n",  # non-dense action ids
         "initial 0\n0 0 1\n1 0 2\nterminal 1 0.0\nterminal 2 0.0\n",  # terminal with edges
+        "initial 0\n0 0 1\n0 0 2\nterminal 1 0.0\nterminal 2 0.0\n",  # duplicate action
+        "initial 0\n0 0 1\n0 1 2\nterminal 1 0.0\n",  # state 2 is a dead end
         "initial 0\n0 zero 1\nterminal 1 0.0\n",  # unparsable token
         "initial 0\n0 0 1\nterminal 1 nan\n",  # non-finite log targets
         "initial 0\n0 0 1\nterminal 1 inf\n",
@@ -568,8 +579,10 @@ def test_dag_text_comments_and_whitespace():
     ],
 )
 def test_dag_text_format_errors(text):
-    with pytest.raises(DagFormatError):
+    with pytest.raises(DagFormatError) as info:
         parse_dag_text(text)
+    if text in DAG_STATE_MESSAGES:
+        assert str(info.value) == DAG_STATE_MESSAGES[text]
 
 
 # ---------------------------------------------------------------------------

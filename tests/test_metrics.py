@@ -155,13 +155,6 @@ def test_n_mse_basics(grid33):
     l = exact.count_paths(grid33)
     assert n_mse(l, l) == 0.0
     assert n_mse(l + 1.0, l) == pytest.approx(1.0)
-    weights = np.zeros(grid33.n_states)
-    weights[0] = 3.0
-    shifted = l.copy()
-    shifted[0] += 2.0
-    assert n_mse(shifted, l, weights) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        n_mse(l, l, np.zeros(grid33.n_states))
 
 
 # ---------------------------------------------------------------------------

@@ -358,28 +358,6 @@ def test_pcl_full_trajectory_equals_tb_of_count_backward(solved_zoo):
             assert tb_residual(tb_view) == pytest.approx(full_pcl, abs=1e-12)
 
 
-def test_pcl_discounted_matches_naive():
-    rng = np.random.default_rng(4)
-    t = 7
-    view = TrajectoryView(
-        log_pi=rng.normal(0, 1, t),
-        log_q=np.zeros(t),
-        reward=rng.normal(0, 1, t),
-        value=rng.normal(0, 1, t + 1),
-        l=np.zeros(t + 1),
-        log_target=0.0,
-        log_z=0.0,
-    )
-    tau, gamma = 0.7, 0.9
-    d = pcl_residuals(view, tau=tau, gamma=gamma)
-    x = tau * view.log_pi - view.reward
-    for i in range(t):
-        for j in range(i, t):
-            expect = view.value[i] - gamma ** (j + 1 - i) * view.value[j + 1]
-            expect += sum(gamma ** (tt - i) * x[tt] for tt in range(i, j + 1))
-            assert d[i, j] == pytest.approx(expect, abs=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # path-count residuals
 
