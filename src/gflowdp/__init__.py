@@ -1,8 +1,8 @@
 """Exact and learned samplers for unnormalized targets on the terminal
 states of acyclic deterministic MDPs."""
 
-from . import cli, envs, exact, learner, metrics, mdp, numerics, objectives
-from .mdp import EnumeratedMdp, Trajectory, enumerate_mdp, invert, validate
+from . import envs, exact, learner, metrics, mdp, numerics, objectives
+from .mdp import EnumeratedMdp, enumerate_mdp, invert, validate
 
 __all__ = [
     "cli",
@@ -14,7 +14,6 @@ __all__ = [
     "numerics",
     "objectives",
     "EnumeratedMdp",
-    "Trajectory",
     "enumerate_mdp",
     "invert",
     "validate",

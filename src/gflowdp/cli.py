@@ -263,7 +263,7 @@ def cmd_exact(args) -> int:
         "n_terminals": int(mdp.terminal.sum()),
         "logZ": tables.logZ,
         "logZ_value": float(tables.V[mdp.initial]),  # log_partition's second value
-        "entropy_maxent": exact.flow_entropy(mdp, log_pi_maxent),
+        "entropy_maxent": exact.flow_entropy(mdp, log_pi_maxent, tables.mu),
         "entropy_uniform": exact.flow_entropy(mdp, log_pi_uniform),
         "max_entropy_bound": exact.max_entropy_bound(mdp, tables.l),
     }

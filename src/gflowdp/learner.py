@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exact, metrics
-from .mdp import EnumeratedMdp, Trajectory, segment_positions
+from .mdp import EnumeratedMdp, segment_positions
 
 # ``logsumexp`` and ``cross_cumsum`` are not called here; benchmarks/tracer.py
 # counts calls made through this module's names for them and for
@@ -220,21 +220,33 @@ class PolicyModel:
         return np.concatenate([grads[k][free.get(k, slice(None))] for k in PARAM_GROUPS])
 
 
+@dataclass(frozen=True)
+class SampledPath:
+    """One sampled path: ``states`` [T+1] from the initial to a terminal and
+    the ``edges`` [T] taken between them."""
+
+    states: np.ndarray
+    edges: np.ndarray
+
+    @property
+    def end(self) -> int:
+        return int(self.states[-1])
+
+
 @dataclass
 class RolloutBatch:
-    """Sampled trajectories as padded rows, with the flat per-step indexes
-    the residuals read; ``trajectories`` is a view built on first access."""
+    """Sampled paths as padded rows, with the flat per-step indexes the
+    residuals read; ``trajectories`` is a per-path view built on first
+    access."""
 
     state_rows: np.ndarray  # [B, T+1] state ids, padded with the terminal
     lengths: np.ndarray  # [B]
     terminals: np.ndarray  # [B] terminal state id per trajectory
     step_pos: np.ndarray  # flat index of each flat step in the [B, T] step rows
     step_edge: np.ndarray  # edge id per flat step
-    edge_action: np.ndarray | None = None  # [E] action id, for the view
-    edge_log_behavior: np.ndarray | None = None  # [E] sampling log-prob, for the view
 
     @classmethod
-    def from_rows(cls, state_rows, edge_rows, edge_action=None, edge_log_behavior=None):
+    def from_rows(cls, state_rows, edge_rows):
         """The batch of ``state_rows`` and ``edge_rows`` ([B, T], -1 past
         each row's end)."""
         steps = edge_rows >= 0
@@ -244,35 +256,29 @@ class RolloutBatch:
             terminals=state_rows[:, -1],
             step_pos=np.flatnonzero(steps),
             step_edge=edge_rows[steps],
-            edge_action=edge_action,
-            edge_log_behavior=edge_log_behavior,
         )
 
     @cached_property
-    def trajectories(self) -> list[Trajectory]:
+    def trajectories(self) -> list[SampledPath]:
         # zip stops at the last row: a batch without walkers has one empty split
         edges = np.split(self.step_edge, np.cumsum(self.lengths)[:-1])
-        return [
-            Trajectory(states=row[: len(e) + 1], actions=self.edge_action[e],
-                       edges=e, log_behavior=self.edge_log_behavior[e])
-            for row, e in zip(self.state_rows, edges)
-        ]
+        return [SampledPath(states=row[: len(e) + 1], edges=e)
+                for row, e in zip(self.state_rows, edges)]
 
 
-def _behavior_tables(mdp: EnumeratedMdp, model: PolicyModel, epsilon: float):
-    """Per-edge sampling CDFs (within each state's out-edge segment) and log
-    probabilities of (1-eps) * softmax(logits) + eps * uniform."""
+def _behavior_tables(mdp: EnumeratedMdp, model: PolicyModel, epsilon: float) -> np.ndarray:
+    """Per-edge sampling CDF, within each state's out-edge segment, of the
+    behavior policy (1-eps) * softmax(logits) + eps * uniform."""
     log_pi = model.forward_log_probs(mdp)
     degree = np.diff(mdp.out_offset)
-    p = (1.0 - epsilon) * np.exp(log_pi) + epsilon / degree[mdp.edge_src]
+    cdf = (1.0 - epsilon) * np.exp(log_pi) + epsilon / degree[mdp.edge_src]
     # a running sum per segment, position by position, so every CDF is added
     # in the same order as np.cumsum over that segment alone
-    cdf = p.copy()
     starts = mdp.out_offset[:-1]
     for j in range(1, int(degree.max(initial=0))):
         at = starts[degree > j] + j
         cdf[at] += cdf[at - 1]
-    return cdf, np.log(p)
+    return cdf
 
 
 def _walk(mdp: EnumeratedMdp, cdf: np.ndarray, n: int, streams: list[np.random.Generator]):
@@ -323,9 +329,8 @@ def collect_batch(
 ) -> RolloutBatch:
     """Sample a batch by walking its walkers in lockstep; walker b draws
     from ``streams[b % len(streams)]``."""
-    cdf, log_p = _behavior_tables(mdp, model, config.epsilon_uniform)
-    state_rows, edge_rows = _walk(mdp, cdf, config.batch_size, streams)
-    return RolloutBatch.from_rows(state_rows, edge_rows, mdp.edge_action, log_p)
+    cdf = _behavior_tables(mdp, model, config.epsilon_uniform)
+    return RolloutBatch.from_rows(*_walk(mdp, cdf, config.batch_size, streams))
 
 
 # ---------------------------------------------------------------------------

@@ -132,14 +132,11 @@ class EnumeratedMdp:
     def out_slice(self, s: int) -> slice:
         return slice(int(self.out_offset[s]), int(self.out_offset[s + 1]))
 
-    def in_slice(self, s: int) -> slice:
-        return slice(int(self.in_offset[s]), int(self.in_offset[s + 1]))
-
     def out_edge_ids(self, s: int) -> np.ndarray:
         return np.arange(self.out_offset[s], self.out_offset[s + 1])
 
     def in_edge_ids(self, s: int) -> np.ndarray:
-        return self.in_edges[self.in_slice(s)]
+        return self.in_edges[self.in_offset[s] : self.in_offset[s + 1]]
 
     @cached_property
     def levels(self) -> "Levels":
@@ -216,36 +213,6 @@ class Levels(NamedTuple):
             push=tuple(LevelSegments.of(mdp.in_offset, mdp.in_edges, st) for st in by_level[1:]),
             pull=tuple(LevelSegments.of(mdp.out_offset, None, st) for st in by_level[::-1]),
         )
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A complete path from the initial state to a terminal state.
-
-    ``states`` has length T+1, ``actions``/``edges``/``log_behavior`` length T.
-    ``log_behavior`` records the behavior policy's per-step log-probabilities
-    (the sampling distribution, exploration included).
-    """
-
-    states: np.ndarray
-    actions: np.ndarray
-    edges: np.ndarray
-    log_behavior: np.ndarray
-
-    @property
-    def start(self) -> int:
-        return int(self.states[0])
-
-    @property
-    def end(self) -> int:
-        return int(self.states[-1])
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def steps(self) -> Iterator[tuple[int, int, int]]:
-        for t in range(len(self.actions)):
-            yield int(self.states[t]), int(self.actions[t]), int(self.states[t + 1])
 
 
 @dataclass(frozen=True)
@@ -554,6 +521,15 @@ class ExplicitDagEnv:
         for s in (initial, *self._parents):  # a state only seen as a parent has edges
             if s not in self._terminals and s not in self._children:
                 raise DagFormatError(f"state {s.decode()} is neither terminal nor has edges")
+        reached, frontier = {initial}, [initial]
+        while frontier:
+            for c in self._children.get(frontier.pop(), {}).values():
+                if c not in reached:
+                    reached.add(c)
+                    frontier.append(c)
+        for s in (*self._children, *self._terminals):
+            if s not in reached:
+                raise DagFormatError(f"state {s.decode()} is not reachable from the initial state")
 
     def initial_state(self) -> bytes:
         return self._initial

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import strategies as st
 
 from gflowdp import envs, exact, mdp
-from gflowdp.learner import PolicyModel, RolloutBatch
+from gflowdp.learner import PolicyModel, RolloutBatch, SampledPath
 from gflowdp.numerics import logsumexp
 
 # ---------------------------------------------------------------------------
@@ -269,12 +269,15 @@ def model_at_exact(m: mdp.EnumeratedMdp, tables: exact.ExactTables) -> PolicyMod
     )
 
 
-def batch_from_trajectories(trajectories: list[mdp.Trajectory]) -> RolloutBatch:
+def batch_from_trajectories(trajectories: list[SampledPath]) -> RolloutBatch:
     """The batch of the given trajectories, its ``trajectories`` view primed
     with them."""
-    b, width = len(trajectories), max((len(t) for t in trajectories), default=0)
-    states = [np.pad(t.states, (0, width - len(t)), mode="edge") for t in trajectories]
-    edges = [np.pad(t.edges, (0, width - len(t)), constant_values=-1) for t in trajectories]
+    lengths = [len(t.edges) for t in trajectories]
+    b, width = len(trajectories), max(lengths, default=0)
+    states = [np.pad(t.states, (0, width - n), mode="edge")
+              for t, n in zip(trajectories, lengths)]
+    edges = [np.pad(t.edges, (0, width - n), constant_values=-1)
+             for t, n in zip(trajectories, lengths)]
     batch = RolloutBatch.from_rows(np.array(states, dtype=np.int64).reshape(b, width + 1),
                                    np.array(edges, dtype=np.int64).reshape(b, width))
     batch.trajectories = list(trajectories)

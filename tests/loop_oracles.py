@@ -24,6 +24,7 @@ from gflowdp.learner import (
     NonFiniteGradient,
     PolicyModel,
     RolloutBatch,
+    SampledPath,
     TrainConfig,
     _coef,
 )
@@ -34,7 +35,6 @@ from gflowdp.mdp import (
     Env,
     ParentMismatch,
     StateBudgetExceeded,
-    Trajectory,
     ValidationReport,
 )
 from gflowdp.numerics import NEG_INF, entropy_from_log_probs, logsumexp
@@ -465,35 +465,30 @@ def _segment_log_softmax(mdp: EnumeratedMdp, logits: np.ndarray, by_src: bool) -
 def _behavior_tables(mdp: EnumeratedMdp, model: PolicyModel, epsilon: float):
     """Per-state sampling CDFs of (1-eps) * softmax(logits) + eps * uniform."""
     log_pi = _segment_log_softmax(mdp, model.forward_logits, by_src=True)
-    tables: list[tuple[np.ndarray, np.ndarray] | None] = [None] * mdp.n_states
+    tables: list[np.ndarray | None] = [None] * mdp.n_states
     for s in range(mdp.n_states):
         if mdp.terminal[s]:
             continue
         sl = mdp.out_slice(s)
         k = sl.stop - sl.start
         p = (1.0 - epsilon) * np.exp(log_pi[sl]) + epsilon / k
-        tables[s] = (np.cumsum(p), np.log(p))
+        tables[s] = np.cumsum(p)
     return tables
 
 
-def _sample_one(mdp: EnumeratedMdp, tables, rng: np.random.Generator) -> Trajectory:
+def _sample_one(mdp: EnumeratedMdp, tables, rng: np.random.Generator) -> SampledPath:
     s = mdp.initial
-    states, actions, edges, log_b = [s], [], [], []
+    states, edges = [s], []
     while not mdp.terminal[s]:
-        cdf, log_p = tables[s]
+        cdf = tables[s]
         a = int(np.searchsorted(cdf, rng.random(), side="right"))
         a = min(a, len(cdf) - 1)
         e = int(mdp.out_offset[s]) + a
         s = int(mdp.edge_dst[e])
-        actions.append(a)
         edges.append(e)
-        log_b.append(log_p[a])
         states.append(s)
-    return Trajectory(
-        states=np.array(states, dtype=np.int64),
-        actions=np.array(actions, dtype=np.int64),
-        edges=np.array(edges, dtype=np.int64),
-        log_behavior=np.array(log_b, dtype=float),
+    return SampledPath(
+        states=np.array(states, dtype=np.int64), edges=np.array(edges, dtype=np.int64)
     )
 
 
@@ -591,7 +586,7 @@ def compute_loss_and_grads(
     elif config.objective == "stb":
         policy_loss = 0.0
         for i, traj in enumerate(batch.trajectories):
-            t = len(traj)
+            t = len(traj.edges)
             v = log_f[traj.states]
             x = log_pi[traj.edges] - log_q[traj.edges]
             d = cross_cumsum(v, x)

@@ -379,6 +379,18 @@ def test_console_script_runs():
     assert proc.returncode == 1
 
 
+def test_module_entry_runs_without_warnings(tmp_path):
+    # the package must not import cli itself, or runpy warns before ``-m``
+    cfg = write_config(tmp_path, SIMPLE)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gflowdp.cli", "enumerate", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
 def test_render_grid_large_maxent_marginal(tmp_path):
     cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 64\n")
     assert cli.main(["render-grid", "--config", cfg, "--out", str(tmp_path)]) == 0

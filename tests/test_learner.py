@@ -1,5 +1,4 @@
 import itertools
-import math
 from dataclasses import fields
 
 import numpy as np
@@ -24,7 +23,7 @@ from gflowdp.learner import (
     run_training,
     train_step,
 )
-from gflowdp.mdp import Trajectory, enumerate_mdp, parse_dag_text
+from gflowdp.mdp import enumerate_mdp, parse_dag_text
 
 from conftest import batch_from_trajectories, model_at_exact
 
@@ -70,17 +69,15 @@ def test_sample_seed_reproducibility(grid33):
     for ta, tb in zip(a, b):
         assert np.array_equal(ta.states, tb.states)
         assert np.array_equal(ta.edges, tb.edges)
-        assert np.array_equal(ta.log_behavior, tb.log_behavior)
 
 
 def test_sampled_trajectories_are_legal(grid44):
     model = PolicyModel.init(grid44, np.random.default_rng(1), scale=0.5)
     for t in _sample(grid44, model, 0.1, 40, np.random.default_rng(2)):
-        assert t.start == grid44.initial
+        assert t.states[0] == grid44.initial
         assert grid44.terminal[t.end]
-        for s, a, s2 in t.steps():
-            e = int(grid44.out_offset[s]) + a
-            assert int(grid44.edge_dst[e]) == s2
+        assert np.array_equal(grid44.edge_src[t.edges], t.states[:-1])
+        assert np.array_equal(grid44.edge_dst[t.edges], t.states[1:])
 
 
 def test_lockstep_batch_matches_behavior_path_probabilities(fig_diamond):
@@ -89,14 +86,16 @@ def test_lockstep_batch_matches_behavior_path_probabilities(fig_diamond):
     model = PolicyModel.init(fig_diamond, np.random.default_rng(0), scale=1.5)
     config = TrainConfig(batch_size=20000, epsilon_uniform=0.3)
     batch = collect_batch(fig_diamond, model, config, np.random.default_rng(9).spawn(3))
-    _, log_p = learner._behavior_tables(fig_diamond, model, config.epsilon_uniform)
+    degree = np.diff(fig_diamond.out_offset)[fig_diamond.edge_src]
+    eps = config.epsilon_uniform
+    p = (1 - eps) * np.exp(model.forward_log_probs(fig_diamond)) + eps / degree
     counts = {}
     for t in batch.trajectories:
         counts[tuple(t.edges.tolist())] = counts.get(tuple(t.edges.tolist()), 0) + 1
     paths = list(exact.iter_trajectories(fig_diamond))
     assert len(paths) == 3 and set(counts) <= {tuple(p) for p in paths}
     for path in paths:
-        want = math.exp(float(log_p[path].sum()))
+        want = float(np.prod(p[path]))
         assert counts.get(tuple(path), 0) / config.batch_size == pytest.approx(want, abs=0.02)
 
 
@@ -107,8 +106,6 @@ def test_lockstep_batch_is_reproducible(grid44):
             for _ in range(2))
     for f in fields(RolloutBatch):
         assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
-    for ta, tb in zip(a.trajectories, b.trajectories):
-        assert np.array_equal(ta.log_behavior, tb.log_behavior)
 
 
 def test_batch_rows_are_padded_with_the_terminal():
@@ -123,8 +120,7 @@ def test_batch_rows_are_padded_with_the_terminal():
         assert row[n:].tolist() == [batch.terminals[b]] * (4 - n)
         assert batch.terminals[b] == (one if n == 1 else four)
     # a zero-step walker next to a long one, as a hand-built batch
-    zero = Trajectory(states=np.array([one]), actions=np.zeros(0, dtype=np.int64),
-                      edges=np.zeros(0, dtype=np.int64), log_behavior=np.zeros(0))
+    zero = learner.SampledPath(states=np.array([one]), edges=np.zeros(0, dtype=np.int64))
     longest = batch.trajectories[int(np.argmax(batch.lengths))]
     mixed = batch_from_trajectories([zero, longest])
     assert mixed.state_rows[0].tolist() == [one] * 4

@@ -218,17 +218,16 @@ def test_segment_softmax_and_counts_backward_match_loops(text, seed):
 def test_sampling_and_losses_match_loops(text, seed):
     m = enumerate_mdp(parse_dag_text(text))
     model = PolicyModel.init(m, np.random.default_rng(seed), 0.8)
-    cdf, log_p = learner._behavior_tables(m, model, 0.1)
+    cdf = learner._behavior_tables(m, model, 0.1)
     tables = loops._behavior_tables(m, model, 0.1)
     for s in np.flatnonzero(~m.terminal):
-        assert close(cdf[m.out_slice(s)], tables[s][0])
-        assert close(log_p[m.out_slice(s)], tables[s][1])
+        assert close(cdf[m.out_slice(s)], tables[s])
     # with one stream per walker, walker b reads stream b alone, as the loop did
     batch = learner.collect_batch(m, model, TrainConfig(batch_size=8, epsilon_uniform=0.1),
                                   np.random.default_rng(seed).spawn(8))
     for a, rng in zip(batch.trajectories, np.random.default_rng(seed).spawn(8)):
         b = loops._sample_one(m, tables, rng)
-        for name in ("states", "actions", "edges", "log_behavior"):
+        for name in ("states", "edges"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
     rebuilt = batch_from_trajectories(batch.trajectories)
     for name in ("state_rows", "lengths", "terminals", "step_pos", "step_edge"):

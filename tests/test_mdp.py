@@ -559,6 +559,8 @@ DAG_STATE_MESSAGES = {
         "terminal state 1 has outgoing edges",
     "initial 0\n0 0 1\n0 0 2\nterminal 1 0.0\nterminal 2 0.0\n": "duplicate action 0 at state 0",
     "initial 0\n0 0 1\n0 1 2\nterminal 1 0.0\n": "state 2 is neither terminal nor has edges",
+    "initial 0\n0 0 1\nterminal 1 0.0\nterminal 5 3.0\n9 0 5\n":
+        "state 9 is not reachable from the initial state",
 }
 
 
@@ -572,6 +574,7 @@ DAG_STATE_MESSAGES = {
         "initial 0\n0 0 1\n1 0 2\nterminal 1 0.0\nterminal 2 0.0\n",  # terminal with edges
         "initial 0\n0 0 1\n0 0 2\nterminal 1 0.0\nterminal 2 0.0\n",  # duplicate action
         "initial 0\n0 0 1\n0 1 2\nterminal 1 0.0\n",  # state 2 is a dead end
+        "initial 0\n0 0 1\nterminal 1 0.0\nterminal 5 3.0\n9 0 5\n",  # 9 and 5 unreachable
         "initial 0\n0 zero 1\nterminal 1 0.0\n",  # unparsable token
         "initial 0\n0 0 1\nterminal 1 nan\n",  # non-finite log targets
         "initial 0\n0 0 1\nterminal 1 inf\n",

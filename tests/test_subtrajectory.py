@@ -83,7 +83,7 @@ def test_cell_sets_match_per_trajectory_residuals(text, seed):
     for b, traj in enumerate(trajs):
         view = TrajectoryView(
             log_pi=log_pi[traj.edges], log_q=log_q[traj.edges],
-            reward=np.zeros(len(traj)), value=log_f[traj.states], l=l[traj.states],
+            reward=np.zeros(len(traj.edges)), value=log_f[traj.states], l=l[traj.states],
             log_target=float(m.log_target[traj.end]), log_z=model.log_z,
         )
         assert abs(tb[b] - tb_residual(view)) <= TOL
