@@ -21,7 +21,8 @@ import numpy as np
 
 from . import envs, exact, learner, metrics
 from .learner import MetricsRow, PolicyModel, TrainConfig
-from .mdp import EnumeratedMdp, MdpError, dump_dag_text, enumerate_mdp
+from .mdp import (DEFAULT_MAX_STATES, EnumeratedMdp, MdpError, dump_dag_text, enumerate_mdp,
+                  parse_dag_text)
 from .numerics import json_float_texts
 from .objectives import HuberParams
 
@@ -59,12 +60,19 @@ def _positive(x: float) -> bool:
 
 def _read(section: configparser.SectionProxy, defaults: dict) -> dict:
     """``section``'s values for the keys of ``defaults``, each parsed as the
-    type of its default, which fills in a missing key; unknown keys raise."""
+    type of its default, which fills in a missing key; a type in place of a
+    default marks a required key.  Unknown and missing keys raise."""
     for key in section:
         if key not in defaults:
             raise ValueError(f"unknown key {key!r}")
     parse = {int: section.getint, float: section.getfloat, str: section.get}
-    return {key: parse[type(default)](key, default) for key, default in defaults.items()}
+    values = {}
+    for key, default in defaults.items():
+        required = isinstance(default, type)
+        if required and key not in section:
+            raise ValueError(f"missing key {key!r}")
+        values[key] = parse[default if required else type(default)](key, default)
+    return values
 
 
 EVAL_DEFAULTS = {"metrics_every": 10, "mode_threshold": 1.0, "thresholds": "1.0",
@@ -93,18 +101,39 @@ def eval_settings(cp: configparser.ConfigParser) -> dict:
     return ev
 
 
-def build_env(cp: configparser.ConfigParser):
-    """The env of the [env] section: ``name``, ``max_states`` (read by the
-    enumeration) and the keys ``envs.make_env`` reads for that env."""
-    section = dict(cp["env"])
-    name = section.pop("name", None)
-    section.pop("max_states", None)
+# each [env] name's constructor and the keys it takes, with their defaults; a type
+# in place of a default marks a required key
+ENVS = {
+    "simple-dag": (envs.SimpleDagEnv, {"target": 1.0}),
+    "hypergrid": (envs.HypergridEnv, {"dims": int, "side": int}),
+    "words": (envs.WordsEnv, {"length": int, "alphabet": 2, "mode": "append-right"}),
+    "bitvector": (envs.BitVectorEnv, {"length": int, "ones_reward": 0.0}),
+    "tree": (envs.TreeBuildEnv, {"max_nodes": int, "labels": 1}),
+    "dag-file": (lambda path: parse_dag_text(Path(path).read_text()), {"path": str}),
+}
+
+
+def _env(cp: configparser.ConfigParser) -> tuple[object, int]:
+    """The env the [env] section names, built from its keys, and
+    ``max_states``, the enumeration's state budget."""
+    name = cp["env"].get("name")
     if name is None:
         raise UsageError("config needs [env] name = ...")
     try:
-        return envs.make_env(name, section)
+        if name not in ENVS:
+            raise ValueError(f"unknown env {name!r}")
+        make, keys = ENVS[name]
+        values = _read(cp["env"], {"name": str, "max_states": DEFAULT_MAX_STATES, **keys})
+        if values["max_states"] < 1:
+            raise ValueError("max_states must be >= 1")
+        return make(**{key: values[key] for key in keys}), values["max_states"]
     except ValueError as exc:
         raise UsageError(f"bad env config: {exc}") from exc
+
+
+def build_env(cp: configparser.ConfigParser):
+    """The env of the [env] section."""
+    return _env(cp)[0]
 
 
 def build_train_config(cp: configparser.ConfigParser, seed: int | None) -> TrainConfig:
@@ -132,12 +161,8 @@ def build_train_config(cp: configparser.ConfigParser, seed: int | None) -> Train
     return config
 
 
-def _enumerate(cp: configparser.ConfigParser, env=None) -> EnumeratedMdp:
-    env = build_env(cp) if env is None else env
-    try:
-        max_states = cp["env"].getint("max_states", 1_000_000)
-    except ValueError as exc:
-        raise UsageError(f"bad env config: {exc}") from exc
+def _enumerate(cp: configparser.ConfigParser) -> EnumeratedMdp:
+    env, max_states = _env(cp)
     return enumerate_mdp(env, max_states=max_states)
 
 
@@ -334,12 +359,12 @@ def cmd_eval(args) -> int:
 
 def cmd_render_grid(args) -> int:
     cp = load_config(args.config)
-    env = build_env(cp)
+    env, max_states = _env(cp)
     if not isinstance(env, envs.HypergridEnv):
         raise DimensionUnsupported("render-grid needs a hypergrid env")
     if env.dims != 2:
         raise DimensionUnsupported("render-grid supports dims=2 only")
-    mdp = _enumerate(cp, env)
+    mdp = enumerate_mdp(env, max_states=max_states)
     side = env.side
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,12 +9,11 @@ path-counting DP.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .mdp import ExplicitDagEnv, parse_dag_text
+from .mdp import ExplicitDagEnv
 from .numerics import NEG_INF
 
 
@@ -186,19 +185,19 @@ class WordsEnv:
     ``append-either-side`` mode letters may be appended or prepended (from
     the empty word the two coincide, so only append actions exist there),
     giving 2**(N-1) build orders per word.  Letters are raw byte values
-    0..alphabet_size-1; the target is uniform over terminal words.
+    0..alphabet-1; the target is uniform over terminal words.
     """
 
     MODES = ("append-right", "append-either-side")
 
-    def __init__(self, alphabet_size: int, length: int, mode: str = "append-right"):
-        if alphabet_size < 1 or alphabet_size > 255:
-            raise ValueError("alphabet_size must be in [1, 255]")
+    def __init__(self, alphabet: int, length: int, mode: str = "append-right"):
+        if alphabet < 1 or alphabet > 255:
+            raise ValueError("alphabet must be in [1, 255]")
         if length < 1:
             raise ValueError("length must be >= 1")
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}")
-        self.alphabet_size = alphabet_size
+        self.alphabet_size = alphabet
         self.length = length
         self.mode = mode
 
@@ -407,18 +406,18 @@ def parse_tree(state: bytes) -> tuple[list[int], list[list[int]]]:
 class TreeBuildEnv:
     """Grows an unrooted labeled tree one node at a time.
 
-    Actions attach a new node with one of ``n_labels`` labels to an existing
+    Actions attach a new node with one of ``labels`` labels to an existing
     node (addressed by its preorder position in the canonical encoding);
     isomorphic labeled trees are merged into one canonical state.  Terminal
     once ``max_nodes`` nodes are placed; the target is uniform.
     """
 
-    def __init__(self, n_labels: int, max_nodes: int):
-        if n_labels < 1:
-            raise ValueError("n_labels must be >= 1")
+    def __init__(self, labels: int, max_nodes: int):
+        if labels < 1:
+            raise ValueError("labels must be >= 1")
         if max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
-        self.n_labels = n_labels
+        self.n_labels = labels
         self.max_nodes = max_nodes
 
     def initial_state(self) -> bytes:
@@ -480,39 +479,3 @@ class TreeBuildEnv:
                 if self.step(parent, action) == state:
                     found.add((parent, action))
         return sorted(found)
-
-
-# ---------------------------------------------------------------------------
-# CLI factory
-
-
-def make_env(name: str, params: dict):
-    """Build an env from a config-style name and parameter dict; ``dag-file``
-    parses the DAG text file at ``path``.  A missing required key or a key
-    the env does not read raises ValueError."""
-    left = dict(params)
-
-    def take(key, parse, default=None):
-        if default is None and key not in left:
-            raise ValueError(f"missing key {key!r}")
-        return parse(left.pop(key, default))
-
-    if name == "simple-dag":
-        env = SimpleDagEnv(target=take("target", float, 1.0))
-    elif name == "hypergrid":
-        env = HypergridEnv(dims=take("dims", int), side=take("side", int))
-    elif name == "words":
-        env = WordsEnv(alphabet_size=take("alphabet", int, 2), length=take("length", int),
-                       mode=take("mode", str, "append-right"))
-    elif name == "bitvector":
-        env = BitVectorEnv(length=take("length", int),
-                           ones_reward=take("ones_reward", float, 0.0))
-    elif name == "tree":
-        env = TreeBuildEnv(n_labels=take("labels", int, 1), max_nodes=take("max_nodes", int))
-    elif name == "dag-file":
-        env = parse_dag_text(Path(take("path", str)).read_text())
-    else:
-        raise ValueError(f"unknown env {name!r}")
-    if left:
-        raise ValueError(f"unknown key {next(iter(left))!r}")
-    return env

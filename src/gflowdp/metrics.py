@@ -68,7 +68,8 @@ def pearson_logprob(
     log_target: np.ndarray,
 ) -> float:
     """Pearson r between exact policy log-probabilities and log targets,
-    over a multiset of sampled terminal state ids."""
+    over a multiset of sampled terminal state ids; clipped to [-1, 1], which
+    rounding can overshoot."""
     idx = np.asarray(samples, dtype=np.int64)
     if len(_distinct(idx)) < 2:
         raise DegenerateVariance("need at least two distinct samples")
@@ -79,7 +80,7 @@ def pearson_logprob(
     denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
     if denom == 0.0:
         raise DegenerateVariance("zero variance in log-probabilities or targets")
-    return float((xc * yc).sum() / denom)
+    return float(np.clip((xc * yc).sum() / denom, -1.0, 1.0))
 
 
 def mode_count(visited_terminals, log_target: np.ndarray, thresholds) -> dict[float, int]:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,11 @@ from hypothesis import strategies as st
 from gflowdp import envs, exact, mdp
 from gflowdp.learner import PolicyModel, RolloutBatch, SampledPath
 from gflowdp.numerics import logsumexp
+
+# the tests that start a Python subprocess import the same package as this
+# run, also from a checkout that is not installed
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(mdp.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
 
 # ---------------------------------------------------------------------------
 # oracles

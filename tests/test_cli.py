@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -65,15 +66,28 @@ def test_enumerate_simple_dag(tmp_path, capsys):
     assert again.n_states == 4 and again.n_edges == 5
 
 
-def test_enumerate_grid_counts(tmp_path, capsys):
-    cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 8\n")
+@pytest.mark.parametrize("side, states", [(3, 18), (8, 128)])  # lattice cells + their copies
+def test_enumerate_grid_counts(tmp_path, capsys, side, states):
+    cfg = write_config(tmp_path, f"[env]\nname = hypergrid\ndims = 2\nside = {side}\n")
     assert cli.main(["enumerate", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert "states 128" in capsys.readouterr().out  # 64 lattice + 64 copies
+    assert f"states {states} " in capsys.readouterr().out
 
 
 def test_enumerate_unknown_env_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "[env]\nname = molecules\n")
     assert cli.main(["enumerate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: bad env config: unknown env 'molecules'\n"
+
+
+@pytest.mark.parametrize("max_states, rc, message", [
+    (0, 1, "bad env config: max_states must be >= 1"),
+    (1, 2, "more than 1 reachable states"),  # an exceeded budget is a runtime error
+])
+def test_enumerate_state_budget(tmp_path, capsys, max_states, rc, message):
+    cfg = write_config(
+        tmp_path, f"[env]\nname = hypergrid\ndims = 2\nside = 3\nmax_states = {max_states}\n")
+    assert cli.main(["enumerate", "--config", cfg, "--out", str(tmp_path)]) == rc
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_config_is_usage_error(tmp_path):
@@ -197,6 +211,14 @@ def test_eval_trained_model(tmp_path):
                      "--model", str(tmp_path / "model.json")]) == 0
     report = json.loads((tmp_path / "eval_report.json").read_text())
     assert report["n_mse"] is not None
+
+
+def test_eval_pearson_stays_within_one(tmp_path):
+    # rounding put the exact sampler's r a hair above 1 on this grid
+    cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 3\n")
+    assert cli.main(["eval", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "eval_report.json").read_text())
+    assert 1.0 - 1e-9 < report["pearson"] <= 1.0
 
 
 # every env kind with its default parameters; a uniform target (or a single
@@ -442,6 +464,8 @@ def _one_line_error(capsys):
         ("eval", "[eval]\nthresholds = 1.0, nan\n", []),
         ("eval", "[eval]\nmode_threshold = -1\n", []),
         ("enumerate", "max_states = lots\n", []),
+        ("enumerate", "max_states = 0\n", []),
+        ("enumerate", "max_states = -5\n", []),
         ("train", "[train]\nsteps = 1\nlearning_rat = 0.1\n", []),
         ("train", "[train]\nsteps = 1\nhuber = 0.5\n", []),
         ("eval", "[eval]\nthreshold = 2.0\n", []),
@@ -468,6 +492,8 @@ def test_bad_numeric_input_is_a_one_line_usage_error(tmp_path, capsys, command, 
     ]),
     ("render-grid", "name = hypergrid\ndims = abc\nside = 3\n",
      "invalid literal for int() with base 10: 'abc'"),
+    ("exact", "name = tree\nmax_nodes = 3\nlabels = 0\n", "labels must be >= 1"),
+    ("exact", "name = words\nlength = 2\nalphabet = 0\n", "alphabet must be in [1, 255]"),
 ])
 def test_bad_env_value_is_a_one_line_usage_error(tmp_path, capsys, command, env, message):
     cfg = write_config(tmp_path, f"[env]\n{env}[train]\nsteps = 1\n")
@@ -509,6 +535,23 @@ def test_missing_env_key_is_named(tmp_path, capsys):
     cfg = write_config(tmp_path, "[env]\nname = dag-file\n")
     assert cli.main(["exact", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert _one_line_error(capsys) == "error: bad env config: missing key 'path'"
+
+
+def test_readme_env_table_matches_the_cli():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme.split("| `name` | keys (default) |\n|---|---|\n")[1].split("\n\n")[0]
+    table = {}
+    for row in rows.splitlines():
+        _, name, keys, _ = row.split("|")
+        # a key, then its default in parentheses unless it is required
+        table[name.strip().strip("`")] = {
+            key: default or None
+            for key, default in re.findall(r"`([a-z_]+)`(?: \(`?([^`;)]+))?", keys)}
+    assert table == {
+        name: {key: None if isinstance(default, type) else str(default)
+               for key, default in keys.items()}
+        for name, (_, keys) in cli.ENVS.items()}
+    assert f"`max_states` (default {mdp.DEFAULT_MAX_STATES})" in readme
 
 
 def test_readme_config_example_runs(tmp_path):

@@ -13,7 +13,6 @@ from gflowdp.envs import (
     bitvec_n,
     canonical_tree,
     hypergrid_target,
-    make_env,
     parse_tree,
     tree_n,
     words_n,
@@ -288,14 +287,7 @@ def test_fixed_node_dag_building_counts_are_factorial():
 
 
 # ---------------------------------------------------------------------------
-# factory
-
-
-def test_make_env_round_trip():
-    m = mdp.enumerate_mdp(make_env("hypergrid", {"dims": "2", "side": "3"}))
-    assert m.n_states == 18
-    with pytest.raises(ValueError):
-        make_env("molecules", {})
+# parameters
 
 
 def test_env_parameter_validation():
