@@ -19,8 +19,10 @@ Every DP is one of two log-space recursions over the CSR edge tables:
   child value plus edge weight (soft values, flows).
 
 Both walk the MDP's topological levels (``EnumeratedMdp.levels``) and update
-a whole level at once with ``segment_logsumexp``: O(E) numpy work plus one
-Python iteration per level, never one per state.
+a whole level at once with ``_level_logsumexp``, which computes
+``segment_logsumexp`` bit for bit from the index tables each level carries:
+O(E) numpy work plus a fixed few numpy calls per level, never a Python
+iteration per state.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .mdp import EnumeratedMdp, segment_positions
+from .mdp import EnumeratedMdp, LevelSegments, segment_positions
 from .numerics import NEG_INF, entropy_from_log_probs, json_float_texts, logsumexp
 from .numerics import segment_log_softmax, segment_logsumexp, segment_sum
 
@@ -51,6 +53,16 @@ class TrajectoryBudgetExceeded(ExactError):
     """Brute-force enumeration hit its trajectory budget."""
 
 
+def _level_logsumexp(seg: LevelSegments, terms: np.ndarray, padded: np.ndarray) -> np.ndarray:
+    """``segment_logsumexp(terms, seg.starts)`` bit for bit (the same ufuncs on
+    the same elements in the same order), in a zeroed layout buffer ``padded``."""
+    m = np.maximum.reduceat(terms, seg.starts)
+    finite = np.isfinite(m)
+    shift = np.where(finite, m, 0.0)
+    padded[seg.slots] = np.exp(terms - np.repeat(shift, seg.lengths))
+    return np.where(finite, shift + np.log(np.add.reduceat(padded[: seg.end], seg.heads)), m)
+
+
 def push_forward(mdp: EnumeratedMdp, log_w: np.ndarray, log_init: np.ndarray) -> np.ndarray:
     """Forward log-space recursion over in-edges, one level at a time.
 
@@ -60,14 +72,18 @@ def push_forward(mdp: EnumeratedMdp, log_w: np.ndarray, log_init: np.ndarray) ->
     """
     log_w = np.asarray(log_w, dtype=float)
     out = np.array(log_init, dtype=float)
-    for seg in mdp.levels.push:
-        incoming = segment_logsumexp(out[mdp.edge_src[seg.edges]] + log_w[seg.edges], seg.starts)
-        own = out[seg.states]
-        seeded = np.flatnonzero(own != NEG_INF)
-        if seeded.size:
-            pairs = np.stack([incoming[seeded], own[seeded]], axis=1).ravel()
-            incoming[seeded] = segment_logsumexp(pairs, np.arange(0, pairs.size, 2))
-        out[seg.states] = incoming
+    seeded = (out[np.diff(mdp.in_offset) > 0] != NEG_INF).any()
+    padded = np.zeros(mdp.n_edges + mdp.n_states)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for seg in mdp.levels.push:
+            terms = out[mdp.edge_src[seg.edges]] + log_w[seg.edges]
+            incoming = _level_logsumexp(seg, terms, padded)
+            if seeded:
+                own = out[seg.states]
+                at = np.flatnonzero(own != NEG_INF)
+                pairs = np.stack([incoming[at], own[at]], axis=1).ravel()
+                incoming[at] = segment_logsumexp(pairs, np.arange(0, pairs.size, 2))
+            out[seg.states] = incoming
     return out
 
 
@@ -79,10 +95,11 @@ def pull_backward(mdp: EnumeratedMdp, log_w: np.ndarray, log_terminal: np.ndarra
     """
     log_w = np.asarray(log_w, dtype=float)
     out = np.array(log_terminal, dtype=float)
-    for seg in mdp.levels.pull:
-        out[seg.states] = segment_logsumexp(
-            log_w[seg.edges] + out[mdp.edge_dst[seg.edges]], seg.starts
-        )
+    padded = np.zeros(mdp.n_edges + mdp.n_states)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for seg in mdp.levels.pull:
+            terms = log_w[seg.edges] + out[mdp.edge_dst[seg.edges]]
+            out[seg.states] = _level_logsumexp(seg, terms, padded)
     return out
 
 

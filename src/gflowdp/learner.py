@@ -285,17 +285,16 @@ def _walk(mdp: EnumeratedMdp, cdf: np.ndarray, n: int, streams: list[np.random.G
     """Walk ``n`` walkers from the initial state to terminals in lockstep.
 
     Each step, every live walker at a state with out-edges ``[lo, hi)`` draws
-    u and takes edge ``min(bisect_right(cdf, u, lo, hi), hi - 1)``.  Walker b
-    reads ``streams[b % len(streams)]``, and each stream draws one vector a
-    step for its live walkers, in walker order.  Returns state rows [n, T+1]
+    u and takes edge ``min(bisect_right(cdf, u, lo, hi), hi - 1)``, found for
+    all walkers by one ``searchsorted``.  Walker b reads
+    ``streams[b % len(streams)]``, and each stream draws one vector a step
+    for its live walkers, in walker order.  Returns state rows [n, T+1]
     padded with the terminal and edge rows [n, T] padded with -1."""
-    offset = mdp.out_offset
-    degree = np.diff(offset)
-    rounds = (int(degree.max(initial=1)) - 1).bit_length()
-    # the last edge of a segment compares above every u, so the bisection
-    # of [lo, hi - 1] needs no bound check and stops at hi - 1 at the latest
-    cdf = cdf.copy()
-    cdf[offset[1:][degree > 0] - 1] = np.inf
+    # complex keys src + i*cdf sort by state, then CDF; with each segment's
+    # last CDF entry set to +inf, side="right" stops at hi - 1 at the latest
+    keys = np.empty(mdp.n_edges, dtype=complex)
+    keys.real, keys.imag = mdp.edge_src, cdf
+    keys.imag[mdp.out_offset[1:][np.diff(mdp.out_offset) > 0] - 1] = np.inf
     state = np.full(n, mdp.initial, dtype=np.int64)
     # live walkers are grouped by stream, each group in walker order, so the
     # streams' draws concatenate into the uniforms of the live walkers
@@ -304,16 +303,13 @@ def _walk(mdp: EnumeratedMdp, cdf: np.ndarray, n: int, streams: list[np.random.G
     state_cols, edge_cols = [state], []
     while len(live):
         shard_sizes = np.bincount(live % len(streams)).tolist()
-        u = np.concatenate([stream.random(k) for stream, k in zip(streams, shard_sizes)])
-        s = state[live]
-        lo, hi = offset[s], offset[s + 1] - 1
-        for _ in range(rounds):
-            mid = (lo + hi) >> 1
-            right = cdf[mid] <= u
-            lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
-        dst = mdp.edge_dst[lo]
+        query = np.empty(len(live), dtype=complex)
+        query.real = state[live]
+        query.imag = np.concatenate([stream.random(k) for stream, k in zip(streams, shard_sizes)])
+        edge_taken = np.searchsorted(keys, query, side="right")
+        dst = mdp.edge_dst[edge_taken]
         state, edge = state.copy(), np.full(n, -1, dtype=np.int64)
-        state[live], edge[live] = dst, lo
+        state[live], edge[live] = dst, edge_taken
         state_cols.append(state)
         edge_cols.append(edge)
         live = live[~mdp.terminal[dst]]
@@ -619,6 +615,7 @@ def run_training(
     exploration.  With reward_exponent b the trained target is p~**b.
     Deterministic given (config, workers): each worker has its own
     seed-derived stream, and walker b of every batch reads stream b % workers.
+    Streams at or beyond the batch size would never be read and are not made.
     """
     config.validate()
     if workers < 1:
@@ -633,7 +630,7 @@ def run_training(
     opt_state = adam_init(model)
     streams = [
         np.random.default_rng(child)
-        for child in np.random.SeedSequence(config.seed).spawn(workers)
+        for child in np.random.SeedSequence(config.seed).spawn(min(workers, config.batch_size))
     ]
 
     l_metrics = exact.count_paths(train_mdp)

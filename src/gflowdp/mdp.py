@@ -164,18 +164,43 @@ class LevelSegments(NamedTuple):
 
     ``states`` are the level's states that own a nonempty segment, in index
     order; ``edges`` lists their edge ids segment after segment, each segment
-    in table order; ``starts`` is where each segment begins in ``edges``.
+    in table order; segment k starts at ``starts[k]`` in ``edges`` and is
+    ``lengths[k]`` long.  In one layout of all levels' edges with a 0.0 ahead
+    of every segment (as in ``numerics.segment_sum``), ``edges[j]`` sits at
+    ``slots[j]``, segment k's 0.0 at ``heads[k]``, and the level ends at ``end``.
+    Levels without a segment are left out.
     """
 
     states: np.ndarray
     edges: np.ndarray
     starts: np.ndarray
+    lengths: np.ndarray
+    slots: np.ndarray
+    heads: np.ndarray
+    end: int
 
-    @classmethod
-    def of(cls, offset: np.ndarray, order: np.ndarray | None, states: np.ndarray):
-        live = states[offset[states + 1] > offset[states]]
-        pos, starts = segment_positions(offset, live)
-        return cls(live, pos if order is None else order[pos], starts)
+
+def _level_segments(offset, order, levels: list[np.ndarray]) -> tuple[LevelSegments, ...]:
+    """The segments of each level in ``levels``, built for all levels at once;
+    ``order`` maps CSR positions to edge ids (None: the identity)."""
+    if not levels:
+        return ()
+    states = np.concatenate(levels)
+    lengths = offset[states + 1] - offset[states]
+    live = lengths > 0
+    done = np.cumsum(live)[np.cumsum([len(lv) for lv in levels]) - 1]  # live states so far
+    bounds = [0] + done[np.diff(done, prepend=0) > 0].tolist()
+    states, lengths = states[live], lengths[live]
+    pos, starts = segment_positions(offset, states)
+    edges = pos if order is None else order[pos]
+    heads = starts + np.arange(states.size)
+    slots = np.repeat(heads + 1 - starts, lengths) + np.arange(edges.size)
+    segs = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lo, hi = int(starts[a]), int(starts[b - 1] + lengths[b - 1])
+        segs.append(LevelSegments(states[a:b], edges[lo:hi], starts[a:b] - lo, lengths[a:b],
+                                  slots[lo:hi], heads[a:b], hi + b))  # heads[b] = hi + b
+    return tuple(segs)
 
 
 class Levels(NamedTuple):
@@ -192,26 +217,21 @@ class Levels(NamedTuple):
 
     @classmethod
     def of(cls, mdp: "EnumeratedMdp") -> "Levels":
-        n = mdp.n_states
-        depth = np.full(n, -1, dtype=np.int64)
-        waiting = np.diff(mdp.in_offset)
+        waiting = np.diff(mdp.in_offset)  # parents not yet on a level
         frontier = np.flatnonzero(waiting == 0)
         by_level = []
         while frontier.size:
-            depth[frontier] = len(by_level)
             by_level.append(frontier)
             pos, _ = segment_positions(mdp.out_offset, frontier)
             children = mdp.edge_dst[pos]
             np.subtract.at(waiting, children, 1)
             ready = np.sort(children[waiting[children] == 0])
-            frontier = ready[np.diff(ready, prepend=-1) != 0]
-        if (depth < 0).any():
-            raise CycleDetected(
-                f"state {int(np.flatnonzero(depth < 0)[0])} lies on a cycle"
-            )
+            frontier = ready[ready != np.concatenate(([-1], ready[:-1]))]
+        if (waiting > 0).any():
+            raise CycleDetected(f"state {int(np.flatnonzero(waiting > 0)[0])} lies on a cycle")
         return cls(
-            push=tuple(LevelSegments.of(mdp.in_offset, mdp.in_edges, st) for st in by_level[1:]),
-            pull=tuple(LevelSegments.of(mdp.out_offset, None, st) for st in by_level[::-1]),
+            push=_level_segments(mdp.in_offset, mdp.in_edges, by_level[1:]),
+            pull=_level_segments(mdp.out_offset, None, by_level[::-1]),
         )
 
 

@@ -97,8 +97,11 @@ def json_float_texts(values) -> np.ndarray:
     bits = bits[order]
     first = np.ones(flat.size, dtype=bool)  # first of a run of equal bits
     np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    distinct = first.all()
     # no float's text holds ", "; with no values, the one "" is never read
-    texts = json.dumps(flat[order[first]].tolist())[1:-1].split(", ")
+    texts = json.dumps((flat if distinct else flat[order[first]]).tolist())[1:-1].split(", ")
+    if distinct:  # every value is its own text: no gather back
+        return np.array(texts[: flat.size], dtype=object).reshape(values.shape)
     rank = np.empty(flat.size, dtype=np.intp)
     rank[order] = np.cumsum(first) - 1
     return np.array(texts, dtype=object)[rank].reshape(values.shape)

@@ -1,7 +1,9 @@
 """The per-state Python loops of the MDP tables, the exact layer and the
 training step, kept as reference oracles for the whole-array and
 level-synchronous implementations, together with the depth-first
-``enumerate_mdp`` and the hypergrid env calls that rebuild their move list.
+``enumerate_mdp``, the hypergrid env calls that rebuild their move list,
+and the level loops of ``exact.push_forward``/``pull_backward`` that reduced
+each level with ``segment_logsumexp``.
 
 Each function is the loop version verbatim, except that calls into
 functions that were rewritten go to the loop copies in this module, and
@@ -37,7 +39,7 @@ from gflowdp.mdp import (
     StateBudgetExceeded,
     ValidationReport,
 )
-from gflowdp.numerics import NEG_INF, entropy_from_log_probs, logsumexp
+from gflowdp.numerics import NEG_INF, entropy_from_log_probs, logsumexp, segment_logsumexp
 from gflowdp.objectives import cross_cumsum, huber
 
 
@@ -324,6 +326,32 @@ def validate_loop(mdp: EnumeratedMdp) -> ValidationReport:
         return fail(f"state {int(np.flatnonzero(~seen)[0])} unreachable from initials")
 
     return ValidationReport(ok=True)
+
+
+def push_forward_levels(mdp: EnumeratedMdp, log_w: np.ndarray, log_init: np.ndarray) -> np.ndarray:
+    """``exact.push_forward`` with one ``segment_logsumexp`` per level."""
+    log_w = np.asarray(log_w, dtype=float)
+    out = np.array(log_init, dtype=float)
+    for seg in mdp.levels.push:
+        incoming = segment_logsumexp(out[mdp.edge_src[seg.edges]] + log_w[seg.edges], seg.starts)
+        own = out[seg.states]
+        seeded = np.flatnonzero(own != NEG_INF)
+        if seeded.size:
+            pairs = np.stack([incoming[seeded], own[seeded]], axis=1).ravel()
+            incoming[seeded] = segment_logsumexp(pairs, np.arange(0, pairs.size, 2))
+        out[seg.states] = incoming
+    return out
+
+
+def pull_backward_levels(mdp: EnumeratedMdp, log_w: np.ndarray, log_terminal: np.ndarray) -> np.ndarray:
+    """``exact.pull_backward`` with one ``segment_logsumexp`` per level."""
+    log_w = np.asarray(log_w, dtype=float)
+    out = np.array(log_terminal, dtype=float)
+    for seg in mdp.levels.pull:
+        out[seg.states] = segment_logsumexp(
+            log_w[seg.edges] + out[mdp.edge_dst[seg.edges]], seg.starts
+        )
+    return out
 
 
 def count_paths(mdp: EnumeratedMdp) -> np.ndarray:

@@ -154,6 +154,17 @@ def test_train_deterministic_csv(tmp_path):
     )
 
 
+def test_streams_beyond_the_batch_size_change_nothing(tmp_path):
+    # walker b reads stream b % threads, so with 4 walkers streams 4..11 are never read
+    cfg = write_config(tmp_path, GRID8.replace("batch_size = 32", "batch_size = 4")
+                       .replace("steps = 60", "steps = 6"))
+    for threads in ("4", "12"):
+        assert cli.main(["train", "--config", cfg, "--threads", threads,
+                         "--out", str(tmp_path / threads)]) == 0
+    for name in ("model.json", "metrics.csv"):
+        assert (tmp_path / "4" / name).read_bytes() == (tmp_path / "12" / name).read_bytes()
+
+
 def test_train_zero_steps_header_only(tmp_path):
     cfg = write_config(tmp_path, GRID8.replace("steps = 60", "steps = 0"))
     assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -285,6 +296,7 @@ def float_arrays(draw):
 @given(float_arrays())
 @example([])
 @example([-0.0])
+@example([-0.0, 0.0, math.nan, math.inf, -math.inf, 0.1, 5e-324, -1e300])  # all distinct
 @settings(max_examples=300, deadline=None)
 def test_json_float_texts_is_json_dumps_of_each_entry(values):
     texts = json_float_texts(np.array(values, dtype=float))

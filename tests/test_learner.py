@@ -1,3 +1,4 @@
+import bisect
 import itertools
 from dataclasses import fields
 
@@ -97,6 +98,39 @@ def test_lockstep_batch_matches_behavior_path_probabilities(fig_diamond):
     for path in paths:
         want = float(np.prod(p[path]))
         assert counts.get(tuple(path), 0) / config.batch_size == pytest.approx(want, abs=0.02)
+
+
+class _ChosenUniforms:
+    """A stream whose ``random(k)`` returns its next k chosen values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, k):
+        drawn, self.values = self.values[:k], self.values[k:]
+        return np.array(drawn, dtype=float)
+
+
+def test_walk_ties_take_bisect_right():
+    # zero-probability edges repeat CDF entries: state 0 has CDF [.5, .5, 1],
+    # state 1 [0, .5, .5, 1] and state 3 [1, 1]; uniforms hit those entries
+    m = enumerate_mdp(parse_dag_text(
+        "initial 0\n0 0 1\n0 1 2\n0 2 3\n1 0 4\n1 1 5\n1 2 6\n1 3 7\n2 0 4\n3 0 5\n3 1 6\n"
+        + "".join(f"terminal {t} 0.0\n" for t in (4, 5, 6, 7))))
+    model = PolicyModel.init(m)
+    for s, logits in ((0, [0, -np.inf, 0]), (1, [-np.inf, 0, -np.inf, 0]), (3, [0, -np.inf])):
+        model.forward_logits[m.out_slice(m.states.index(b"%d" % s))] = logits
+    cdf = learner._behavior_tables(m, model, 0.0)
+    uniforms = [0.0, 0.25, 0.5, 0.75, 1 - 2**-53, 1.0]
+    paths = list(itertools.product(uniforms, repeat=2))
+    _, edge_rows = learner._walk(m, cdf, len(paths), [_ChosenUniforms(u) for u in paths])
+    for row, u in zip(edge_rows, paths):
+        s, want = m.initial, []
+        while not m.terminal[s]:
+            lo, hi = m.out_offset[s], m.out_offset[s + 1]
+            want.append(min(bisect.bisect_right(cdf, u[len(want)], lo, hi), hi - 1))
+            s = m.edge_dst[want[-1]]
+        assert row[row >= 0].tolist() == want
 
 
 def test_lockstep_batch_is_reproducible(grid44):

@@ -155,6 +155,32 @@ def test_exact_dps_match_loops(text, seed):
         assert close(exact.flow_entropy(m, log_pi), loops.flow_entropy(m, log_pi))
 
 
+# every edge i -> j with i < j on 12 states: segments of up to 11 edges, where
+# reduceat and ndarray.sum add in different orders
+COMPLETE_DAG = "initial 0\n" + "".join(
+    f"{i} {j - i - 1} {j}\n" for j in range(12) for i in range(j)) + "terminal 11 0.0\n"
+weights = st.one_of(st.floats(-30.0, 30.0), st.sampled_from([-math.inf, math.inf, math.nan]))
+
+
+@given(st.one_of(random_dag_text(), st.just(COMPLETE_DAG)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_level_kernels_match_segment_logsumexp_bit_for_bit(text, data):
+    for m in both(text):
+        log_w = np.array(data.draw(st.lists(weights, min_size=m.n_edges, max_size=m.n_edges)))
+        values = np.array(data.draw(st.lists(weights, min_size=m.n_states, max_size=m.n_states)))
+        # log_init finite at one state with parents only, or anything anywhere
+        with_parents = np.flatnonzero(np.diff(m.in_offset) > 0)
+        seeded = np.where(np.diff(m.in_offset) == 0, 0.0, -math.inf)
+        seeded[data.draw(st.sampled_from(with_parents.tolist()))] = data.draw(st.floats(-5.0, 5.0))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            runs = [(exact.push_forward(m, log_w, init), loops.push_forward_levels(m, log_w, init))
+                    for init in (seeded, values)]
+            runs.append((exact.pull_backward(m, log_w, values),
+                         loops.pull_backward_levels(m, log_w, values)))
+        for got, want in runs:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @given(random_dag_text(), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_exact_dps_match_bruteforce(text, seed):
