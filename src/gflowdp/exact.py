@@ -19,10 +19,8 @@ Every DP is one of two log-space recursions over the CSR edge tables:
   child value plus edge weight (soft values, flows).
 
 Both walk the MDP's topological levels (``EnumeratedMdp.levels``) and update
-a whole level at once with ``_level_logsumexp``, which computes
-``segment_logsumexp`` bit for bit from the index tables each level carries:
-O(E) numpy work plus a fixed few numpy calls per level, never a Python
-iteration per state.
+a whole level at once with ``padded_logsumexp`` on the tables each level
+carries: O(E) numpy work plus a fixed few numpy calls per level.
 """
 
 from __future__ import annotations
@@ -32,9 +30,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .mdp import EnumeratedMdp, LevelSegments, segment_positions
+from .mdp import EnumeratedMdp, segment_positions
 from .numerics import NEG_INF, entropy_from_log_probs, json_float_texts, logsumexp
-from .numerics import segment_log_softmax, segment_logsumexp, segment_sum
+from .numerics import padded_logsumexp, segment_log_softmax, segment_logsumexp, segment_sum
 
 
 class ExactError(Exception):
@@ -53,16 +51,6 @@ class TrajectoryBudgetExceeded(ExactError):
     """Brute-force enumeration hit its trajectory budget."""
 
 
-def _level_logsumexp(seg: LevelSegments, terms: np.ndarray, padded: np.ndarray) -> np.ndarray:
-    """``segment_logsumexp(terms, seg.starts)`` bit for bit (the same ufuncs on
-    the same elements in the same order), in a zeroed layout buffer ``padded``."""
-    m = np.maximum.reduceat(terms, seg.starts)
-    finite = np.isfinite(m)
-    shift = np.where(finite, m, 0.0)
-    padded[seg.slots] = np.exp(terms - np.repeat(shift, seg.lengths))
-    return np.where(finite, shift + np.log(np.add.reduceat(padded[: seg.end], seg.heads)), m)
-
-
 def push_forward(mdp: EnumeratedMdp, log_w: np.ndarray, log_init: np.ndarray) -> np.ndarray:
     """Forward log-space recursion over in-edges, one level at a time.
 
@@ -77,7 +65,8 @@ def push_forward(mdp: EnumeratedMdp, log_w: np.ndarray, log_init: np.ndarray) ->
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for seg in mdp.levels.push:
             terms = out[mdp.edge_src[seg.edges]] + log_w[seg.edges]
-            incoming = _level_logsumexp(seg, terms, padded)
+            incoming = padded_logsumexp(terms, seg.starts, seg.lengths, seg.slots, seg.heads,
+                                        padded[: seg.end])
             if seeded:
                 own = out[seg.states]
                 at = np.flatnonzero(own != NEG_INF)
@@ -99,7 +88,8 @@ def pull_backward(mdp: EnumeratedMdp, log_w: np.ndarray, log_terminal: np.ndarra
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for seg in mdp.levels.pull:
             terms = log_w[seg.edges] + out[mdp.edge_dst[seg.edges]]
-            out[seg.states] = _level_logsumexp(seg, terms, padded)
+            out[seg.states] = padded_logsumexp(terms, seg.starts, seg.lengths, seg.slots,
+                                               seg.heads, padded[: seg.end])
     return out
 
 

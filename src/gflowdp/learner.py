@@ -290,8 +290,7 @@ def _walk(mdp: EnumeratedMdp, cdf: np.ndarray, n: int, streams: list[np.random.G
     ``streams[b % len(streams)]``, and each stream draws one vector a step
     for its live walkers, in walker order.  Returns state rows [n, T+1]
     padded with the terminal and edge rows [n, T] padded with -1."""
-    # complex keys src + i*cdf sort by state, then CDF; with each segment's
-    # last CDF entry set to +inf, side="right" stops at hi - 1 at the latest
+    # keys sort by state, then CDF; each segment's last entry, +inf, caps picks at hi - 1
     keys = np.empty(mdp.n_edges, dtype=complex)
     keys.real, keys.imag = mdp.edge_src, cdf
     keys.imag[mdp.out_offset[1:][np.diff(mdp.out_offset) > 0] - 1] = np.inf
@@ -613,9 +612,9 @@ def run_training(
 
     Sampling uses an EMA copy of the train model with epsilon-uniform
     exploration.  With reward_exponent b the trained target is p~**b.
-    Deterministic given (config, workers): each worker has its own
-    seed-derived stream, and walker b of every batch reads stream b % workers.
-    Streams at or beyond the batch size would never be read and are not made.
+    Deterministic given (config, workers): walker b of every batch reads the
+    seed-derived stream b % workers; streams past the batch size, never read,
+    are not made.
     """
     config.validate()
     if workers < 1:
@@ -628,10 +627,8 @@ def run_training(
         model = PolicyModel.init(train_mdp)
     sampling_model = model.copy()
     opt_state = adam_init(model)
-    streams = [
-        np.random.default_rng(child)
-        for child in np.random.SeedSequence(config.seed).spawn(min(workers, config.batch_size))
-    ]
+    seeds = np.random.SeedSequence(config.seed).spawn(min(workers, config.batch_size))
+    streams = [np.random.default_rng(child) for child in seeds]
 
     l_metrics = exact.count_paths(train_mdp)
     visited = np.zeros(mdp.n_states, dtype=bool)

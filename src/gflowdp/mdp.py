@@ -160,15 +160,13 @@ def segment_positions(offset: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray,
 
 
 class LevelSegments(NamedTuple):
-    """The edge segments of one topological level.
+    """The edge segments of one topological level that has any.
 
-    ``states`` are the level's states that own a nonempty segment, in index
-    order; ``edges`` lists their edge ids segment after segment, each segment
-    in table order; segment k starts at ``starts[k]`` in ``edges`` and is
-    ``lengths[k]`` long.  In one layout of all levels' edges with a 0.0 ahead
-    of every segment (as in ``numerics.segment_sum``), ``edges[j]`` sits at
-    ``slots[j]``, segment k's 0.0 at ``heads[k]``, and the level ends at ``end``.
-    Levels without a segment are left out.
+    ``states`` own the nonempty segments, in index order; ``edges`` lists
+    their edge ids segment after segment, each in table order; segment k
+    starts at ``starts[k]`` and is ``lengths[k]`` long.  ``slots``, ``heads``
+    and ``end`` place the level in one ``numerics.padded_logsumexp`` layout
+    of all levels' edges, with a 0.0 ahead of every segment.
     """
 
     states: np.ndarray
@@ -183,8 +181,6 @@ class LevelSegments(NamedTuple):
 def _level_segments(offset, order, levels: list[np.ndarray]) -> tuple[LevelSegments, ...]:
     """The segments of each level in ``levels``, built for all levels at once;
     ``order`` maps CSR positions to edge ids (None: the identity)."""
-    if not levels:
-        return ()
     states = np.concatenate(levels)
     lengths = offset[states + 1] - offset[states]
     live = lengths > 0
@@ -195,12 +191,10 @@ def _level_segments(offset, order, levels: list[np.ndarray]) -> tuple[LevelSegme
     edges = pos if order is None else order[pos]
     heads = starts + np.arange(states.size)
     slots = np.repeat(heads + 1 - starts, lengths) + np.arange(edges.size)
-    segs = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        lo, hi = int(starts[a]), int(starts[b - 1] + lengths[b - 1])
-        segs.append(LevelSegments(states[a:b], edges[lo:hi], starts[a:b] - lo, lengths[a:b],
-                                  slots[lo:hi], heads[a:b], hi + b))  # heads[b] = hi + b
-    return tuple(segs)
+    cuts = np.append(starts, edges.size)[bounds].tolist()  # each level's first edge
+    return tuple(LevelSegments(states[a:b], edges[lo:hi], starts[a:b] - lo, lengths[a:b],
+                               slots[lo:hi], heads[a:b], hi + b)  # heads[b] = hi + b
+                 for a, b, lo, hi in zip(bounds, bounds[1:], cuts, cuts[1:]))
 
 
 class Levels(NamedTuple):
@@ -230,7 +224,7 @@ class Levels(NamedTuple):
         if (waiting > 0).any():
             raise CycleDetected(f"state {int(np.flatnonzero(waiting > 0)[0])} lies on a cycle")
         return cls(
-            push=_level_segments(mdp.in_offset, mdp.in_edges, by_level[1:]),
+            push=_level_segments(mdp.in_offset, mdp.in_edges, by_level),  # level 0: no in-edges
             pull=_level_segments(mdp.out_offset, None, by_level[::-1]),
         )
 

@@ -62,13 +62,23 @@ def segment_logsumexp(values, starts) -> np.ndarray:
     starts = np.asarray(starts, dtype=np.int64)
     if starts.size == 0:
         return np.zeros(0)
+    heads = starts + np.arange(starts.size)
+    keep = np.ones(values.size + starts.size, dtype=bool)
+    keep[heads] = False
+    lengths = np.diff(starts, append=values.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return padded_logsumexp(values, starts, lengths, keep, heads, np.zeros(keep.size))
+
+
+def padded_logsumexp(values, starts, lengths, slots, heads, padded) -> np.ndarray:
+    """``segment_logsumexp`` on kept tables: segment k is ``lengths[k]`` long;
+    in the zeroed ``padded`` the values go to ``slots`` (indices or a mask), a
+    0.0 ahead of each segment at ``heads``.  The caller silences warnings."""
     m = np.maximum.reduceat(values, starts)
     finite = np.isfinite(m)
     shift = np.where(finite, m, 0.0)
-    lengths = np.diff(starts, append=values.size)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        total = segment_sum(np.exp(values - np.repeat(shift, lengths)), starts)
-        return np.where(finite, shift + np.log(total), m)
+    padded[slots] = np.exp(values - np.repeat(shift, lengths))
+    return np.where(finite, shift + np.log(np.add.reduceat(padded, heads)), m)
 
 
 def segment_log_softmax(values, offset) -> np.ndarray:
@@ -97,11 +107,8 @@ def json_float_texts(values) -> np.ndarray:
     bits = bits[order]
     first = np.ones(flat.size, dtype=bool)  # first of a run of equal bits
     np.not_equal(bits[1:], bits[:-1], out=first[1:])
-    distinct = first.all()
     # no float's text holds ", "; with no values, the one "" is never read
-    texts = json.dumps((flat if distinct else flat[order[first]]).tolist())[1:-1].split(", ")
-    if distinct:  # every value is its own text: no gather back
-        return np.array(texts[: flat.size], dtype=object).reshape(values.shape)
+    texts = json.dumps(flat[order[first]].tolist())[1:-1].split(", ")
     rank = np.empty(flat.size, dtype=np.intp)
     rank[order] = np.cumsum(first) - 1
     return np.array(texts, dtype=object)[rank].reshape(values.shape)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gflowdp import cli, envs, exact, mdp
+from gflowdp import cli, envs, exact, learner, mdp
 from gflowdp.learner import PolicyModel
 from gflowdp.numerics import json_float_texts
 
@@ -154,13 +154,22 @@ def test_train_deterministic_csv(tmp_path):
     )
 
 
-def test_streams_beyond_the_batch_size_change_nothing(tmp_path):
-    # walker b reads stream b % threads, so with 4 walkers streams 4..11 are never read
+def test_train_makes_at_most_batch_size_streams(tmp_path, monkeypatch):
+    # walker b reads stream b % threads, so with 4 walkers streams 4..11 would never be read
     cfg = write_config(tmp_path, GRID8.replace("batch_size = 32", "batch_size = 4")
                        .replace("steps = 60", "steps = 6"))
-    for threads in ("4", "12"):
+    seen = {}
+    collect_batch = learner.collect_batch
+
+    def counting(mdp_, model, config, streams):
+        seen.setdefault(threads, set()).add(len(streams))
+        return collect_batch(mdp_, model, config, streams)
+
+    monkeypatch.setattr(learner, "collect_batch", counting)
+    for threads in ("3", "4", "12"):
         assert cli.main(["train", "--config", cfg, "--threads", threads,
                          "--out", str(tmp_path / threads)]) == 0
+    assert seen == {"3": {3}, "4": {4}, "12": {4}}
     for name in ("model.json", "metrics.csv"):
         assert (tmp_path / "4" / name).read_bytes() == (tmp_path / "12" / name).read_bytes()
 

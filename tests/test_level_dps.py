@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loop_oracles as loops
@@ -81,6 +81,20 @@ def test_segment_sum_is_the_insert_form_bit_for_bit(segments):
     with np.errstate(invalid="ignore", over="ignore"):
         want = np.add.reduceat(np.insert(values, starts, 0.0), starts + np.arange(starts.size))
         got = segment_sum(values, starts)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@given(segment_lists)
+# an 11-term segment where add.reduceat without the 0.0 ahead adds in another order
+@example([[1.0], [-1.9, 2.2, -3.5, -4.3, 1.9, 2.3, -2.9, 1.7, -0.9, 0.9, -3.8]])
+@settings(max_examples=200, deadline=None)
+def test_segment_logsumexp_is_the_scalar_helper_bit_for_bit(segments):
+    # the exact DPs reduce each level with padded_logsumexp, the same kernel
+    values = np.concatenate([np.asarray(seg, dtype=float) for seg in segments])
+    starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.array([logsumexp(seg) for seg in segments])
+    got = segment_logsumexp(values, starts)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -178,6 +192,17 @@ def test_level_kernels_match_segment_logsumexp_bit_for_bit(text, data):
             runs.append((exact.pull_backward(m, log_w, values),
                          loops.pull_backward_levels(m, log_w, values)))
         for got, want in runs:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_level_kernels_match_on_varied_weights():
+    # hypothesis favours weights such as 0.0 whose sums are exact in any order;
+    # normal weights show a level whose terms are added in another order
+    rng = np.random.default_rng(0)
+    for m in both(COMPLETE_DAG) * 20:
+        log_w, values = rng.normal(0.0, 3.0, m.n_edges), rng.normal(0.0, 3.0, m.n_states)
+        for got, want in ((exact.push_forward(m, log_w, values), loops.push_forward_levels(m, log_w, values)),
+                          (exact.pull_backward(m, log_w, values), loops.pull_backward_levels(m, log_w, values))):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
