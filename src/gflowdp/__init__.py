@@ -2,7 +2,7 @@
 states of acyclic deterministic MDPs."""
 
 from . import envs, exact, learner, metrics, mdp, numerics, objectives
-from .mdp import EnumeratedMdp, enumerate_mdp, invert, validate
+from .mdp import EnumeratedMdp, enumerate_mdp, validate
 
 __all__ = [
     "cli",
@@ -15,6 +15,5 @@ __all__ = [
     "objectives",
     "EnumeratedMdp",
     "enumerate_mdp",
-    "invert",
     "validate",
 ]

@@ -47,7 +47,11 @@ def load_config(path: str | None) -> configparser.ConfigParser:
             raise UsageError("bad config file: " + " ".join(str(exc).split())) from exc
         if not read:
             raise UsageError(f"config file {path!r} not found")
-    for section in ("env", "train", "eval"):
+    sections = ("env", "train", "eval")
+    stray = [s for s in cp.sections() if s not in sections] + ["DEFAULT"] * bool(cp.defaults())
+    if stray:
+        raise UsageError(f"unknown config section [{stray[0]}]: expected [env], [train] or [eval]")
+    for section in sections:
         if not cp.has_section(section):
             cp.add_section(section)
     eval_settings(cp)  # a bad [eval] fails every command before any work

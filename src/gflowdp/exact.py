@@ -32,7 +32,7 @@ import numpy as np
 
 from .mdp import EnumeratedMdp, segment_positions
 from .numerics import NEG_INF, entropy_from_log_probs, json_float_texts, logsumexp
-from .numerics import padded_logsumexp, segment_log_softmax, segment_logsumexp, segment_sum
+from .numerics import padded_logsumexp, segment_log_softmax, segment_sum
 
 
 class ExactError(Exception):
@@ -54,25 +54,19 @@ class TrajectoryBudgetExceeded(ExactError):
 def push_forward(mdp: EnumeratedMdp, log_w: np.ndarray, log_init: np.ndarray) -> np.ndarray:
     """Forward log-space recursion over in-edges, one level at a time.
 
-    ``out(s) = log_init(s)`` for states without parents; otherwise the
-    logsumexp over in-edges ``e`` of ``out(src e) + log_w(e)``, combined with
-    ``log_init(s)`` by a two-term logsumexp where that is finite.
+    ``out(s) = log_init(s)`` for states without parents, which in a valid MDP
+    is the initial state alone; every other state gets the logsumexp over its
+    in-edges ``e`` of ``out(src e) + log_w(e)``, and its ``log_init`` is not
+    read.
     """
     log_w = np.asarray(log_w, dtype=float)
     out = np.array(log_init, dtype=float)
-    seeded = (out[np.diff(mdp.in_offset) > 0] != NEG_INF).any()
     padded = np.zeros(mdp.n_edges + mdp.n_states)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for seg in mdp.levels.push:
             terms = out[mdp.edge_src[seg.edges]] + log_w[seg.edges]
-            incoming = padded_logsumexp(terms, seg.starts, seg.lengths, seg.slots, seg.heads,
-                                        padded[: seg.end])
-            if seeded:
-                own = out[seg.states]
-                at = np.flatnonzero(own != NEG_INF)
-                pairs = np.stack([incoming[at], own[at]], axis=1).ravel()
-                incoming[at] = segment_logsumexp(pairs, np.arange(0, pairs.size, 2))
-            out[seg.states] = incoming
+            out[seg.states] = padded_logsumexp(terms, seg.starts, seg.lengths, seg.slots,
+                                               seg.heads, padded[: seg.end])
     return out
 
 
@@ -94,16 +88,14 @@ def pull_backward(mdp: EnumeratedMdp, log_w: np.ndarray, log_terminal: np.ndarra
 
 
 def count_paths(mdp: EnumeratedMdp) -> np.ndarray:
-    """Log number of distinct trajectories from the initial state(s).
+    """Log number of distinct trajectories from the initial state.
 
     One topological pass: l(initial)=0 and l(s') = logsumexp over parents of
-    l(s).  Equivalently, the zero-reward soft value function of the inverted
-    MDP.  Multi-initial MDPs (inverted ones) are allowed; every initial-role
-    state contributes count 1.
+    l(s).  Equivalently, the zero-reward soft value function of the reversed
+    DAG, in which the initial state is the one terminal, and the log
+    marginals of unit edge weights.
     """
-    log_init = np.full(mdp.n_states, NEG_INF)
-    log_init[list(mdp.initials)] = 0.0
-    return push_forward(mdp, np.zeros(mdp.n_edges), log_init)
+    return log_marginals(mdp, np.zeros(mdp.n_edges))
 
 
 def soft_value_iteration(

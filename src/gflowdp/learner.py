@@ -144,8 +144,7 @@ class PolicyModel:
 
     def repin(self, mdp: EnumeratedMdp) -> None:
         """Re-apply the pinned initial count and clamped terminal flows."""
-        for s0 in mdp.initials:
-            self.l_hat[s0] = 0.0
+        self.l_hat[mdp.initial] = 0.0
         self.log_f_hat[mdp.terminal] = mdp.log_target[mdp.terminal]
 
     def copy(self) -> "PolicyModel":
@@ -184,9 +183,6 @@ class PolicyModel:
         self.check_fits(mdp)
         return segment_log_softmax(self.forward_logits, mdp.out_offset)
 
-    def free_backward_log_probs(self, mdp: EnumeratedMdp) -> np.ndarray:
-        return exact.backward_softmax(mdp, self.backward_logits)
-
     def clamped_log_f(self, mdp: EnumeratedMdp) -> np.ndarray:
         out = self.log_f_hat.copy()
         out[mdp.terminal] = mdp.log_target[mdp.terminal]
@@ -198,7 +194,7 @@ class PolicyModel:
     def _free(mdp: EnumeratedMdp) -> dict[str, np.ndarray]:
         """The entries training moves where a group has pinned or clamped ones."""
         return {
-            "l": np.setdiff1d(np.arange(mdp.n_states), np.asarray(mdp.initials)),
+            "l": np.arange(1, mdp.n_states),
             "log_f": np.flatnonzero(~mdp.terminal),
         }
 
@@ -352,7 +348,7 @@ def _resolve_backward(
                 "untrained l_hat; supply exact_l or enable an n objective"
             )
         return backward_from_counts(mdp, model.l_hat), True
-    return model.free_backward_log_probs(mdp), False
+    return exact.backward_softmax(mdp, model.backward_logits), False
 
 
 def _coef(res, hp: HuberParams):
@@ -498,7 +494,7 @@ def compute_loss_and_grads(
             weights=_softmax_vjp(g_through_q, log_ql, mdp.edge_dst, mdp.n_states),
             minlength=mdp.n_states,
         )
-    g_l[list(mdp.initials)] = 0.0
+    g_l[mdp.initial] = 0.0
     g_lf[mdp.terminal] = 0.0
     grads = {
         "forward": _softmax_vjp(g_pi, log_pi, mdp.edge_src, mdp.n_states),

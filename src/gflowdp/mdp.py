@@ -1,4 +1,4 @@
-"""Acyclic deterministic MDP core: enumeration, inversion, validation.
+"""Acyclic deterministic MDP core: enumeration and validation.
 
 Environments expose states as opaque byte encodings behind the ``Env``
 protocol.  ``enumerate_mdp`` walks the reachable graph, assigns dense
@@ -32,10 +32,6 @@ class StateBudgetExceeded(MdpError):
 
 class ParentMismatch(MdpError):
     """An env's parents() disagrees with its step() function."""
-
-
-class MultipleInitials(MdpError):
-    """A single-initial consumer was handed a multi-initial MDP."""
 
 
 class DagFormatError(MdpError):
@@ -88,13 +84,12 @@ class EnumeratedMdp:
     Edges are sorted by ``(src, action)``; ``out_offset`` gives the CSR slice
     of each state's out-edges.  ``in_edges`` lists the same edge ids grouped
     by destination (sorted by ``(src, action)`` within each group) with CSR
-    offsets ``in_offset``; ``parent_slot[e]`` is the rank of edge ``e`` inside
-    its destination's group, i.e. the backward-action index.  ``levels`` is
-    derived from these tables on first use and cached on the instance.
+    offsets ``in_offset``.  State 0 is the one initial state, from which
+    every state is reachable.  ``levels`` is derived from these tables on
+    first use and cached on the instance.
     """
 
     states: tuple[bytes, ...]
-    initials: tuple[int, ...]
     terminal: np.ndarray  # bool [S]
     log_target: np.ndarray  # float [S], -inf off terminal states
     edge_src: np.ndarray  # int [E]
@@ -103,7 +98,6 @@ class EnumeratedMdp:
     out_offset: np.ndarray  # int [S+1]
     in_edges: np.ndarray  # int [E]
     in_offset: np.ndarray  # int [S+1]
-    parent_slot: np.ndarray  # int [E]
 
     @property
     def n_states(self) -> int:
@@ -114,16 +108,10 @@ class EnumeratedMdp:
         return len(self.edge_src)
 
     @property
-    def multi_initial(self) -> bool:
-        return len(self.initials) > 1
-
-    @property
     def initial(self) -> int:
-        if self.multi_initial:
-            raise MultipleInitials(
-                f"{len(self.initials)} initial states; this consumer needs one"
-            )
-        return self.initials[0]
+        """Always 0: ``validate`` requires every edge to go up in index, so
+        state 0 has no parents, and every other state must have one."""
+        return 0
 
     @property
     def terminal_ids(self) -> np.ndarray:
@@ -198,7 +186,7 @@ def _level_segments(offset, order, levels: list[np.ndarray]) -> tuple[LevelSegme
 
 
 class Levels(NamedTuple):
-    """States grouped by longest-path depth from the parentless states.
+    """States grouped by longest-path depth from the initial state.
 
     A parent always sits on a lower level than its child, so a DP that reads
     only parents (``push``, levels 1, 2, ... with their in-edge segments) or
@@ -237,7 +225,6 @@ class ValidationReport:
 
 def _freeze(
     states: list[bytes],
-    initials: Sequence[int],
     terminal: Sequence[bool],
     log_target: Sequence[float],
     edges: Sequence[tuple[int, int, int]] | np.ndarray,
@@ -252,12 +239,8 @@ def _freeze(
     in_edges = np.argsort(dst, kind="stable")  # by (dst, src, action)
     in_offset = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
 
-    parent_slot = np.empty(len(src), dtype=np.int64)
-    parent_slot[in_edges] = np.arange(len(src)) - in_offset[dst[in_edges]]
-
     return EnumeratedMdp(
         states=tuple(states),
-        initials=tuple(initials),
         terminal=np.asarray(terminal, dtype=bool),
         log_target=np.asarray(log_target, dtype=float),
         edge_src=src,
@@ -266,7 +249,6 @@ def _freeze(
         out_offset=out_offset,
         in_edges=in_edges,
         in_offset=in_offset,
-        parent_slot=parent_slot,
     )
 
 
@@ -373,7 +355,7 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
     log_target[ends] = calls.batch_log_target(list(map(new_states.__getitem__, ends.tolist())))
     edges = np.column_stack((rank[src], np.arange(len(kids)) - offset[src], rank[dst]))
     pos, _ = segment_positions(offset, order)  # by source rank, then action: as _freeze sorts
-    mdp = _freeze(new_states, (0,), terminal, log_target, edges[pos])
+    mdp = _freeze(new_states, terminal, log_target, edges[pos])
     n_pairs, parents, actions = calls.batch_parents(new_states)
     ranks = np.append(rank, n)  # n: a parent that enumeration never reached
     parent_rank = ranks[np.fromiter(map(index_of.get, parents, repeat(n)),
@@ -410,24 +392,6 @@ def _check_parents(env: Env, mdp: EnumeratedMdp, child: np.ndarray, parent_rank:
         raise ParentMismatch(f"parents({mdp.states[worst]!r}) is missing the pairs {missing}")
 
 
-def invert(mdp: EnumeratedMdp) -> EnumeratedMdp:
-    """Reverse every edge: initial roles and terminal roles swap.
-
-    Actions of the inverted MDP at a state are its original parent pairs in
-    parent-list order, and the transition undoes the original action.
-    Indices are reassigned in reverse topological order (state ``i`` becomes
-    ``n - 1 - i``).  The inverted MDP has one initial-role state per original
-    terminal; single-initial consumers reject it via ``EnumeratedMdp.initial``.
-    The terminal-role states (the original initials) get log-target 0.
-    """
-    last = mdp.n_states - 1
-    edges = np.column_stack((last - mdp.edge_dst, mdp.parent_slot, last - mdp.edge_src))
-    terminal = np.isin(np.arange(last, -1, -1), mdp.initials)  # state i was state last - i
-    log_target = np.where(terminal, 0.0, float("-inf"))
-    initials = (last - mdp.terminal_ids[::-1]).tolist()
-    return _freeze(mdp.states[::-1], initials, terminal, log_target, edges)
-
-
 def _first(*checks: tuple[np.ndarray, str]) -> str | None:
     """``message.format(i)`` for the lowest index ``i`` failing one of the
     ``(bad, message)`` checks (the earlier check at a tie), or None."""
@@ -442,18 +406,17 @@ def _violations(mdp: EnumeratedMdp) -> Iterator[str | None]:
     n, m = mdp.n_states, mdp.n_edges
     src, dst, terminal = mdp.edge_src, mdp.edge_dst, mdp.terminal
 
-    def slices(offset, entries, owner_key, rank_key):
-        """Per state: its slice of ``entries`` holds an edge whose key names
-        another state, and one whose rank key is not its rank in the slice."""
-        owner = np.repeat(np.arange(n), np.diff(offset))
-        rank = np.arange(m) - offset[owner]
-        return (np.bincount(owner, weights=owner_key[entries] != owner, minlength=n) > 0,
-                np.bincount(owner, weights=rank_key[entries] != rank, minlength=n) > 0)
+    def owners(offset):
+        return np.repeat(np.arange(n), np.diff(offset))
+
+    def any_in_slice(bad, owner):
+        """Per state: one of the entries of its slice is ``bad``."""
+        return np.bincount(owner, weights=bad, minlength=n) > 0
 
     if len(set(mdp.states)) != n:
         yield "duplicate state encodings"
-    if not mdp.initials or len({s for s in mdp.initials if 0 <= s < n}) != len(mdp.initials):
-        yield "initial states must be nonempty, distinct and in range"
+    if n == 0:
+        yield "no states, so no initial state"
     for name in ("out_offset", "in_offset"):
         offset = getattr(mdp, name)
         if (len(offset) != n + 1 or offset[0] != 0 or offset[-1] != m
@@ -466,28 +429,29 @@ def _violations(mdp: EnumeratedMdp) -> Iterator[str | None]:
         yield (f"edge {e} references an unknown state" if unknown[e] else
                f"acyclicity: edge {src[e]} -> {dst[e]} violates topological index order")
 
-    foreign, unranked = slices(mdp.out_offset, slice(None), src, mdp.edge_action)
+    owner = owners(mdp.out_offset)
+    rank = np.arange(m) - mdp.out_offset[owner]
     has_children = np.diff(mdp.out_offset) > 0
     yield _first(
-        (foreign, "out_offset slice of state {} contains foreign edges"),
-        (unranked, "state {} action ids are not dense 0..k-1"),
+        (any_in_slice(src != owner, owner), "out_offset slice of state {} contains foreign edges"),
+        (any_in_slice(mdp.edge_action != rank, owner), "state {} action ids are not dense 0..k-1"),
         (terminal & has_children, "terminal state {} has children"),
         (~terminal & ~has_children, "non-terminal state {} has no children"),
     )
 
     if not np.array_equal(np.sort(mdp.in_edges), np.arange(m)):
         yield "in_edges is not a permutation of edge ids (parent/child duality)"
-    foreign, unranked = slices(mdp.in_offset, mdp.in_edges, dst, mdp.parent_slot)
-    yield _first((foreign, "in_offset slice of state {} contains foreign edges"),
-                 (unranked, "parent_slot ranks of state {} are wrong"))
+    owner = owners(mdp.in_offset)
+    yield _first((any_in_slice(dst[mdp.in_edges] != owner, owner),
+                  "in_offset slice of state {} contains foreign edges"))
 
     target = mdp.log_target
     yield _first((terminal & ~np.isfinite(target), "terminal state {} has non-finite log_target"),
                  (~terminal & (target != -np.inf), "non-terminal state {} has a finite log_target"))
 
-    entry = np.zeros(n, dtype=bool)
-    entry[list(mdp.initials)] = True
-    yield _first((~entry & (np.diff(mdp.in_offset) == 0), "state {} unreachable from initials"))
+    parentless = np.diff(mdp.in_offset) == 0
+    yield _first((parentless & (np.arange(n) != mdp.initial),
+                  "state {} unreachable from the initial state"))
 
 
 def validate(mdp: EnumeratedMdp) -> ValidationReport:
@@ -496,9 +460,9 @@ def validate(mdp: EnumeratedMdp) -> ValidationReport:
     Each invariant is one array predicate over the tables; the report names
     its lowest offending index.  Reachability needs no traversal: edges go up
     in index, so following parents from any state ends at a parentless state,
-    and every state is reachable iff every parentless state is an initial.
-    The lowest unreachable state is parentless (a parent would be lower and
-    unreachable), so it is the one reported.
+    and every state is reachable iff no state other than the initial state 0
+    is parentless.  The lowest unreachable state is parentless (a parent
+    would be lower and unreachable), so it is the one reported.
     """
     failure = next(filter(None, _violations(mdp)), None)
     return ValidationReport(ok=failure is None, failure=failure)

@@ -45,7 +45,6 @@ from gflowdp.objectives import cross_cumsum, huber
 
 def _freeze(
     states: list[bytes],
-    initials: Sequence[int],
     terminal: Sequence[bool],
     log_target: Sequence[float],
     edges: Sequence[tuple[int, int, int]],
@@ -67,14 +66,8 @@ def _freeze(
     np.add.at(in_offset, dst + 1, 1)
     in_offset = np.cumsum(in_offset)
 
-    parent_slot = np.zeros(len(src), dtype=np.int64)
-    for s in range(n):
-        seg = in_edges[in_offset[s] : in_offset[s + 1]]
-        parent_slot[seg] = np.arange(len(seg))
-
     return EnumeratedMdp(
         states=tuple(states),
-        initials=tuple(initials),
         terminal=np.asarray(terminal, dtype=bool),
         log_target=np.asarray(log_target, dtype=float),
         edge_src=src,
@@ -83,38 +76,35 @@ def _freeze(
         out_offset=out_offset,
         in_edges=in_edges,
         in_offset=in_offset,
-        parent_slot=parent_slot,
     )
 
 
 def invert_loop(mdp: EnumeratedMdp) -> EnumeratedMdp:
-    """Reverse every edge: initial roles and terminal roles swap.
+    """The reversed DAG: every edge turned around, under a new initial state
+    with one edge to each original terminal.
 
-    Actions of the inverted MDP at a state are its original parent pairs in
-    parent-list order, and the transition undoes the original action.
-    Indices are reassigned in reverse topological order.  The inverted MDP
-    has one initial-role state per original terminal; single-initial
-    consumers reject it via ``EnumeratedMdp.initial``.  The terminal-role
-    states (the original initials) get log-target 0.
+    The new initial state gets index 0 and an encoding longer than every
+    state's; original state ``i`` becomes ``n - i``.  The actions of the new
+    initial state are the terminals in their new index order, and those of
+    any other state are its original parent pairs in parent-list order.  The
+    original initial state is the one terminal, with log-target 0.
     """
     n = mdp.n_states
 
     def rho(i: int) -> int:
-        return n - 1 - i
+        return n - i
 
-    states = [mdp.states[rho(i)] for i in range(n)]
-    edges = []
-    for e in range(mdp.n_edges):
-        edges.append(
-            (rho(int(mdp.edge_dst[e])), int(mdp.parent_slot[e]), rho(int(mdp.edge_src[e])))
-        )
-    initials = tuple(sorted(rho(int(t)) for t in mdp.terminal_ids))
-    terminal = np.zeros(n, dtype=bool)
-    for s0 in mdp.initials:
-        terminal[rho(int(s0))] = True
-    log_target = np.full(n, float("-inf"))
-    log_target[terminal] = 0.0
-    return _freeze(states, initials, terminal, log_target, edges)
+    root = b"\xff" * (1 + max(map(len, mdp.states)))
+    states = [root] + [mdp.states[n - i] for i in range(1, n + 1)]
+    ends = sorted(rho(int(t)) for t in mdp.terminal_ids)
+    edges = [(0, a, t) for a, t in enumerate(ends)]
+    for s in range(n):
+        for rank, e in enumerate(mdp.in_edge_ids(s).tolist()):
+            edges.append((rho(s), rank, rho(int(mdp.edge_src[e]))))
+    terminal = np.zeros(n + 1, dtype=bool)
+    terminal[rho(mdp.initial)] = True
+    log_target = np.where(terminal, 0.0, float("-inf"))
+    return _freeze(states, terminal, log_target, edges)
 
 
 def enumerate_mdp_dfs(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedMdp:
@@ -182,7 +172,7 @@ def enumerate_mdp_dfs(env: Env, max_states: int = DEFAULT_MAX_STATES) -> Enumera
     log_target = [float(env.log_target(s)) if term else float("-inf")
                   for s, term in zip(new_states, terminal)]
     edges = [(rank[d], a, rank[c]) for d in order for a, c in enumerate(kids[d])]
-    mdp = _freeze(new_states, (0,), terminal, log_target, edges)
+    mdp = _freeze(new_states, terminal, log_target, edges)
 
     # cross-check env.parents against discovered edges; a discovered pair is
     # known to step to the state, so only the other declared pairs replay
@@ -268,8 +258,8 @@ def validate_loop(mdp: EnumeratedMdp) -> ValidationReport:
 
     if len(set(mdp.states)) != n:
         return fail("duplicate state encodings")
-    if not mdp.initials or len(set(mdp.initials)) != len(mdp.initials):
-        return fail("initial states must be nonempty and distinct")
+    if n == 0:
+        return fail("no states, so no initial state")
 
     if len(mdp.out_offset) != n + 1 or mdp.out_offset[0] != 0 or mdp.out_offset[-1] != m:
         return fail("malformed out_offset")
@@ -303,8 +293,6 @@ def validate_loop(mdp: EnumeratedMdp) -> ValidationReport:
         ids = mdp.in_edge_ids(s)
         if (mdp.edge_dst[ids] != s).any():
             return fail(f"in_offset slice of state {s} contains foreign edges")
-        if (mdp.parent_slot[ids] != np.arange(len(ids))).any():
-            return fail(f"parent_slot ranks of state {s} are wrong")
 
     for s in range(n):
         if mdp.terminal[s] and not np.isfinite(mdp.log_target[s]):
@@ -313,9 +301,8 @@ def validate_loop(mdp: EnumeratedMdp) -> ValidationReport:
             return fail(f"non-terminal state {s} has a finite log_target")
 
     seen = np.zeros(n, dtype=bool)
-    frontier = list(mdp.initials)
-    for s in frontier:
-        seen[s] = True
+    frontier = [mdp.initial]
+    seen[mdp.initial] = True
     while frontier:
         s = frontier.pop()
         for c in mdp.edge_dst[mdp.out_slice(s)].tolist():
@@ -323,7 +310,7 @@ def validate_loop(mdp: EnumeratedMdp) -> ValidationReport:
                 seen[c] = True
                 frontier.append(c)
     if not seen.all():
-        return fail(f"state {int(np.flatnonzero(~seen)[0])} unreachable from initials")
+        return fail(f"state {int(np.flatnonzero(~seen)[0])} unreachable from the initial state")
 
     return ValidationReport(ok=True)
 
@@ -333,13 +320,9 @@ def push_forward_levels(mdp: EnumeratedMdp, log_w: np.ndarray, log_init: np.ndar
     log_w = np.asarray(log_w, dtype=float)
     out = np.array(log_init, dtype=float)
     for seg in mdp.levels.push:
-        incoming = segment_logsumexp(out[mdp.edge_src[seg.edges]] + log_w[seg.edges], seg.starts)
-        own = out[seg.states]
-        seeded = np.flatnonzero(own != NEG_INF)
-        if seeded.size:
-            pairs = np.stack([incoming[seeded], own[seeded]], axis=1).ravel()
-            incoming[seeded] = segment_logsumexp(pairs, np.arange(0, pairs.size, 2))
-        out[seg.states] = incoming
+        out[seg.states] = segment_logsumexp(
+            out[mdp.edge_src[seg.edges]] + log_w[seg.edges], seg.starts
+        )
     return out
 
 
@@ -355,24 +338,19 @@ def pull_backward_levels(mdp: EnumeratedMdp, log_w: np.ndarray, log_terminal: np
 
 
 def count_paths(mdp: EnumeratedMdp) -> np.ndarray:
-    """Log number of distinct trajectories from the initial state(s).
+    """Log number of distinct trajectories from the initial state.
 
     One topological pass: l(initial)=0 and l(s') = logsumexp over parents of
-    l(s).  Equivalently, the zero-reward soft value function of the inverted
-    MDP.  Multi-initial MDPs (inverted ones) are allowed; every initial-role
-    state contributes count 1.
+    l(s).  Equivalently, the zero-reward soft value function of the reversed
+    DAG, in which the initial state is the one terminal.
     """
     l = np.full(mdp.n_states, NEG_INF)
-    for s0 in mdp.initials:
-        l[s0] = 0.0
+    l[mdp.initial] = 0.0
     for s in range(mdp.n_states):
         ids = mdp.in_edge_ids(s)
         if len(ids) == 0:
             continue
-        incoming = logsumexp(l[mdp.edge_src[ids]])
-        if s in mdp.initials:
-            incoming = logsumexp([incoming, l[s]])
-        l[s] = incoming
+        l[s] = logsumexp(l[mdp.edge_src[ids]])
     return l
 
 
@@ -732,8 +710,7 @@ def compute_loss_and_grads(
         )
 
     grads["l"] = g_l
-    for s0 in mdp.initials:
-        grads["l"][s0] = 0.0
+    grads["l"][mdp.initial] = 0.0
     g_lf[mdp.terminal] = 0.0
     grads["log_f"] = g_lf
     grads["log_z"] = np.array([g_z])

@@ -544,6 +544,17 @@ def test_unknown_config_key_is_named(tmp_path, capsys, section, key):
     assert _one_line_error(capsys) == f"error: bad {section} config: unknown key {key!r}"
 
 
+
+@pytest.mark.parametrize("command, text, section", [
+    ("exact", "[env]\nname = simple-dag\n[trian]\nsteps = 2\n", "trian"),
+    ("eval", "[DEFAULT]\nsteps = 2\n[env]\nname = simple-dag\n", "DEFAULT"),
+])
+def test_unknown_config_section_is_named(tmp_path, capsys, command, text, section):
+    cfg = write_config(tmp_path, text)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert _one_line_error(capsys) == (
+        f"error: unknown config section [{section}]: expected [env], [train] or [eval]")
+
 def test_dag_file_with_an_unknown_key_is_named(tmp_path, capsys):
     dag = tmp_path / "toy.dag"
     dag.write_text("initial 0\n0 0 1\nterminal 1 0.0\n")

@@ -1,6 +1,6 @@
 """The level-synchronous DPs and segment reductions against the per-state
 loops they replace (``loop_oracles``) and the brute-force oracles, on random
-DAGs and on their inversions (which have one initial state per terminal)."""
+DAGs and on their reversals (``loop_oracles.invert_loop``)."""
 
 import itertools
 import math
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import loop_oracles as loops
 from gflowdp import exact, learner
 from gflowdp.learner import PolicyModel, TrainConfig
-from gflowdp.mdp import MultipleInitials, _freeze, enumerate_mdp, invert, parse_dag_text
+from gflowdp.mdp import _freeze, enumerate_mdp, parse_dag_text
 from gflowdp.numerics import logsumexp, segment_logsumexp, segment_sum
 
 from conftest import (
@@ -39,7 +39,7 @@ def close(a, b, tol=TOL):
 
 def both(text):
     m = enumerate_mdp(parse_dag_text(text))
-    return m, invert(m)
+    return m, loops.invert_loop(m)
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +115,9 @@ def test_freeze_matches_loop_version(text, rnd):
     m = enumerate_mdp(parse_dag_text(text))
     edges = list(zip(m.edge_src.tolist(), m.edge_action.tolist(), m.edge_dst.tolist()))
     rnd.shuffle(edges)
-    args = (list(m.states), m.initials, m.terminal, m.log_target, edges)
+    args = (list(m.states), m.terminal, m.log_target, edges)
     want, got = loops._freeze(*args), _freeze(*args)
-    for name in ("edge_src", "edge_action", "edge_dst", "out_offset", "in_edges",
-                 "in_offset", "parent_slot"):
+    for name in ("edge_src", "edge_action", "edge_dst", "out_offset", "in_edges", "in_offset"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -161,10 +160,6 @@ def test_exact_dps_match_loops(text, seed):
         log_pi = exact.soft_value_iteration(m, r_step, r_term)[2]
         mu = rng.uniform(size=m.n_states) * (rng.uniform(size=m.n_states) < 0.8)
         assert close(exact.flow_entropy(m, log_pi, mu), loops.flow_entropy(m, log_pi, mu))
-        if m.multi_initial:
-            with pytest.raises(MultipleInitials):
-                exact.marginals(m, log_pi)
-            continue
         assert close(exact.marginals(m, log_pi), loops.marginals(m, log_pi))
         assert close(exact.flow_entropy(m, log_pi), loops.flow_entropy(m, log_pi))
 
@@ -182,15 +177,11 @@ def test_level_kernels_match_segment_logsumexp_bit_for_bit(text, data):
     for m in both(text):
         log_w = np.array(data.draw(st.lists(weights, min_size=m.n_edges, max_size=m.n_edges)))
         values = np.array(data.draw(st.lists(weights, min_size=m.n_states, max_size=m.n_states)))
-        # log_init finite at one state with parents only, or anything anywhere
-        with_parents = np.flatnonzero(np.diff(m.in_offset) > 0)
-        seeded = np.where(np.diff(m.in_offset) == 0, 0.0, -math.inf)
-        seeded[data.draw(st.sampled_from(with_parents.tolist()))] = data.draw(st.floats(-5.0, 5.0))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            runs = [(exact.push_forward(m, log_w, init), loops.push_forward_levels(m, log_w, init))
-                    for init in (seeded, values)]
-            runs.append((exact.pull_backward(m, log_w, values),
-                         loops.pull_backward_levels(m, log_w, values)))
+            runs = [(exact.push_forward(m, log_w, values),
+                     loops.push_forward_levels(m, log_w, values)),
+                    (exact.pull_backward(m, log_w, values),
+                     loops.pull_backward_levels(m, log_w, values))]
         for got, want in runs:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -259,7 +250,7 @@ def test_segment_softmax_and_counts_backward_match_loops(text, seed):
         model = PolicyModel.init(m)
         model.forward_logits, model.backward_logits = logits, logits
         assert close(model.forward_log_probs(m), loops._segment_log_softmax(m, logits, True))
-        assert close(model.free_backward_log_probs(m),
+        assert close(exact.backward_softmax(m, model.backward_logits),
                      loops._segment_log_softmax(m, logits, False))
         assert close(exact.backward_maxent(m, l), loops.backward_from_counts(m, l))
 
@@ -295,11 +286,3 @@ def test_sampling_and_losses_match_loops(text, seed):
         for key in want_grads:
             assert close(grads[key], want_grads[key]), (config, key)
 
-
-def test_initial_with_parents_adds_its_own_count():
-    # initials 0 and 1 with an edge 0 -> 1: state 1 starts one path and
-    # continues another, so n(1) = 2 and n(2) = 2
-    m = _freeze([b"0", b"1", b"2"], (0, 1), [False, False, True], [-math.inf, -math.inf, 0.0],
-                [(0, 0, 1), (1, 0, 2)])
-    assert close(exact.count_paths(m), loops.count_paths(m))
-    assert close(np.exp(exact.count_paths(m)), [1.0, 2.0, 2.0])

@@ -13,13 +13,12 @@ from gflowdp.mdp import (
     CycleDetected,
     DagFormatError,
     ExplicitDagEnv,
-    MultipleInitials,
     ParentMismatch,
     StateBudgetExceeded,
     ValidationReport,
+    _freeze,
     dump_dag_text,
     enumerate_mdp,
-    invert,
     parse_dag_text,
     validate,
 )
@@ -27,11 +26,11 @@ from gflowdp.mdp import (
 from conftest import edge_set, oracle_path_counts, parents_of, random_dag_text
 
 TABLES = ("terminal", "log_target", "edge_src", "edge_action", "edge_dst",
-          "out_offset", "in_edges", "in_offset", "parent_slot")
+          "out_offset", "in_edges", "in_offset")
 
 
 def assert_same_tables(a, b):
-    assert a.states == b.states and a.initials == b.initials
+    assert a.states == b.states
     for name in TABLES:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
@@ -300,67 +299,22 @@ def test_parent_child_duality(mdp_zoo):
         assert n_children == n_parents == m.n_edges
 
 
-# ---------------------------------------------------------------------------
-# invert
-
-
-def test_invert_involution_edge_set(mdp_zoo):
-    for m in mdp_zoo:
-        back = invert(invert(m))
-        assert back.states == m.states
-        assert edge_set(back) == edge_set(m)
-        assert np.array_equal(back.terminal, m.terminal)
-        assert back.initials == m.initials
-
-
-def test_invert_diamond_structure(fig_diamond):
-    inv = invert(fig_diamond)
-    assert validate(inv).ok
-    # the old terminal becomes the single initial-role state with two actions
-    assert len(inv.initials) == 1
-    s_t = inv.initials[0]
-    assert inv.states[s_t] == b"sT"
-    assert len(inv.out_edge_ids(s_t)) == 2
-    # the old initial is the terminal role
-    term = int(np.flatnonzero(inv.terminal)[0])
-    assert inv.states[term] == b"s0"
-
-
-def test_invert_words_append_right_unique_chain():
+def test_words_append_right_has_one_parent_per_state():
     m = enumerate_mdp(envs.WordsEnv(2, 3, "append-right"))
-    inv = invert(m)
-    for s in range(inv.n_states):
-        if not inv.terminal[s]:
-            assert len(inv.out_edge_ids(s)) == 1
+    assert (np.diff(m.in_offset)[1:] == 1).all()
 
 
-def test_invert_multi_initial_flagged(grid33):
-    inv = invert(grid33)
-    assert inv.multi_initial
-    with pytest.raises(MultipleInitials):
-        _ = inv.initial
-    assert validate(inv).ok
-
-
-def test_invert_matches_loop_on_zoo(mdp_zoo):
-    for m in mdp_zoo:
-        assert_same_tables(invert(m), loops.invert_loop(m))
-        assert_same_tables(invert(invert(m)), loops.invert_loop(loops.invert_loop(m)))
-
-
-@given(random_dag_text())
-@settings(max_examples=60, deadline=None)
-def test_invert_matches_loop_on_random_dags(text):
-    m = enumerate_mdp(parse_dag_text(text))
-    assert_same_tables(invert(m), loops.invert_loop(m))
-    assert_same_tables(invert(invert(m)), loops.invert_loop(loops.invert_loop(m)))
+# ---------------------------------------------------------------------------
+# the reversed DAG (loop_oracles.invert_loop)
 
 
 def test_invert_counts_total_trajectories(fig_diamond, two_terminal, grid33):
-    # paths from every terminal backward to s0 total the forward trajectory count
+    # paths from the reversed DAG's root through every terminal back to s0
+    # total the forward trajectory count
     for m in (fig_diamond, two_terminal, grid33):
-        l_inv = exact.count_paths(invert(m))
-        s0_inv = invert(m).n_states - 1  # reverse topological reindexing
+        inv = loops.invert_loop(m)
+        l_inv = exact.count_paths(inv)
+        s0_inv = inv.n_states - 1  # reverse topological reindexing
         total = sum(oracle_path_counts(m)[t] for t in m.terminal_ids)
         assert math.isclose(math.exp(l_inv[s0_inv]), total, rel_tol=1e-9)
 
@@ -371,7 +325,7 @@ def test_invert_counts_total_trajectories(fig_diamond, two_terminal, grid33):
 
 def test_validate_passes_on_zoo(mdp_zoo):
     for m in mdp_zoo:
-        for checked in (m, invert(m)):
+        for checked in (m, loops.invert_loop(m)):
             report = validate(checked)
             assert report.ok, report.failure
 
@@ -387,25 +341,15 @@ def _set(name, index, value):
 
 FOREIGN_OUT_0 = "out_offset slice of state 0 contains foreign edges"
 FOREIGN_IN_0 = "in_offset slice of state 0 contains foreign edges"
-INITIALS = "initial states must be nonempty, distinct and in range"
-LOOP_INITIALS = "initial states must be nonempty and distinct"
-# the loop indexes its tables with the initials: one past the last state
-# raises IndexError, and -1 reads as the last state, so it reports state 0
-# unreachable; these rows check validate alone
-LOOP_WRONG = object()
 
 # One corruption of the two-terminal DAG per validate message: the corrupted
 # MDP, the message, and the message of the seed's loop (the same except for
-# decreasing offsets, which the loop did not check as such, and for the
-# initials, whose range it did not check).  Its states are 0 '0', 1 '2',
-# 2 '4' (terminal), 3 '1', 4 '3' (terminal); its edges are 0->3, 0->1, 1->4,
-# 1->2, 3->4.
+# decreasing offsets, which the loop did not check as such).  Its states are
+# 0 '0', 1 '2', 2 '4' (terminal), 3 '1', 4 '3' (terminal); its edges are
+# 0->3, 0->1, 1->4, 1->2, 3->4.
 CORRUPTIONS = [
     (lambda m: replace(m, states=m.states[:1] + m.states[:-1]), "duplicate state encodings", None),
-    (lambda m: replace(m, initials=()), INITIALS, LOOP_INITIALS),
-    (lambda m: replace(m, initials=(0, 0)), INITIALS, LOOP_INITIALS),
-    (lambda m: replace(m, initials=(m.n_states,)), INITIALS, LOOP_WRONG),
-    (lambda m: replace(m, initials=(-1,)), INITIALS, LOOP_WRONG),
+    (lambda m: _freeze([], [], [], []), "no states, so no initial state", None),
     (lambda m: replace(m, out_offset=m.out_offset[:-1]), "malformed out_offset", None),
     (_set("out_offset", 0, 1), "malformed out_offset", None),
     (_set("out_offset", -1, 4), "malformed out_offset", None),
@@ -425,13 +369,14 @@ CORRUPTIONS = [
      "in_edges is not a permutation of edge ids (parent/child duality)", None),
     (lambda m: replace(m, in_edges=m.in_edges[[1, 0, 2, 3, 4]]),
      "in_offset slice of state 1 contains foreign edges", None),
-    (_set("parent_slot", 4, 0), "parent_slot ranks of state 4 are wrong", None),
     (_set("log_target", 2, np.inf), "terminal state 2 has non-finite log_target", None),
     (_set("log_target", 4, np.nan), "terminal state 4 has non-finite log_target", None),
     (_set("log_target", 1, 0.0), "non-terminal state 1 has a finite log_target", None),
     (_set("log_target", 3, np.nan), "non-terminal state 3 has a finite log_target", None),
-    # the inverted DAG has initials 0 and 2; without 2, state 2 is unreachable
-    (lambda m: replace(invert(m), initials=(0,)), "state 2 unreachable from initials", None),
+    # without the edge 0 -> 1, state 1 has no parent: a second parentless state
+    (lambda m: _freeze(list(m.states), m.terminal, m.log_target,
+                       np.column_stack((m.edge_src, m.edge_action, m.edge_dst))[[0, 2, 3, 4]]),
+     "state 1 unreachable from the initial state", None),
 ]
 
 
@@ -440,9 +385,7 @@ def test_validate_reports_each_invariant_like_the_loop(two_terminal, corrupt, me
                                                       loop_message):
     bad = corrupt(two_terminal)
     assert validate(bad) == ValidationReport(ok=False, failure=message)
-    if loop_message is not LOOP_WRONG:
-        assert loops.validate_loop(bad) == ValidationReport(ok=False,
-                                                            failure=loop_message or message)
+    assert loops.validate_loop(bad) == ValidationReport(ok=False, failure=loop_message or message)
 
 
 def test_validate_names_the_lowest_state_of_a_group(two_terminal):
@@ -488,7 +431,6 @@ def test_validate_rejects_index_order_violation(fig_diamond):
     m = fig_diamond
     bad = mdp.EnumeratedMdp(
         states=m.states,
-        initials=m.initials,
         terminal=m.terminal,
         log_target=m.log_target,
         edge_src=m.edge_dst.copy(),  # reversed edge direction
@@ -497,7 +439,6 @@ def test_validate_rejects_index_order_violation(fig_diamond):
         out_offset=m.out_offset,
         in_edges=m.in_edges,
         in_offset=m.in_offset,
-        parent_slot=m.parent_slot,
     )
     report = validate(bad)
     assert not report.ok
@@ -509,7 +450,6 @@ def test_validate_rejects_asymmetric_parents(fig_diamond):
     bad_in[[0, 1]] = bad_in[[1, 0]]  # swap two edges across dst groups
     bad = mdp.EnumeratedMdp(
         states=m.states,
-        initials=m.initials,
         terminal=m.terminal,
         log_target=m.log_target,
         edge_src=m.edge_src,
@@ -518,7 +458,6 @@ def test_validate_rejects_asymmetric_parents(fig_diamond):
         out_offset=m.out_offset,
         in_edges=bad_in,
         in_offset=m.in_offset,
-        parent_slot=m.parent_slot,
     )
     report = validate(bad)
     assert not report.ok
@@ -535,8 +474,6 @@ def test_validate_rejects_bad_log_target(fig_diamond):
 
 def test_dag_text_round_trip(mdp_zoo):
     for m in mdp_zoo:
-        if m.multi_initial:
-            continue
         again = enumerate_mdp(parse_dag_text(dump_dag_text(m)))
         assert again.n_states == m.n_states
         assert np.array_equal(again.edge_src, m.edge_src)
@@ -602,12 +539,12 @@ def test_random_dag_invariants_and_counts(text):
     l = exact.count_paths(m)
     for s in range(m.n_states):
         assert math.isclose(math.exp(l[s]), counts[s], rel_tol=1e-9)
-    # inversion preserves the edge multiset, reversed (compare by encoding
-    # since inversion reindexes states)
-    inv = invert(m)
+    # the reversed DAG holds the edge multiset, reversed, beside its root's
+    # edges (compare by encoding since reversal reindexes states)
+    inv = loops.invert_loop(m)
     assert validate(inv).ok
     assert validate(inv) == loops.validate_loop(inv) and validate(m) == loops.validate_loop(m)
-    inv_edges = {(inv.states[d], inv.states[s]) for s, d in edge_set(inv)}
+    inv_edges = {(inv.states[d], inv.states[s]) for s, d in edge_set(inv) if s != inv.initial}
     assert inv_edges == {(m.states[s], m.states[d]) for s, d in edge_set(m)}
 
 

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gflowdp.exact import backward_softmax
 from gflowdp.learner import PolicyModel, TrainConfig, backward_from_counts, collect_batch
 from gflowdp.mdp import enumerate_mdp, parse_dag_text
 from gflowdp.objectives import (
@@ -63,7 +64,7 @@ def test_cell_sets_match_per_trajectory_residuals(text, seed):
                           rng.spawn(6))
     trajs = batch.trajectories
     rows, se = batch.state_rows, batch.step_edge
-    log_pi, log_q = model.forward_log_probs(m), model.free_backward_log_probs(m)
+    log_pi, log_q = model.forward_log_probs(m), backward_softmax(m, model.backward_logits)
     log_f = model.clamped_log_f(m)
     l = model.l_hat
     log_ql = backward_from_counts(m, l)
