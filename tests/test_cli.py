@@ -544,16 +544,24 @@ def test_unknown_config_key_is_named(tmp_path, capsys, section, key):
     assert _one_line_error(capsys) == f"error: bad {section} config: unknown key {key!r}"
 
 
-
 @pytest.mark.parametrize("command, text, section", [
     ("exact", "[env]\nname = simple-dag\n[trian]\nsteps = 2\n", "trian"),
     ("eval", "[DEFAULT]\nsteps = 2\n[env]\nname = simple-dag\n", "DEFAULT"),
+    # section names are case-sensitive, unlike keys
+    ("exact", "[ENV]\nname = simple-dag\n", "ENV"),
 ])
 def test_unknown_config_section_is_named(tmp_path, capsys, command, text, section):
     cfg = write_config(tmp_path, text)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert _one_line_error(capsys) == (
         f"error: unknown config section [{section}]: expected [env], [train] or [eval]")
+
+
+def test_empty_default_section_is_accepted(tmp_path):
+    cfg = write_config(tmp_path, "[DEFAULT]\n" + SIMPLE)
+    assert cli.main(["exact", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "exact_report.json").exists()
+
 
 def test_dag_file_with_an_unknown_key_is_named(tmp_path, capsys):
     dag = tmp_path / "toy.dag"

@@ -21,6 +21,7 @@ from gflowdp.exact import (
     log_partition,
     marginals,
     max_entropy_bound,
+    push_forward,
     soft_value_iteration,
     target_distribution,
     terminal_distribution,
@@ -81,6 +82,33 @@ def test_count_paths_is_inverted_soft_value(mdp_zoo):
         l = count_paths(m)
         rho = inv.n_states - 1 - np.arange(m.n_states)
         assert np.allclose(v_inv[rho], l, atol=1e-9)
+
+
+def test_push_forward_reads_log_init_only_at_the_initial_state(mdp_zoo):
+    # every other state has parents, so its log_init is overwritten unread
+    rng = np.random.default_rng(11)
+    for m in mdp_zoo:
+        log_w = rng.normal(size=m.n_edges)
+        seed_only = np.full(m.n_states, -math.inf)
+        seed_only[m.initial] = 0.0
+        noisy = np.where(np.arange(m.n_states) == m.initial, 0.0, rng.normal(size=m.n_states))
+        want = push_forward(m, log_w, seed_only)
+        assert np.array_equal(push_forward(m, log_w, noisy), want)
+        assert np.allclose(want, loops.push_forward_levels(m, log_w, seed_only), atol=1e-12)
+
+
+def test_trajectory_uniform_marginals_are_count_products(mdp_zoo):
+    # with c(s) the number of paths from s to a terminal (the reversed DAG's
+    # counts), pi(s -> s') = c(s') / c(s) draws every complete trajectory
+    # with probability 1 / c(s0), so state s is visited with n(s) c(s) / c(s0)
+    for m in mdp_zoo:
+        inv = loops.invert_loop(m)
+        c = count_paths(inv)[inv.n_states - 1 - np.arange(m.n_states)]
+        log_pi = c[m.edge_dst] - c[m.edge_src]
+        out_mass = np.bincount(m.edge_src, weights=np.exp(log_pi), minlength=m.n_states)
+        assert np.allclose(out_mass[~m.terminal], 1.0, rtol=1e-12)
+        assert np.allclose(marginals(m, log_pi), np.exp(count_paths(m) + c - c[m.initial]),
+                           rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -304,8 +304,57 @@ def test_words_append_right_has_one_parent_per_state():
     assert (np.diff(m.in_offset)[1:] == 1).all()
 
 
+def test_initial_is_state_zero_and_the_one_parentless_state(mdp_zoo, fig_diamond):
+    assert fig_diamond.states[fig_diamond.initial] == b"s0"
+    for m in mdp_zoo:
+        assert m.initial == 0
+        in_degree = np.diff(m.in_offset)
+        assert in_degree[0] == 0 and (in_degree[1:] > 0).all()
+
+
 # ---------------------------------------------------------------------------
 # the reversed DAG (loop_oracles.invert_loop)
+
+
+def test_invert_diamond_structure(fig_diamond):
+    inv = loops.invert_loop(fig_diamond)
+    assert validate(inv).ok
+    # the new root has one action, to the old terminal, which has two
+    root = inv.out_edge_ids(inv.initial)
+    assert len(root) == 1
+    s_t = int(inv.edge_dst[root[0]])
+    assert inv.states[s_t] == b"sT"
+    assert len(inv.out_edge_ids(s_t)) == 2
+    # the old initial is the one terminal
+    assert [inv.states[t] for t in inv.terminal_ids] == [b"s0"]
+
+
+def test_invert_involution_edge_set(mdp_zoo):
+    # reversing twice gives back the original states and edges, between a
+    # root with one edge to s0 and a terminal with one edge from each
+    # original terminal
+    for m in mdp_zoo:
+        back = loops.invert_loop(loops.invert_loop(m))
+        n = m.n_states
+        assert back.states[1:-1] == m.states
+        inner = {(s + 1, d + 1) for s, d in edge_set(m)}
+        ends = {(int(t) + 1, n + 1) for t in m.terminal_ids}
+        assert edge_set(back) == inner | ends | {(0, 1)}
+        assert back.terminal_ids.tolist() == [n + 1]
+        assert validate(back).ok
+
+
+@given(random_dag_text())
+@settings(max_examples=30, deadline=None)
+def test_reversed_dag_round_trips_through_dag_text(text):
+    # the reversal is a DAG file enumerate_mdp accepts, with the same edges,
+    # targets and path counts (states are named by their reversal index)
+    inv = loops.invert_loop(enumerate_mdp(parse_dag_text(text)))
+    again = enumerate_mdp(parse_dag_text(dump_dag_text(inv)))
+    ids = np.array([int(s) for s in again.states])
+    assert {(ids[s], ids[d]) for s, d in edge_set(again)} == edge_set(inv)
+    assert np.array_equal(inv.log_target[ids], again.log_target)
+    assert np.allclose(exact.count_paths(inv)[ids], exact.count_paths(again), atol=1e-12)
 
 
 def test_invert_counts_total_trajectories(fig_diamond, two_terminal, grid33):
@@ -377,6 +426,14 @@ CORRUPTIONS = [
     (lambda m: _freeze(list(m.states), m.terminal, m.log_target,
                        np.column_stack((m.edge_src, m.edge_action, m.edge_dst))[[0, 2, 3, 4]]),
      "state 1 unreachable from the initial state", None),
+    # a sixth state with neither parents nor children, as a terminal
+    (lambda m: _freeze([*m.states, b"9"], [*m.terminal, True], [*m.log_target, 0.0],
+                       np.column_stack((m.edge_src, m.edge_action, m.edge_dst))),
+     "state 5 unreachable from the initial state", None),
+    # an edge into the initial state points down in index order
+    (lambda m: _freeze(list(m.states), m.terminal, m.log_target,
+                       [*zip(m.edge_src, m.edge_action, m.edge_dst), (3, 1, 0)]),
+     "acyclicity: edge 3 -> 0 violates topological index order", None),
 ]
 
 
