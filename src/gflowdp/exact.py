@@ -235,7 +235,7 @@ def flow_entropy(
     p = np.exp(log_pi)
     plogp = np.multiply(p, log_pi, out=np.zeros_like(p), where=p > 0.0)
     live = np.flatnonzero(~mdp.terminal & (mu != 0.0) & (np.diff(mdp.out_offset) > 0))
-    edges, starts = segment_positions(mdp.out_offset, live)
+    edges, starts, _ = segment_positions(mdp.out_offset, live)
     entropy = -segment_sum(plogp[edges], starts)
     return float((mu[live] * entropy).sum())
 

@@ -4,11 +4,17 @@ The model is a flat table per parameter group: forward logits per edge,
 backward logits per edge (free-backward variant only), a log path-count
 estimate per state (initial pinned to 0), a log state-flow estimate per
 state (terminals clamped to the target), and a scalar log-Z estimate.
-The count-induced backward ``backward_from_counts`` is
-``exact.backward_maxent``; the free backward is ``exact.backward_softmax``.
+The count-induced backward is ``exact.backward_maxent`` of l_hat, and the
+free backward ``exact.backward_softmax`` of its logits.
 The loss has two residual shapes: ``_balance`` over sub-trajectories of the
 sampled rows (tb, db, stb, pcl, n-trajectory) and ``_in_balance`` over the
 in-edges of the visited states (fm, n-bellman).
+Loss and gradient touch only the softmax segments the batch reads, in one
+``numerics.padded_logsumexp`` call, and scatter the gradients into dense zero
+tables; each sum keeps the order of the whole-table computation, so results
+are the same to the bit.  The behaviour CDF, Adam, ``repin`` and the EMA stay
+O(E) per step: Adam's momentum moves entries whose gradient is 0, and the
+EMA's 0.95x + 0.05x is not x to the bit.
 Gradients are computed analytically; ``tests`` cross-check every
 objective/backward combination against central finite differences.
 """
@@ -21,12 +27,11 @@ from functools import cached_property
 
 import numpy as np
 
-from . import exact, metrics
+from . import exact, metrics, numerics
 from .mdp import EnumeratedMdp, segment_positions
 
-# ``logsumexp`` and ``cross_cumsum`` are not called here; benchmarks/tracer.py
-# counts calls made through this module's names for them and for
-# ``backward_from_counts``.
+# ``logsumexp``, ``cross_cumsum`` and ``backward_from_counts`` are not called
+# here; benchmarks/tracer.py counts calls made through these names.
 from .numerics import logsumexp  # noqa: F401
 from .numerics import segment_log_softmax, segment_logsumexp
 from .objectives import cross_cumsum  # noqa: F401
@@ -184,9 +189,7 @@ class PolicyModel:
         return segment_log_softmax(self.forward_logits, mdp.out_offset)
 
     def clamped_log_f(self, mdp: EnumeratedMdp) -> np.ndarray:
-        out = self.log_f_hat.copy()
-        out[mdp.terminal] = mdp.log_target[mdp.terminal]
-        return out
+        return np.where(mdp.terminal, mdp.log_target, self.log_f_hat)
 
     # free-parameter vector, used by the finite-difference checks -----------
 
@@ -328,39 +331,16 @@ def collect_batch(
 # loss and analytic gradients
 
 
-def _resolve_backward(
-    mdp: EnumeratedMdp,
-    model: PolicyModel,
-    config: TrainConfig,
-    exact_l: np.ndarray | None,
-) -> tuple[np.ndarray, bool]:
-    """Per-edge log q and whether gradients flow into l_hat through it."""
-    if config.backward == "uniform":
-        return exact.backward_uniform(mdp), False
-    if config.backward == "maxent-known":
-        if exact_l is None:
-            raise BackwardRequiresL("backward='maxent-known' needs exact_l")
-        return exact.backward_maxent(mdp, exact_l), False
-    if config.backward == "maxent-learned":
-        if config.n_objective == "none" and exact_l is None:
-            raise BackwardRequiresL(
-                "backward='maxent-learned' with n_objective='none' would use an "
-                "untrained l_hat; supply exact_l or enable an n objective"
-            )
-        return backward_from_counts(mdp, model.l_hat), True
-    return exact.backward_softmax(mdp, model.backward_logits), False
-
-
 def _coef(res, hp: HuberParams):
     """Huber gradient of residuals, with the sub-tolerance deadband of
     RESIDUAL_TOL applied."""
-    res = np.asarray(res, dtype=float)
     return np.where(np.abs(res) > RESIDUAL_TOL, huber_grad(res, hp), 0.0)
 
 
 def _balance(batch: RolloutBatch, v, x, cell_set, hp: HuberParams, head=None):
     """Weighted Huber loss of one sub-trajectory family and its coefficients
-    on the per-state table ``v``, the per-edge table ``x`` and ``head``.
+    on the per-state table ``v``, the per-step values ``x`` (one per entry of
+    ``batch.step_edge``) and ``head``.
 
     A cell reads ``v`` at its two ends and sums ``x`` over its steps;
     ``head`` replaces ``v`` where a cell starts at a trajectory's first state.
@@ -371,7 +351,7 @@ def _balance(batch: RolloutBatch, v, x, cell_set, hp: HuberParams, head=None):
     start = end if head is None else np.concatenate(
         [np.full((len(rows), 1), head), end[:, 1:]], axis=1)
     x_rows = np.zeros(rows.size - len(rows))
-    x_rows[batch.step_pos] = x[batch.step_edge]
+    x_rows[batch.step_pos] = x
     res = subtrajectory_residuals(start, end, x_rows.reshape(len(rows), -1), cells)
     g_start, g_end, g_x = subtrajectory_transpose(
         weights * _coef(res, hp), cells, rows.shape)
@@ -380,37 +360,36 @@ def _balance(batch: RolloutBatch, v, x, cell_set, hp: HuberParams, head=None):
         g_head = float(g_start[:, 0].sum())
         g_start[:, 0] = 0.0
     g_v = np.bincount(rows.ravel(), (g_start + g_end).ravel(), len(v))
-    g_x = np.bincount(batch.step_edge, g_x.ravel()[batch.step_pos], len(x))
-    return float((weights * huber(res, hp)).sum()), g_v, g_x, g_head
+    return float((weights * huber(res, hp)).sum()), g_v, g_x.ravel()[batch.step_pos], g_head
 
 
-def _in_balance(mdp: EnumeratedMdp, v, w, visits, hp: HuberParams, head):
-    """Huber loss of v(s) - logsumexp over the in-edges e of s of v(src e) +
-    w(e) (``head`` where s has no parents), weighted by each state's share of
-    ``visits``, and its coefficients on the tables ``v``, ``w`` and ``head``."""
+def _in_segments(mdp: EnumeratedMdp, visits):
+    """The distinct states of ``visits`` in increasing order, their visit
+    counts, and the ids and sources of their in-edges, state after state in
+    table order, with where each state's run starts and its length."""
     counts = np.bincount(visits, minlength=mdp.n_states)
     states = np.flatnonzero(counts)
-    weight = counts[states] / float(counts.sum())
-    pos, starts = segment_positions(mdp.in_offset, states)
+    pos, starts, n_in = segment_positions(mdp.in_offset, states)
     edges = mdp.in_edges[pos]
-    srcs = mdp.edge_src[edges]
-    terms = v[srcs] + w[edges]
-    n_in = np.diff(mdp.in_offset)[states]
+    return states, counts[states], edges, mdp.edge_src[edges], starts, n_in
+
+
+def _in_balance(v, w, segments, hp: HuberParams, head):
+    """Huber loss of v(s) - logsumexp over the in-edges e of s of v(src e) +
+    w(e) (``head`` where s has no parents; no w term where ``w`` is None) at
+    the states of ``_in_segments``, weighted by their share of the visits,
+    and its coefficients on the tables ``v``, ``w`` and ``head``."""
+    states, counts, edges, srcs, starts, n_in = segments
+    weight = counts / float(counts.sum())
+    terms = v[srcs] if w is None else v[srcs] + w[edges]
     lse = np.full(len(states), head)
     lse[n_in > 0] = segment_logsumexp(terms, starts[n_in > 0])
     res = v[states] - lse
     c = weight * _coef(res, hp)
     c_in = -np.repeat(c, n_in) * np.exp(terms - np.repeat(lse, n_in))
     g_v = np.bincount(np.concatenate([states, srcs]), np.concatenate([c, c_in]), len(v))
-    g_w = np.bincount(edges, c_in, len(w))
+    g_w = None if w is None else np.bincount(edges, c_in, len(w))
     return float((weight * huber(res, hp)).sum()), g_v, g_w, -float(c[n_in == 0].sum())
-
-
-def _softmax_vjp(g, log_p, segment, n_segments: int) -> np.ndarray:
-    """Coefficients on the logits of a segment softmax, given those on its
-    log-probabilities: g - p * (sum of g over the segment)."""
-    seg = np.bincount(segment, weights=g, minlength=n_segments)
-    return g - np.exp(log_p) * seg[segment]
 
 
 def compute_loss_and_grads(
@@ -423,50 +402,92 @@ def compute_loss_and_grads(
     """Mean Huber of the policy residuals plus mean Huber of the n residuals.
 
     Returns (stats, grads) where grads holds one array per parameter group
-    with pinned/clamped entries already zeroed.
+    with pinned/clamped entries already zeroed.  Softmaxes and their VJPs
+    run only on the segments the batch reads (see the module docstring).
     """
     if batch.lengths.size == 0:
         raise ValueError("batch must be nonempty")
+    backward, n_traj = config.backward, config.n_objective == "trajectory"
+    if backward == "maxent-known" and exact_l is None:
+        raise BackwardRequiresL("backward='maxent-known' needs exact_l")
+    if backward == "maxent-learned" and config.n_objective == "none" and exact_l is None:
+        raise BackwardRequiresL(
+            "backward='maxent-learned' with n_objective='none' would use an "
+            "untrained l_hat; supply exact_l or enable an n objective"
+        )
+    n_states, n_edges, se = mdp.n_states, mdp.n_edges, batch.step_edge
+    reads_q = config.objective in ("tb", "db", "stb")
+    l_known = backward == "maxent-known"
+    q_trains_l = reads_q and backward == "maxent-learned"
+    ql_needed = n_traj or q_trains_l  # the l-induced backward q_l
+    q_needed = reads_q and backward in ("maxent-known", "free")
+    hp, lengths = config.huber, batch.lengths
 
-    log_pi = model.forward_log_probs(mdp)
-    log_q, q_trains_l = _resolve_backward(mdp, model, config, exact_l)
-    log_ql = None  # the l-induced backward, when anything reads it
-    if q_trains_l or config.n_objective == "trajectory":
-        log_ql = log_q if q_trains_l else backward_from_counts(mdp, model.l_hat)
-    log_f = model.clamped_log_f(mdp)
-    l_known = config.backward == "maxent-known"
-    hp = config.huber
-    lengths = batch.lengths
+    # The states a trajectory visits are the initial state, which has no
+    # in-edges, and the steps' children.  One kernel call takes the softmax
+    # segments the loss reads: the in-segments of the children for log q_l
+    # and for log q, where needed, then the out-segments of the parents of the
+    # visited states.  Those include the steps' sources, and are where each
+    # parent's l-gradient through q_l adds up, in increasing edge id.
+    visited = _in_segments(mdp, np.concatenate([mdp.edge_src[se], batch.terminals]))
+    states, counts, q_edges, parents, q_starts, q_runs = visited
+    q_starts, q_runs = q_starts[1:], q_runs[1:]  # the initial state's run is empty
+    q_logits = [model.l_hat[parents]] if ql_needed else []
+    if q_needed:
+        q_logits.append(exact_l[parents] if l_known else model.backward_logits[q_edges])
+    out_edges, starts, runs = segment_positions(
+        mdp.out_offset, np.flatnonzero(np.bincount(parents, minlength=n_states)))
+    n_q, q_size = len(q_logits), len(q_edges)
+    logits = np.concatenate(q_logits + [model.forward_logits[out_edges]])
+    starts = np.concatenate([q_starts + i * q_size for i in range(n_q)] + [starts + n_q * q_size])
+    runs = np.concatenate([q_runs] * n_q + [runs])
+    # padded_logsumexp reduces each run by itself, so every segment gets the
+    # bits that segment_log_softmax gives it on its whole table
+    k = np.arange(len(runs))
+    heads = starts + k
+    slots = np.ones(len(logits) + len(k), dtype=bool)
+    slots[heads] = False
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lse = numerics.padded_logsumexp(logits, starts, runs, slots, heads, np.zeros(slots.size))
+    run = np.repeat(k, runs)
+    log_p = logits - lse[run]
+    # group i's log-probabilities on its edges, read nowhere else: log q_l and
+    # log q, where computed, and log pi
+    tables = np.empty((n_q + 1) * n_edges)
+    tables[np.concatenate([q_edges + i * n_edges for i in range(n_q)]
+                          + [out_edges + n_q * n_edges])] = log_p
+    *q_tables, log_pi = tables.reshape(n_q + 1, n_edges)
 
-    g_q = np.zeros(mdp.n_edges)  # coefficients on log q however it is produced
-    g_lf = np.zeros(mdp.n_states)
-    g_l = np.zeros(mdp.n_states)  # direct l terms (not through log q)
-    g_ql = np.zeros(mdp.n_edges)  # coefficients on the l-induced backward
+    g_l = np.zeros(n_states)  # direct l terms (not through log q)
 
     # ---- policy objective ------------------------------------------------
     # tb, db and stb: log F at both ends (clamped to log p~ at terminals, tb
     # reads log Z at s0) and log pi - log q per step, over the whole
     # trajectory, each step or every sub-trajectory; pcl: log Z at s0, the
-    # count-corrected terminal value log p~ - l, and log pi per step
-    if config.objective in ("tb", "db", "stb"):
+    # count-corrected terminal value log p~ - l, and log pi per step.  g_pi
+    # holds the coefficients on log pi; those on log q are -g_pi.
+    if reads_q:
         cell_set = (trajectory_cells(lengths) if config.objective == "tb"
                     else step_cells(lengths) if config.objective == "db"
                     else subtrajectory_cells(lengths, config.lambda_stb))
         head = model.log_z if config.objective == "tb" else None
-        policy_loss, g_lf, g_pi, g_z = _balance(
-            batch, log_f, log_pi - log_q, cell_set, hp, head)
-        g_q = -g_pi
+        log_q_steps = (-np.log(np.diff(mdp.in_offset)[mdp.edge_dst[se]])  # backward_uniform
+                       if backward == "uniform" else q_tables[-1][se])
+        policy_loss, g_lf, g_x, g_z = _balance(
+            batch, model.clamped_log_f(mdp), log_pi[se] - log_q_steps, cell_set, hp, head)
+        g_pi = np.bincount(se, g_x, n_edges)
     elif config.objective == "pcl":
         terminal_v = mdp.log_target - (exact_l if l_known else model.l_hat)
-        policy_loss, g_v, g_pi, g_z = _balance(
-            batch, terminal_v, log_pi, trajectory_cells(lengths), hp, model.log_z)
+        policy_loss, g_v, g_x, g_z = _balance(
+            batch, terminal_v, log_pi[se], trajectory_cells(lengths), hp, model.log_z)
+        g_pi, g_lf = np.bincount(se, g_x, n_edges), np.zeros(n_states)
         if not l_known:
             g_l -= g_v
     elif config.objective == "fm":
         # log F(s) (the target at terminals) against its in-flows or log Z, at
         # the states a trajectory visits: its steps' sources and its terminal
-        visits = np.concatenate([mdp.edge_src[batch.step_edge], batch.terminals])
-        policy_loss, g_lf, g_pi, g_z = _in_balance(mdp, log_f, log_pi, visits, hp, model.log_z)
+        policy_loss, g_lf, g_pi, g_z = _in_balance(
+            model.clamped_log_f(mdp), log_pi, visited, hp, model.log_z)
     else:  # pragma: no cover - config.validate() rejects unknown objectives
         raise ValueError(config.objective)
 
@@ -474,35 +495,37 @@ def compute_loss_and_grads(
     n_loss = 0.0
     if config.n_objective == "bellman":
         # l(s) against the logsumexp of l over the parents of each step's child
-        n_loss, g_v, _, _ = _in_balance(mdp, model.l_hat, np.zeros(mdp.n_edges),
-                                        mdp.edge_dst[batch.step_edge], hp, 0.0)
+        children = states[1:], counts[1:], q_edges, parents, q_starts, q_runs
+        n_loss, g_v, _, _ = _in_balance(model.l_hat, None, children, hp, 0.0)
         g_l += g_v
-    elif config.n_objective == "trajectory":
+    elif n_traj:
         # l(s_T) + sum log q_l, with the pinned l(s_0) = 0 as the head
-        n_loss, g_v, g_ql, _ = _balance(
-            batch, -model.l_hat, log_ql, trajectory_cells(lengths), hp, 0.0)
+        n_loss, g_v, g_x, _ = _balance(
+            batch, -model.l_hat, q_tables[0][se], trajectory_cells(lengths), hp, 0.0)
         g_l -= g_v
+        g_ql = np.bincount(se, g_x, n_edges)
 
     # ---- convert primitive coefficients into parameter gradients ----------
-    g_back = np.zeros(mdp.n_edges)
-    if config.backward == "free":
-        g_back = _softmax_vjp(g_q, log_q, mdp.edge_dst, mdp.n_states)
-    if log_ql is not None:
-        g_through_q = g_ql + g_q if q_trains_l else g_ql
-        g_l += np.bincount(
-            mdp.edge_src,
-            weights=_softmax_vjp(g_through_q, log_ql, mdp.edge_dst, mdp.n_states),
-            minlength=mdp.n_states,
-        )
+    # the softmax VJP g - p * (sum of g over the segment) on the kernel's runs,
+    # with the coefficients on the log-probabilities group by group
+    g = [-g_pi[q_edges]] if q_needed else []
+    g.append(g_pi[out_edges])
+    if ql_needed:
+        g.insert(0, (g_ql[q_edges] if n_traj else 0.0) - (g_pi[q_edges] if q_trains_l else 0.0))
+    g = np.concatenate(g)
+    vjp = g - np.exp(log_p) * np.bincount(run, g, len(runs))[run]
+    g_forward, g_back = np.zeros(n_edges), np.zeros(n_edges)
+    g_forward[out_edges] = vjp[n_q * q_size:]
+    if q_needed and backward == "free":
+        g_back[q_edges] = vjp[(n_q - 1) * q_size:][:q_size]
+    if ql_needed:
+        through_q = np.zeros(n_edges)
+        through_q[q_edges] = vjp[:q_size]
+        g_l += np.bincount(mdp.edge_src[out_edges], through_q[out_edges], n_states)
     g_l[mdp.initial] = 0.0
     g_lf[mdp.terminal] = 0.0
-    grads = {
-        "forward": _softmax_vjp(g_pi, log_pi, mdp.edge_src, mdp.n_states),
-        "backward": g_back,
-        "l": g_l,
-        "log_f": g_lf,
-        "log_z": np.array([g_z]),
-    }
+    grads = {"forward": g_forward, "backward": g_back, "l": g_l, "log_f": g_lf,
+             "log_z": np.array([g_z])}
 
     total = policy_loss + n_loss
     if not np.isfinite(total):

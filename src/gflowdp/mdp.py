@@ -137,14 +137,14 @@ class EnumeratedMdp:
         return replace(self, log_target=log_target)
 
 
-def segment_positions(offset: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def segment_positions(offset: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """Positions ``offset[r]:offset[r + 1]`` of every row in ``rows``, row
-    after row, and where each row's run starts among them."""
+    after row, and where each row's run starts among them and its length."""
     rows = np.asarray(rows, dtype=np.int64)
     first = offset[rows]
     lengths = offset[rows + 1] - first
     starts = np.cumsum(lengths) - lengths
-    return np.repeat(first - starts, lengths) + np.arange(int(lengths.sum())), starts
+    return np.repeat(first - starts, lengths) + np.arange(int(lengths.sum())), starts, lengths
 
 
 class LevelSegments(NamedTuple):
@@ -175,7 +175,7 @@ def _level_segments(offset, order, levels: list[np.ndarray]) -> tuple[LevelSegme
     done = np.cumsum(live)[np.cumsum([len(lv) for lv in levels]) - 1]  # live states so far
     bounds = [0] + done[np.diff(done, prepend=0) > 0].tolist()
     states, lengths = states[live], lengths[live]
-    pos, starts = segment_positions(offset, states)
+    pos, starts, _ = segment_positions(offset, states)
     edges = pos if order is None else order[pos]
     heads = starts + np.arange(states.size)
     slots = np.repeat(heads + 1 - starts, lengths) + np.arange(edges.size)
@@ -204,7 +204,7 @@ class Levels(NamedTuple):
         by_level = []
         while frontier.size:
             by_level.append(frontier)
-            pos, _ = segment_positions(mdp.out_offset, frontier)
+            pos = segment_positions(mdp.out_offset, frontier)[0]
             children = mdp.edge_dst[pos]
             np.subtract.at(waiting, children, 1)
             ready = np.sort(children[waiting[children] == 0])
@@ -354,7 +354,7 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
     ends = np.flatnonzero(terminal)
     log_target[ends] = calls.batch_log_target(list(map(new_states.__getitem__, ends.tolist())))
     edges = np.column_stack((rank[src], np.arange(len(kids)) - offset[src], rank[dst]))
-    pos, _ = segment_positions(offset, order)  # by source rank, then action: as _freeze sorts
+    pos = segment_positions(offset, order)[0]  # by source rank, then action: as _freeze sorts
     mdp = _freeze(new_states, terminal, log_target, edges[pos])
     n_pairs, parents, actions = calls.batch_parents(new_states)
     ranks = np.append(rank, n)  # n: a parent that enumeration never reached

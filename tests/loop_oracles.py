@@ -2,8 +2,9 @@
 training step, kept as reference oracles for the whole-array and
 level-synchronous implementations, together with the depth-first
 ``enumerate_mdp``, the hypergrid env calls that rebuild their move list,
-and the level loops of ``exact.push_forward``/``pull_backward`` that reduced
-each level with ``segment_logsumexp``.
+the level loops of ``exact.push_forward``/``pull_backward`` that reduced
+each level with ``segment_logsumexp``, and ``dense_loss_and_grads``, the
+training loss that computed every softmax and softmax VJP on all E edges.
 
 Each function is the loop version verbatim, except that calls into
 functions that were rewritten go to the loop copies in this module, and
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from gflowdp import exact
+from gflowdp import exact, learner
 from gflowdp.envs import HypergridEnv
 from gflowdp.exact import NonFiniteTarget, ZeroFlow
 from gflowdp.learner import (
@@ -38,9 +39,18 @@ from gflowdp.mdp import (
     ParentMismatch,
     StateBudgetExceeded,
     ValidationReport,
+    segment_positions,
 )
 from gflowdp.numerics import NEG_INF, entropy_from_log_probs, logsumexp, segment_logsumexp
-from gflowdp.objectives import cross_cumsum, huber
+from gflowdp.objectives import (
+    cross_cumsum,
+    huber,
+    step_cells,
+    subtrajectory_cells,
+    subtrajectory_residuals,
+    subtrajectory_transpose,
+    trajectory_cells,
+)
 
 
 def _freeze(
@@ -721,3 +731,153 @@ def compute_loss_and_grads(
     stats = {"loss": total, "policy_loss": policy_loss, "n_loss": n_loss}
     return stats, grads
 
+
+# ---------------------------------------------------------------------------
+# the whole-table training loss: every softmax and softmax VJP on all E edges
+
+
+def _dense_resolve_backward(mdp, model, config, exact_l):
+    """Per-edge log q and whether gradients flow into l_hat through it."""
+    if config.backward == "uniform":
+        return exact.backward_uniform(mdp), False
+    if config.backward == "maxent-known":
+        if exact_l is None:
+            raise BackwardRequiresL("backward='maxent-known' needs exact_l")
+        return exact.backward_maxent(mdp, exact_l), False
+    if config.backward == "maxent-learned":
+        if config.n_objective == "none" and exact_l is None:
+            raise BackwardRequiresL(
+                "backward='maxent-learned' with n_objective='none' would use an "
+                "untrained l_hat; supply exact_l or enable an n objective"
+            )
+        return learner.backward_from_counts(mdp, model.l_hat), True
+    return exact.backward_softmax(mdp, model.backward_logits), False
+
+
+def _dense_balance(batch, v, x, cell_set, hp, head=None):
+    """``learner._balance`` reading the per-edge table ``x`` at the steps and
+    returning per-edge coefficients on it."""
+    cells, weights = cell_set
+    rows = batch.state_rows
+    end = v[rows]
+    start = end if head is None else np.concatenate(
+        [np.full((len(rows), 1), head), end[:, 1:]], axis=1)
+    x_rows = np.zeros(rows.size - len(rows))
+    x_rows[batch.step_pos] = x[batch.step_edge]
+    res = subtrajectory_residuals(start, end, x_rows.reshape(len(rows), -1), cells)
+    g_start, g_end, g_x = subtrajectory_transpose(
+        weights * _coef(res, hp), cells, rows.shape)
+    g_head = 0.0
+    if head is not None:
+        g_head = float(g_start[:, 0].sum())
+        g_start[:, 0] = 0.0
+    g_v = np.bincount(rows.ravel(), (g_start + g_end).ravel(), len(v))
+    g_x = np.bincount(batch.step_edge, g_x.ravel()[batch.step_pos], len(x))
+    return float((weights * huber(res, hp)).sum()), g_v, g_x, g_head
+
+
+def _dense_in_balance(mdp, v, w, visits, hp, head):
+    """``learner._in_balance`` on the states of ``visits``, with a per-edge
+    table ``w``."""
+    counts = np.bincount(visits, minlength=mdp.n_states)
+    states = np.flatnonzero(counts)
+    weight = counts[states] / float(counts.sum())
+    pos, starts, _ = segment_positions(mdp.in_offset, states)
+    edges = mdp.in_edges[pos]
+    srcs = mdp.edge_src[edges]
+    terms = v[srcs] + w[edges]
+    n_in = np.diff(mdp.in_offset)[states]
+    lse = np.full(len(states), head)
+    lse[n_in > 0] = segment_logsumexp(terms, starts[n_in > 0])
+    res = v[states] - lse
+    c = weight * _coef(res, hp)
+    c_in = -np.repeat(c, n_in) * np.exp(terms - np.repeat(lse, n_in))
+    g_v = np.bincount(np.concatenate([states, srcs]), np.concatenate([c, c_in]), len(v))
+    g_w = np.bincount(edges, c_in, len(w))
+    return float((weight * huber(res, hp)).sum()), g_v, g_w, -float(c[n_in == 0].sum())
+
+
+def _dense_softmax_vjp(g, log_p, segment, n_segments):
+    """Coefficients on the logits of a segment softmax, given those on its
+    log-probabilities: g - p * (sum of g over the segment)."""
+    seg = np.bincount(segment, weights=g, minlength=n_segments)
+    return g - np.exp(log_p) * seg[segment]
+
+
+def dense_loss_and_grads(mdp, model, batch, config, exact_l=None):
+    """``learner.compute_loss_and_grads`` with every softmax, backward and
+    softmax VJP computed on the whole edge table."""
+    if batch.lengths.size == 0:
+        raise ValueError("batch must be nonempty")
+
+    log_pi = model.forward_log_probs(mdp)
+    log_q, q_trains_l = _dense_resolve_backward(mdp, model, config, exact_l)
+    log_ql = None  # the l-induced backward, when anything reads it
+    if q_trains_l or config.n_objective == "trajectory":
+        log_ql = log_q if q_trains_l else learner.backward_from_counts(mdp, model.l_hat)
+    log_f = model.clamped_log_f(mdp)
+    l_known = config.backward == "maxent-known"
+    hp = config.huber
+    lengths = batch.lengths
+
+    g_q = np.zeros(mdp.n_edges)  # coefficients on log q however it is produced
+    g_lf = np.zeros(mdp.n_states)
+    g_l = np.zeros(mdp.n_states)  # direct l terms (not through log q)
+    g_ql = np.zeros(mdp.n_edges)  # coefficients on the l-induced backward
+
+    if config.objective in ("tb", "db", "stb"):
+        cell_set = (trajectory_cells(lengths) if config.objective == "tb"
+                    else step_cells(lengths) if config.objective == "db"
+                    else subtrajectory_cells(lengths, config.lambda_stb))
+        head = model.log_z if config.objective == "tb" else None
+        policy_loss, g_lf, g_pi, g_z = _dense_balance(
+            batch, log_f, log_pi - log_q, cell_set, hp, head)
+        g_q = -g_pi
+    elif config.objective == "pcl":
+        terminal_v = mdp.log_target - (exact_l if l_known else model.l_hat)
+        policy_loss, g_v, g_pi, g_z = _dense_balance(
+            batch, terminal_v, log_pi, trajectory_cells(lengths), hp, model.log_z)
+        if not l_known:
+            g_l -= g_v
+    elif config.objective == "fm":
+        visits = np.concatenate([mdp.edge_src[batch.step_edge], batch.terminals])
+        policy_loss, g_lf, g_pi, g_z = _dense_in_balance(
+            mdp, log_f, log_pi, visits, hp, model.log_z)
+    else:
+        raise ValueError(config.objective)
+
+    n_loss = 0.0
+    if config.n_objective == "bellman":
+        n_loss, g_v, _, _ = _dense_in_balance(mdp, model.l_hat, np.zeros(mdp.n_edges),
+                                              mdp.edge_dst[batch.step_edge], hp, 0.0)
+        g_l += g_v
+    elif config.n_objective == "trajectory":
+        n_loss, g_v, g_ql, _ = _dense_balance(
+            batch, -model.l_hat, log_ql, trajectory_cells(lengths), hp, 0.0)
+        g_l -= g_v
+
+    g_back = np.zeros(mdp.n_edges)
+    if config.backward == "free":
+        g_back = _dense_softmax_vjp(g_q, log_q, mdp.edge_dst, mdp.n_states)
+    if log_ql is not None:
+        g_through_q = g_ql + g_q if q_trains_l else g_ql
+        g_l += np.bincount(
+            mdp.edge_src,
+            weights=_dense_softmax_vjp(g_through_q, log_ql, mdp.edge_dst, mdp.n_states),
+            minlength=mdp.n_states,
+        )
+    g_l[mdp.initial] = 0.0
+    g_lf[mdp.terminal] = 0.0
+    grads = {
+        "forward": _dense_softmax_vjp(g_pi, log_pi, mdp.edge_src, mdp.n_states),
+        "backward": g_back,
+        "l": g_l,
+        "log_f": g_lf,
+        "log_z": np.array([g_z]),
+    }
+
+    total = policy_loss + n_loss
+    if not np.isfinite(total):
+        raise NonFiniteGradient(f"non-finite loss {total}")
+    stats = {"loss": total, "policy_loss": policy_loss, "n_loss": n_loss}
+    return stats, grads
