@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -208,15 +209,16 @@ def model_from_json(text: str) -> PolicyModel:
         raise learner.ModelMismatch(f"malformed model file: {exc!r}") from exc
 
 
-def lists_json(doc: dict[str, np.ndarray | list[float]]) -> str:
+def lists_json(doc: dict[str, np.ndarray | list[float]]) -> Iterator[str]:
     """``json.dumps(doc, indent=2)`` of a dict of float arrays or lists, byte
-    for byte, with each distinct value formatted once (``json_float_texts``)."""
-    items = []
-    for key, values in doc.items():
+    for byte, in one part per key, with each distinct value formatted once
+    (``json_float_texts``).  Written part by part, neither the whole text
+    nor its encoded copy is ever held."""
+    for k, (key, values) in enumerate(doc.items()):
         texts = json_float_texts(values).tolist()
         body = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
-        items.append(f"  {json.dumps(key)}: {body}")
-    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
+        yield f"{',' if k else '{'}\n  {json.dumps(key)}: {body}"
+    yield "\n}" if doc else "{}"
 
 
 def metrics_csv(rows: list[MetricsRow]) -> str:
@@ -285,7 +287,8 @@ def cmd_exact(args) -> int:
         "maxent_backward": log_q_maxent,
         "uniform_backward": log_q_uniform,
     }
-    (out_dir / "policies.json").write_text(lists_json(policies))
+    with open(out_dir / "policies.json", "w") as f:
+        f.writelines(lists_json(policies))
     report = {
         "n_states": mdp.n_states,
         "n_edges": mdp.n_edges,

@@ -18,9 +18,12 @@ Every DP is one of two log-space recursions over the CSR edge tables:
 - ``pull_backward``: a state's value is the logsumexp over its out-edges of
   child value plus edge weight (soft values, flows).
 
-Both walk the MDP's topological levels (``EnumeratedMdp.levels``) and update
-a whole level at once with ``padded_logsumexp`` on the tables each level
-carries: O(E) numpy work plus a fixed few numpy calls per level.
+``enumerate_mdp`` numbers the states level by level, so each level is an
+index range, a run of ``EnumeratedMdp.levels``.  Both recursions update a
+whole run at once with ``padded_logsumexp``, reading its states, its edge
+segments and its window of one padded layout per direction
+(``mdp.padded_runs``) as slices: O(E) numpy work plus a fixed few numpy
+calls per run.
 """
 
 from __future__ import annotations
@@ -51,40 +54,41 @@ class TrajectoryBudgetExceeded(ExactError):
     """Brute-force enumeration hit its trajectory budget."""
 
 
+def _sweep(mdp: EnumeratedMdp, out: np.ndarray, runs: list[tuple], terms) -> np.ndarray:
+    """Set ``out[a:b]`` of each of the ``runs`` in turn to the logsumexp over
+    each state's segment of ``terms(lo, hi)``, the run's terms."""
+    padded = np.zeros(mdp.n_edges + mdp.n_states)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for a, b, lo, hi, starts, lengths, slots, heads in runs:
+            out[a:b] = padded_logsumexp(terms(lo, hi), starts, lengths, slots, heads,
+                                        padded[: hi + b])
+    return out
+
+
 def push_forward(mdp: EnumeratedMdp, log_w: np.ndarray, log_init: np.ndarray) -> np.ndarray:
-    """Forward log-space recursion over in-edges, one level at a time.
+    """Forward log-space recursion over in-edges, one run at a time.
 
     ``out(s) = log_init(s)`` for states without parents, which in a valid MDP
     is the initial state alone; every other state gets the logsumexp over its
     in-edges ``e`` of ``out(src e) + log_w(e)``, and its ``log_init`` is not
     read.
     """
-    log_w = np.asarray(log_w, dtype=float)
+    log_w, e = np.asarray(log_w, dtype=float), mdp.in_edges
     out = np.array(log_init, dtype=float)
-    padded = np.zeros(mdp.n_edges + mdp.n_states)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for seg in mdp.levels.push:
-            terms = out[mdp.edge_src[seg.edges]] + log_w[seg.edges]
-            out[seg.states] = padded_logsumexp(terms, seg.starts, seg.lengths, seg.slots,
-                                               seg.heads, padded[: seg.end])
-    return out
+    return _sweep(mdp, out, mdp.in_runs,
+                  lambda lo, hi: out[mdp.edge_src[e[lo:hi]]] + log_w[e[lo:hi]])
 
 
 def pull_backward(mdp: EnumeratedMdp, log_w: np.ndarray, log_terminal: np.ndarray) -> np.ndarray:
-    """Backward log-space recursion over out-edges, deepest level first.
+    """Backward log-space recursion over out-edges, last run first.
 
     ``out(s) = log_terminal(s)`` for states without children; otherwise the
     logsumexp over out-edges ``e`` of ``log_w(e) + out(dst e)``.
     """
     log_w = np.asarray(log_w, dtype=float)
     out = np.array(log_terminal, dtype=float)
-    padded = np.zeros(mdp.n_edges + mdp.n_states)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for seg in mdp.levels.pull:
-            terms = log_w[seg.edges] + out[mdp.edge_dst[seg.edges]]
-            out[seg.states] = padded_logsumexp(terms, seg.starts, seg.lengths, seg.slots,
-                                               seg.heads, padded[: seg.end])
-    return out
+    return _sweep(mdp, out, mdp.out_runs[::-1],
+                  lambda lo, hi: log_w[lo:hi] + out[mdp.edge_dst[lo:hi]])
 
 
 def count_paths(mdp: EnumeratedMdp) -> np.ndarray:

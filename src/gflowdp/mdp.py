@@ -1,9 +1,11 @@
 """Acyclic deterministic MDP core: enumeration and validation.
 
 Environments expose states as opaque byte encodings behind the ``Env``
-protocol.  ``enumerate_mdp`` walks the reachable graph, assigns dense
-topological indices, and freezes the DAG into flat edge tables
-(``EnumeratedMdp``) that every solver in this package consumes.
+protocol.  ``enumerate_mdp`` walks the reachable graph, numbers the states
+level by level (longest-path depth from the initial state, terminals last),
+and freezes the DAG into flat edge tables (``EnumeratedMdp``) that every
+solver in this package consumes.  Each level is then a range of indices,
+``EnumeratedMdp.levels``, that the DPs read as slices.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count, filterfalse, repeat
-from typing import Iterator, NamedTuple, Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -23,7 +25,7 @@ class MdpError(Exception):
 
 
 class CycleDetected(MdpError):
-    """A state was re-encountered on the current DFS path."""
+    """The env's steps lead from a state back to itself."""
 
 
 class StateBudgetExceeded(MdpError):
@@ -85,8 +87,9 @@ class EnumeratedMdp:
     of each state's out-edges.  ``in_edges`` lists the same edge ids grouped
     by destination (sorted by ``(src, action)`` within each group) with CSR
     offsets ``in_offset``.  State 0 is the one initial state, from which
-    every state is reachable.  ``levels`` is derived from these tables on
-    first use and cached on the instance.
+    every state is reachable.  ``levels`` and the DPs' runs (``in_runs``,
+    ``out_runs``) are derived from these tables on first use and cached on
+    the instance.
     """
 
     states: tuple[bytes, ...]
@@ -127,8 +130,32 @@ class EnumeratedMdp:
         return self.in_edges[self.in_offset[s] : self.in_offset[s + 1]]
 
     @cached_property
-    def levels(self) -> "Levels":
-        return Levels.of(self)
+    def levels(self) -> list[int]:
+        """Bounds ``0 = b[0] < b[1] < ... = n_states`` of the longest runs of
+        states ``b[k]:b[k + 1]`` with no edge inside a run and no mix of
+        terminal and non-terminal states, so a DP that reads only parents
+        (or only children) updates a run at once.  On ``enumerate_mdp``'s
+        numbering they are the levels, then all terminals; on other tables,
+        such as a hand-built reversed DAG, they may be shorter."""
+        n = self.n_states
+        last = np.full(n, -1)  # each state's highest parent, or the state before a terminal flip
+        live = np.diff(self.in_offset) > 0
+        last[live] = np.maximum.reduceat(self.edge_src[self.in_edges], self.in_offset[:-1][live])
+        flips = np.flatnonzero(self.terminal[1:] != self.terminal[:-1]) + 1
+        last[flips] = flips - 1
+        reach = np.maximum.accumulate(last)
+        bounds = [0]
+        while (a := bounds[-1]) < n:  # a run ends where a state's highest parent lies in it
+            bounds.append(a + 1 + int(np.searchsorted(reach[a + 1:], a)))
+        return bounds
+
+    @cached_property
+    def in_runs(self) -> list[tuple]:  # for exact.push_forward
+        return padded_runs(self.in_offset, self.levels)
+
+    @cached_property
+    def out_runs(self) -> list[tuple]:  # for exact.pull_backward
+        return padded_runs(self.out_offset, self.levels)
 
     def with_log_target(self, log_target: np.ndarray) -> "EnumeratedMdp":
         log_target = np.asarray(log_target, dtype=float)
@@ -147,74 +174,24 @@ def segment_positions(offset: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray,
     return np.repeat(first - starts, lengths) + np.arange(int(lengths.sum())), starts, lengths
 
 
-class LevelSegments(NamedTuple):
-    """The edge segments of one topological level that has any.
+def padded_runs(offset: np.ndarray, levels: list[int]) -> list[tuple]:
+    """``(a, b, lo, hi, starts, lengths, slots, heads)`` for each run ``a:b``
+    of ``levels`` whose segments in the CSR ``offset`` (each state's in-edges
+    or its out-edges) fill the nonempty positions ``lo:hi``.
 
-    ``states`` own the nonempty segments, in index order; ``edges`` lists
-    their edge ids segment after segment, each in table order; segment k
-    starts at ``starts[k]`` and is ``lengths[k]`` long.  ``slots``, ``heads``
-    and ``end`` place the level in one ``numerics.padded_logsumexp`` layout
-    of all levels' edges, with a 0.0 ahead of every segment.
+    Every state's segment follows a 0.0 in one ``numerics.padded_logsumexp``
+    layout, state ``s``'s 0.0 at ``heads[s] = offset[s] + s``, so a run fills
+    the window ``:hi + b``.  The kernel's tables for the run (``starts``
+    counted from ``lo``) are views of tables built once for all states.
     """
-
-    states: np.ndarray
-    edges: np.ndarray
-    starts: np.ndarray
-    lengths: np.ndarray
-    slots: np.ndarray
-    heads: np.ndarray
-    end: int
-
-
-def _level_segments(offset, order, levels: list[np.ndarray]) -> tuple[LevelSegments, ...]:
-    """The segments of each level in ``levels``, built for all levels at once;
-    ``order`` maps CSR positions to edge ids (None: the identity)."""
-    states = np.concatenate(levels)
-    lengths = offset[states + 1] - offset[states]
-    live = lengths > 0
-    done = np.cumsum(live)[np.cumsum([len(lv) for lv in levels]) - 1]  # live states so far
-    bounds = [0] + done[np.diff(done, prepend=0) > 0].tolist()
-    states, lengths = states[live], lengths[live]
-    pos, starts, _ = segment_positions(offset, states)
-    edges = pos if order is None else order[pos]
-    heads = starts + np.arange(states.size)
-    slots = np.repeat(heads + 1 - starts, lengths) + np.arange(edges.size)
-    cuts = np.append(starts, edges.size)[bounds].tolist()  # each level's first edge
-    return tuple(LevelSegments(states[a:b], edges[lo:hi], starts[a:b] - lo, lengths[a:b],
-                               slots[lo:hi], heads[a:b], hi + b)  # heads[b] = hi + b
-                 for a, b, lo, hi in zip(bounds, bounds[1:], cuts, cuts[1:]))
-
-
-class Levels(NamedTuple):
-    """States grouped by longest-path depth from the initial state.
-
-    A parent always sits on a lower level than its child, so a DP that reads
-    only parents (``push``, levels 1, 2, ... with their in-edge segments) or
-    only children (``pull``, deepest level first, with out-edge segments) can
-    update a whole level with array operations.
-    """
-
-    push: tuple[LevelSegments, ...]
-    pull: tuple[LevelSegments, ...]
-
-    @classmethod
-    def of(cls, mdp: "EnumeratedMdp") -> "Levels":
-        waiting = np.diff(mdp.in_offset)  # parents not yet on a level
-        frontier = np.flatnonzero(waiting == 0)
-        by_level = []
-        while frontier.size:
-            by_level.append(frontier)
-            pos = segment_positions(mdp.out_offset, frontier)[0]
-            children = mdp.edge_dst[pos]
-            np.subtract.at(waiting, children, 1)
-            ready = np.sort(children[waiting[children] == 0])
-            frontier = ready[ready != np.concatenate(([-1], ready[:-1]))]
-        if (waiting > 0).any():
-            raise CycleDetected(f"state {int(np.flatnonzero(waiting > 0)[0])} lies on a cycle")
-        return cls(
-            push=_level_segments(mdp.in_offset, mdp.in_edges, by_level),  # level 0: no in-edges
-            pull=_level_segments(mdp.out_offset, None, by_level[::-1]),
-        )
+    n = len(offset) - 1
+    lengths = np.diff(offset)
+    starts = offset[:-1] - np.repeat(offset[levels[:-1]], np.diff(levels))
+    slots = np.arange(offset[-1]) + np.repeat(np.arange(1, n + 1), lengths)
+    heads = offset[:-1] + np.arange(n)
+    cuts = offset[levels].tolist()
+    return [(a, b, lo, hi, starts[a:b], lengths[a:b], slots[lo:hi], heads[a:b])
+            for a, b, lo, hi in zip(levels, levels[1:], cuts, cuts[1:]) if lo < hi]
 
 
 @dataclass(frozen=True)
@@ -280,11 +257,14 @@ BATCHED_CALLS = ("batch_children", "batch_parents", "batch_log_target")
 
 
 def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedMdp:
-    """Enumerate the reachable states of ``env`` in topological order.
+    """Enumerate the reachable states of ``env`` in level order.
 
-    Indices come from reversed DFS postorder with children visited in
-    action-index order, so the initial state gets index 0 and every edge
-    goes from a lower to a higher index.  Deterministic for a deterministic
+    States are discovered frontier by frontier from the initial state, each
+    frontier's new children in order of first appearance (action order
+    within a state).  They are numbered by (terminal last, longest-path
+    depth from the initial state, discovery id), so the initial state gets
+    index 0, every edge goes from a lower to a higher index, and each level
+    is a run of ``EnumeratedMdp.levels``.  Deterministic for a deterministic
     env.  Every pair that ``env.parents`` omits is an error, and so is a
     declared pair that enumeration did not step itself (say, one from an
     unreachable state) unless ``env.step`` replays it to the state.
@@ -319,37 +299,15 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
 
     n = len(states)
     offset = np.concatenate(([0], np.cumsum(np.concatenate(n_kids))))
-    first = offset.tolist()
-    seen = bytearray(n)
-    seen[0] = 1
-    path, unvisited, postorder = [0], [iter(kids[first[0]:first[1]])], []
-    while path:
-        for c in unvisited[-1]:
-            if not seen[c]:
-                seen[c] = 1
-                if first[c] == first[c + 1]:  # a childless state finishes at once
-                    postorder.append(c)
-                else:
-                    path.append(c)
-                    unvisited.append(iter(kids[first[c]:first[c + 1]]))
-                    break
-        else:
-            unvisited.pop()
-            postorder.append(path.pop())
-
-    order = np.array(postorder[::-1])  # reverse postorder = topological, root first
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
     src = np.repeat(np.arange(n), np.diff(offset))
     dst = np.array(kids, dtype=np.int64)
-    # in reverse postorder, only an edge back to a state on the DFS path, one
-    # that closes a cycle, fails to go up in rank
-    if (back := rank[src] >= rank[dst]).any():
-        c = states[dst[np.argmax(back)]]
-        raise CycleDetected(f"state {c!r} reached again along the current path")
+    terminal = np.concatenate(terminal)
+    order = _level_order(offset, src, dst, terminal, states)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
 
     new_states = list(map(states.__getitem__, order.tolist()))
-    terminal = np.concatenate(terminal)[order]
+    terminal = terminal[order]
     log_target = np.full(n, -np.inf)
     ends = np.flatnonzero(terminal)
     log_target[ends] = calls.batch_log_target(list(map(new_states.__getitem__, ends.tolist())))
@@ -362,6 +320,36 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
                                     dtype=np.int64, count=len(parents))]
     _check_parents(env, mdp, np.repeat(np.arange(n), n_pairs), parent_rank, parents, actions)
     return mdp
+
+
+def _level_order(offset: np.ndarray, src: np.ndarray, dst: np.ndarray, terminal: np.ndarray,
+                 states: list[bytes]) -> np.ndarray:
+    """Discovery ids sorted by (terminal last, longest-path depth, id) for
+    the edges ``src -> dst`` (``offset``: CSR of each id's out-edges), from
+    one Kahn pass (Kahn 1962) seeded with the states without parents.  A
+    state left over lies on or below a cycle: walking back through left-over
+    parents from the lowest one reaches a cycle, and CycleDetected names the
+    cycle's lowest id."""
+    n = len(states)
+    waiting = np.bincount(dst, minlength=n)  # parents not yet placed
+    depth = np.zeros(n, dtype=np.int64)
+    frontier, level = np.flatnonzero(waiting == 0), 0
+    while frontier.size:
+        depth[frontier] = level
+        # with return_counts, np.unique does not import numpy.ma
+        children, hits = np.unique(dst[segment_positions(offset, frontier)[0]], return_counts=True)
+        waiting[children] -= hits
+        frontier, level = children[waiting[children] == 0], level + 1
+    if (left := waiting > 0).any():
+        stuck = left[src] & left[dst]
+        parent = np.full(n, -1)
+        np.maximum.at(parent, dst[stuck], src[stuck])
+        at, s = {}, int(np.argmax(left))
+        while s not in at:
+            at[s] = len(at)
+            s = int(parent[s])
+        raise CycleDetected(f"state {states[min(list(at)[at[s]:])]!r} lies on a cycle")
+    return np.lexsort((depth, terminal))
 
 
 def _check_parents(env: Env, mdp: EnumeratedMdp, child: np.ndarray, parent_rank: np.ndarray,

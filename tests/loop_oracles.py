@@ -1,15 +1,18 @@
 """The per-state Python loops of the MDP tables, the exact layer and the
 training step, kept as reference oracles for the whole-array and
-level-synchronous implementations, together with the depth-first
-``enumerate_mdp``, the hypergrid env calls that rebuild their move list,
-the level loops of ``exact.push_forward``/``pull_backward`` that reduced
-each level with ``segment_logsumexp``, and ``dense_loss_and_grads``, the
-training loss that computed every softmax and softmax VJP on all E edges.
+level-synchronous implementations, together with ``enumerate_mdp_dfs``,
+which asks the env one state at a time and finds the level-order numbering
+with a depth-first walk, the hypergrid env calls that rebuild their move
+list, the run loops of ``exact.push_forward``/``pull_backward`` that reduce
+each run of ``EnumeratedMdp.levels`` with ``segment_logsumexp``, and
+``dense_loss_and_grads``, the training loss that computed every softmax and
+softmax VJP on all E edges.
 
 Each function is the loop version verbatim, except that calls into
-functions that were rewritten go to the loop copies in this module, and
-that ``_coef`` no longer divides, so its callers here divide by their own
-denominators.
+functions that were rewritten go to the loop copies in this module, that
+``_coef`` no longer divides, so its callers here divide by their own
+denominators, and that ``enumerate_mdp_dfs`` and the run loops follow the
+level-order numbering.
 """
 
 from __future__ import annotations
@@ -118,26 +121,28 @@ def invert_loop(mdp: EnumeratedMdp) -> EnumeratedMdp:
 
 
 def enumerate_mdp_dfs(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedMdp:
-    """Enumerate the reachable states of ``env`` in topological order.
+    """Enumerate the reachable states of ``env`` in level order.
 
-    Indices come from reversed DFS postorder with children visited in
-    action-index order, so the initial state gets index 0 and every edge
-    goes from a lower to a higher index.  Deterministic for a deterministic
-    env.  Every pair that ``env.parents`` omits is an error, and so is a
-    declared pair that enumeration did not step itself (say, one from an
-    unreachable state) unless ``env.step`` replays it to the state.
+    States get discovery ids breadth first, children in action-index order;
+    a depth-first walk in action-index order gives a topological order and
+    catches a cycle, and longest-path depths follow along that order.  The
+    states are numbered by (terminal last, depth, discovery id), so the
+    initial state gets index 0 and every edge goes from a lower to a higher
+    index.  Deterministic for a deterministic env.  Every pair that
+    ``env.parents`` omits is an error, and so is a declared pair that
+    enumeration did not step itself (say, one from an unreachable state)
+    unless ``env.step`` replays it to the state.
 
     Raises CycleDetected, StateBudgetExceeded, or ParentMismatch.
     """
     root = env.initial_state()
     index_of: dict[bytes, int] = {root: 0}
     states: list[bytes] = [root]
-    kids: dict[int, list[int]] = {}  # discovery id -> child discovery ids
-    is_terminal: dict[int, bool] = {}  # discovery id -> env.is_terminal
+    kids: list[list[int]] = []  # by discovery id: child discovery ids
+    is_terminal: list[bool] = []  # by discovery id: env.is_terminal
 
-    def resolve(sid: int) -> list[int]:
-        st = states[sid]
-        is_terminal[sid] = env.is_terminal(st)
+    for sid, st in enumerate(states):  # breadth first: new children join the list
+        is_terminal.append(env.is_terminal(st))
         n_act = 0 if is_terminal[sid] else env.n_actions(st)
         out = []
         for a in range(n_act):
@@ -149,7 +154,7 @@ def enumerate_mdp_dfs(env: Env, max_states: int = DEFAULT_MAX_STATES) -> Enumera
                 cid = index_of[child] = len(states)
                 states.append(child)
             out.append(cid)
-        return out
+        kids.append(out)
 
     postorder: list[int] = []
     done: set[int] = set()
@@ -157,14 +162,11 @@ def enumerate_mdp_dfs(env: Env, max_states: int = DEFAULT_MAX_STATES) -> Enumera
     stack: list[list[int]] = [[0, 0]]  # (discovery id, next child position)
     while stack:
         sid, pos = stack[-1]
-        if sid not in kids:
-            kids[sid] = resolve(sid)
-        children = kids[sid]
-        if pos < len(children):
+        if pos < len(kids[sid]):
             stack[-1][1] = pos + 1
-            c = children[pos]
+            c = kids[sid][pos]
             if c in on_path:
-                raise CycleDetected(f"state {states[c]!r} reached again along the current path")
+                raise CycleDetected(f"state {states[c]!r} lies on a cycle")
             if c not in done:
                 on_path.add(c)
                 stack.append([c, 0])
@@ -174,7 +176,11 @@ def enumerate_mdp_dfs(env: Env, max_states: int = DEFAULT_MAX_STATES) -> Enumera
             done.add(sid)
             postorder.append(sid)
 
-    order = postorder[::-1]  # reverse postorder = topological, root first
+    depth = [0] * len(states)
+    for d in reversed(postorder):  # reverse postorder = topological, root first
+        for c in kids[d]:
+            depth[c] = max(depth[c], depth[d] + 1)
+    order = sorted(range(len(states)), key=lambda d: (is_terminal[d], depth[d], d))
     rank = {d: i for i, d in enumerate(order)}
 
     new_states = [states[d] for d in order]
@@ -326,24 +332,28 @@ def validate_loop(mdp: EnumeratedMdp) -> ValidationReport:
 
 
 def push_forward_levels(mdp: EnumeratedMdp, log_w: np.ndarray, log_init: np.ndarray) -> np.ndarray:
-    """``exact.push_forward`` with one ``segment_logsumexp`` per level."""
+    """``exact.push_forward`` with one ``segment_logsumexp`` per run of
+    ``mdp.levels``, first to last."""
     log_w = np.asarray(log_w, dtype=float)
     out = np.array(log_init, dtype=float)
-    for seg in mdp.levels.push:
-        out[seg.states] = segment_logsumexp(
-            out[mdp.edge_src[seg.edges]] + log_w[seg.edges], seg.starts
-        )
+    bounds, off = mdp.levels, mdp.in_offset
+    for a, b in zip(bounds, bounds[1:]):
+        if off[a] < off[b]:
+            ids = mdp.in_edges[off[a]:off[b]]
+            out[a:b] = segment_logsumexp(out[mdp.edge_src[ids]] + log_w[ids], off[a:b] - off[a])
     return out
 
 
 def pull_backward_levels(mdp: EnumeratedMdp, log_w: np.ndarray, log_terminal: np.ndarray) -> np.ndarray:
-    """``exact.pull_backward`` with one ``segment_logsumexp`` per level."""
+    """``exact.pull_backward`` with one ``segment_logsumexp`` per run of
+    ``mdp.levels``, last to first."""
     log_w = np.asarray(log_w, dtype=float)
     out = np.array(log_terminal, dtype=float)
-    for seg in mdp.levels.pull:
-        out[seg.states] = segment_logsumexp(
-            log_w[seg.edges] + out[mdp.edge_dst[seg.edges]], seg.starts
-        )
+    bounds, off = mdp.levels, mdp.out_offset
+    for a, b in reversed(list(zip(bounds, bounds[1:]))):
+        if off[a] < off[b]:
+            ids = np.arange(off[a], off[b])
+            out[a:b] = segment_logsumexp(log_w[ids] + out[mdp.edge_dst[ids]], off[a:b] - off[a])
     return out
 
 

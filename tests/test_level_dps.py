@@ -89,7 +89,7 @@ def test_segment_sum_is_the_insert_form_bit_for_bit(segments):
 @example([[1.0], [-1.9, 2.2, -3.5, -4.3, 1.9, 2.3, -2.9, 1.7, -0.9, 0.9, -3.8]])
 @settings(max_examples=200, deadline=None)
 def test_segment_logsumexp_is_the_scalar_helper_bit_for_bit(segments):
-    # the exact DPs reduce each level with padded_logsumexp, the same kernel
+    # the exact DPs reduce each run with padded_logsumexp, the same kernel
     values = np.concatenate([np.asarray(seg, dtype=float) for seg in segments])
     starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
     with np.errstate(invalid="ignore", over="ignore"):
@@ -126,15 +126,25 @@ def test_freeze_matches_loop_version(text, rnd):
 @settings(max_examples=40, deadline=None)
 def test_levels_order_every_edge(text):
     for m in both(text):
-        lv = m.levels
-        depth = np.zeros(m.n_states, dtype=int)  # parentless states sit on level 0
-        for k, seg in enumerate(lv.push, start=1):
-            assert (depth[seg.states] == 0).all()
-            depth[seg.states] = k
-        assert (depth[m.edge_src] < depth[m.edge_dst]).all()
-        pulled = np.concatenate([seg.edges for seg in lv.pull])
-        assert sorted(pulled.tolist()) == list(range(m.n_edges))
-        assert m.levels is lv  # cached on the instance
+        bounds = m.levels
+        assert bounds[0] == 0 and bounds[-1] == m.n_states and (np.diff(bounds) > 0).all()
+        run = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        assert (run[m.edge_src] < run[m.edge_dst]).all()  # every edge goes to a later run
+        for a, b in zip(bounds, bounds[1:]):
+            assert m.terminal[a:b].all() or not m.terminal[a:b].any()
+        assert (np.diff(m.in_offset)[bounds[1]:] > 0).all()  # a parent past run 0
+        assert m.levels is bounds  # cached on the instance
+    # enumerate_mdp numbers by level: the runs are the longest-path levels of
+    # the non-terminal states, then the terminals
+    m = both(text)[0]
+    depth = np.zeros(m.n_states, dtype=int)
+    for s in range(m.n_states):
+        parents = m.edge_src[m.in_edge_ids(s)]
+        depth[s] = 1 + depth[parents].max() if parents.size else 0
+    inner = depth[~m.terminal]
+    assert m.terminal.tolist() == sorted(m.terminal.tolist())
+    assert (np.diff(inner) >= 0).all()
+    assert m.levels == [0, *np.cumsum(np.bincount(inner)).tolist(), m.n_states]
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +198,7 @@ def test_level_kernels_match_segment_logsumexp_bit_for_bit(text, data):
 
 def test_level_kernels_match_on_varied_weights():
     # hypothesis favours weights such as 0.0 whose sums are exact in any order;
-    # normal weights show a level whose terms are added in another order
+    # normal weights show a run whose terms are added in another order
     rng = np.random.default_rng(0)
     for m in both(COMPLETE_DAG) * 20:
         log_w, values = rng.normal(0.0, 3.0, m.n_edges), rng.normal(0.0, 3.0, m.n_states)

@@ -124,11 +124,13 @@ def test_enumerate_cycle_detected():
 @pytest.mark.parametrize("text", [
     "initial 0\n0 0 1\n1 0 2\n2 0 1\n2 1 3\nterminal 3 0.0\n",  # 0 -> 1 -> 2 -> 1
     "initial 0\n0 0 1\n1 0 1\n1 1 2\nterminal 2 0.0\n",  # self-loop at 1
+    # 0 -> 1 -> 2 -> 1 below 0 -> 5 <- 2: state 5 is found first but lies below the cycle
+    "initial 0\n0 0 5\n0 1 1\n1 0 2\n2 0 1\n2 1 5\nterminal 5 0.0\n",
 ])
 def test_enumerate_cycle_below_the_root(text):
     env = parse_dag_text(text)
     for f in (enumerate_mdp, loops.enumerate_mdp_dfs):
-        with pytest.raises(CycleDetected, match="state b'1' reached again along the current path"):
+        with pytest.raises(CycleDetected, match="^state b'1' lies on a cycle$"):
             f(env)
 
 
@@ -152,7 +154,7 @@ def _mismatch(enumerate_fn, env) -> str:
 
 
 def test_enumerate_parent_mismatch():
-    # each message as the depth-first enumeration words it
+    # each message as the per-state enumeration words it
     cases = [
         (_BadParentsEnv, "parents(b's2') is missing the pairs [(b's0', 1)]"),
         (_LyingParentsEnv, "parents(b'sT') lists (b's0', 0) which does not replay to it"),
@@ -388,14 +390,29 @@ def _set(name, index, value):
     return corrupt
 
 
+def _edges(rows, terminal=None):
+    """A corruption that freezes the states and log targets with the
+    (src, action, dst) edge ``rows`` and, if given, the ``terminal`` flags."""
+    def corrupt(m):
+        return _freeze(list(m.states), m.terminal if terminal is None else terminal,
+                       m.log_target, rows)
+    return corrupt
+
+
+# the edge 2 -> 4 leaves the terminal state 3 instead, as its action 0
+MOVED = [(0, 0, 1), (0, 1, 2), (1, 0, 3), (2, 0, 3), (3, 0, 4)]
+# state 2 has no edges, and 1 -> 4 reaches the terminal state 4
+CUT = [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)]
+
+
 FOREIGN_OUT_0 = "out_offset slice of state 0 contains foreign edges"
 FOREIGN_IN_0 = "in_offset slice of state 0 contains foreign edges"
 
 # One corruption of the two-terminal DAG per validate message: the corrupted
 # MDP, the message, and the message of the seed's loop (the same except for
 # decreasing offsets, which the loop did not check as such).  Its states are
-# 0 '0', 1 '2', 2 '4' (terminal), 3 '1', 4 '3' (terminal); its edges are
-# 0->3, 0->1, 1->4, 1->2, 3->4.
+# 0 '0', 1 '1', 2 '2', 3 '3' (terminal), 4 '4' (terminal); its edges are
+# 0->1, 0->2, 1->3, 2->3, 2->4.
 CORRUPTIONS = [
     (lambda m: replace(m, states=m.states[:1] + m.states[:-1]), "duplicate state encodings", None),
     (lambda m: _freeze([], [], [], []), "no states, so no initial state", None),
@@ -411,20 +428,25 @@ CORRUPTIONS = [
     (_set("edge_src", 2, -1), "edge 2 references an unknown state", None),
     (_set("edge_dst", 0, 0), "acyclicity: edge 0 -> 0 violates topological index order", None),
     (_set("out_offset", 1, 1), "out_offset slice of state 1 contains foreign edges", None),
-    (_set("edge_action", 3, 2), "state 1 action ids are not dense 0..k-1", None),
-    (_set("terminal", 3, True), "terminal state 3 has children", None),
-    (_set("terminal", 2, False), "non-terminal state 2 has no children", None),
+    (_set("edge_action", 2, 2), "state 1 action ids are not dense 0..k-1", None),
+    (_edges(MOVED), "terminal state 3 has children", None),
+    (_edges(CUT), "non-terminal state 2 has no children", None),
     (_set("in_edges", 0, 3),
      "in_edges is not a permutation of edge ids (parent/child duality)", None),
     (lambda m: replace(m, in_edges=m.in_edges[[1, 0, 2, 3, 4]]),
      "in_offset slice of state 1 contains foreign edges", None),
-    (_set("log_target", 2, np.inf), "terminal state 2 has non-finite log_target", None),
+    # state 2 as a terminal without edges keeps its log target -inf
+    (_edges(CUT, [False, False, True, True, True]),
+     "terminal state 2 has non-finite log_target", None),
     (_set("log_target", 4, np.nan), "terminal state 4 has non-finite log_target", None),
     (_set("log_target", 1, 0.0), "non-terminal state 1 has a finite log_target", None),
-    (_set("log_target", 3, np.nan), "non-terminal state 3 has a finite log_target", None),
-    # without the edge 0 -> 1, state 1 has no parent: a second parentless state
+    # state 3 as a non-terminal with an edge keeps its finite log target
+    (_edges(MOVED, [False, False, False, False, True]),
+     "non-terminal state 3 has a finite log_target", None),
+    # without the edge 0 -> 1 (0 -> 2 takes its action 0), state 1 has no
+    # parent: a second parentless state
     (lambda m: _freeze(list(m.states), m.terminal, m.log_target,
-                       np.column_stack((m.edge_src, m.edge_action, m.edge_dst))[[0, 2, 3, 4]]),
+                       [(0, 0, 2), (1, 0, 3), (2, 0, 3), (2, 1, 4)]),
      "state 1 unreachable from the initial state", None),
     # a sixth state with neither parents nor children, as a terminal
     (lambda m: _freeze([*m.states, b"9"], [*m.terminal, True], [*m.log_target, 0.0],
@@ -446,9 +468,9 @@ def test_validate_reports_each_invariant_like_the_loop(two_terminal, corrupt, me
 
 
 def test_validate_names_the_lowest_state_of_a_group(two_terminal):
-    # state 3's actions are not dense, and state 1 is a terminal with
+    # state 2's actions are not dense, and state 1 is a terminal with
     # children: the later check fails at the lower state, which wins
-    bad = _set("terminal", 1, True)(_set("edge_action", 4, 1)(two_terminal))
+    bad = _set("terminal", 1, True)(_set("edge_action", 4, 2)(two_terminal))
     assert validate(bad).failure == loops.validate_loop(bad).failure == (
         "terminal state 1 has children")
 
