@@ -74,9 +74,8 @@ def push_forward(mdp: EnumeratedMdp, log_w: np.ndarray, log_init: np.ndarray) ->
     read.
     """
     log_w, e = np.asarray(log_w, dtype=float), mdp.in_edges
-    out = np.array(log_init, dtype=float)
-    return _sweep(mdp, out, mdp.in_runs,
-                  lambda lo, hi: out[mdp.edge_src[e[lo:hi]]] + log_w[e[lo:hi]])
+    out, src = np.array(log_init, dtype=float), mdp.edge_src[e]
+    return _sweep(mdp, out, mdp.in_runs, lambda lo, hi: out[src[lo:hi]] + log_w[e[lo:hi]])
 
 
 def pull_backward(mdp: EnumeratedMdp, log_w: np.ndarray, log_terminal: np.ndarray) -> np.ndarray:

@@ -87,9 +87,10 @@ class EnumeratedMdp:
     of each state's out-edges.  ``in_edges`` lists the same edge ids grouped
     by destination (sorted by ``(src, action)`` within each group) with CSR
     offsets ``in_offset``.  State 0 is the one initial state, from which
-    every state is reachable.  ``levels`` and the DPs' runs (``in_runs``,
-    ``out_runs``) are derived from these tables on first use and cached on
-    the instance.
+    every state is reachable.  ``enumerate_mdp`` numbers the states level by
+    level, so its levels are the runs of ``levels``; those runs and the DPs'
+    tables for them (``in_runs``, ``out_runs``) are derived from the edge
+    tables on first use and cached on the instance.
     """
 
     states: tuple[bytes, ...]
