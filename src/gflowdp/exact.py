@@ -21,9 +21,10 @@ Every DP is one of two log-space recursions over the CSR edge tables:
 ``enumerate_mdp`` numbers the states level by level, so each level is an
 index range, a run of ``EnumeratedMdp.levels``.  Both recursions update a
 whole run at once with ``padded_logsumexp``, reading its states, its edge
-segments and its window of one padded layout per direction
-(``mdp.padded_runs``) as slices: O(E) numpy work plus a fixed few numpy
-calls per run.
+segments and its window of one ``numerics.padded_layout`` per direction
+(``mdp.padded_runs``, cached on the MDP) as slices: O(E) numpy work plus a
+fixed few numpy calls per run.  The softmaxes and sums over segments take
+the segments' lengths, ``np.diff`` of the CSR offsets.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def backward_softmax(mdp: EnumeratedMdp, logits: np.ndarray) -> np.ndarray:
     """Backward policy: softmax of per-edge logits within each state's
     in-edge segment."""
     log_q = np.empty(mdp.n_edges)
-    log_q[mdp.in_edges] = segment_log_softmax(logits[mdp.in_edges], mdp.in_offset)
+    log_q[mdp.in_edges] = segment_log_softmax(logits[mdp.in_edges], np.diff(mdp.in_offset))
     return log_q
 
 
@@ -237,10 +238,9 @@ def flow_entropy(
     log_pi = np.asarray(log_pi, dtype=float)
     p = np.exp(log_pi)
     plogp = np.multiply(p, log_pi, out=np.zeros_like(p), where=p > 0.0)
-    live = np.flatnonzero(~mdp.terminal & (mu != 0.0) & (np.diff(mdp.out_offset) > 0))
-    edges, starts, _ = segment_positions(mdp.out_offset, live)
-    entropy = -segment_sum(plogp[edges], starts)
-    return float((mu[live] * entropy).sum())
+    live = np.flatnonzero(~mdp.terminal & (mu != 0.0))
+    edges, lengths = segment_positions(mdp.out_offset, live)
+    return float((mu[live] * -segment_sum(plogp[edges], lengths)).sum())
 
 
 def iter_trajectories(
@@ -315,7 +315,8 @@ class ExactTables:
         cells[:, 1::2] = texts[:-1].reshape(n, 4)
         cells[:, 2:8:2] = [', "V": ', ', "mu": ', ', "logF": ']
         cells[:, 8] = "}, "
-        states = "".join(cells.ravel().tolist())[:-2]  # no ", " after the last state
+        cells[n - 1:, 8] = "}"  # no ", " after the last state
+        states = "".join(cells.ravel().tolist())
         return f'{{"logZ": {texts[-1]}, "states": {{{states}}}}}'
 
 

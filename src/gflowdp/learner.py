@@ -10,11 +10,11 @@ The loss has two residual shapes: ``_balance`` over sub-trajectories of the
 sampled rows (tb, db, stb, pcl, n-trajectory) and ``_in_balance`` over the
 in-edges of the visited states (fm, n-bellman).
 Loss and gradient touch only the softmax segments the batch reads, in one
-``numerics.padded_logsumexp`` call, and scatter the gradients into dense zero
-tables; each sum keeps the order of the whole-table computation, so results
-are the same to the bit.  The behaviour CDF, Adam, ``repin`` and the EMA stay
-O(E) per step: Adam's momentum moves entries whose gradient is 0, and the
-EMA's 0.95x + 0.05x is not x to the bit.
+``numerics.segment_log_softmax`` call, and scatter the gradients into dense
+zero tables; each sum keeps the order of the whole-table computation, so
+results are the same to the bit.  The behaviour CDF, Adam, ``repin`` and the
+EMA stay O(E) per step: Adam's momentum moves entries whose gradient is 0,
+and the EMA's 0.95x + 0.05x is not x to the bit.
 Gradients are computed analytically; ``tests`` cross-check every
 objective/backward combination against central finite differences.
 """
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import exact, metrics, numerics
+from . import exact, metrics
 from .mdp import EnumeratedMdp, segment_positions
 
 # ``logsumexp``, ``cross_cumsum`` and ``backward_from_counts`` are not called
@@ -186,7 +186,7 @@ class PolicyModel:
     def forward_log_probs(self, mdp: EnumeratedMdp) -> np.ndarray:
         """Softmax of forward logits within each state's out-edge segment."""
         self.check_fits(mdp)
-        return segment_log_softmax(self.forward_logits, mdp.out_offset)
+        return segment_log_softmax(self.forward_logits, np.diff(mdp.out_offset))
 
     def clamped_log_f(self, mdp: EnumeratedMdp) -> np.ndarray:
         return np.where(mdp.terminal, mdp.log_target, self.log_f_hat)
@@ -366,12 +366,12 @@ def _balance(batch: RolloutBatch, v, x, cell_set, hp: HuberParams, head=None):
 def _in_segments(mdp: EnumeratedMdp, visits):
     """The distinct states of ``visits`` in increasing order, their visit
     counts, and the ids and sources of their in-edges, state after state in
-    table order, with where each state's run starts and its length."""
+    table order, with each state's number of in-edges."""
     counts = np.bincount(visits, minlength=mdp.n_states)
     states = np.flatnonzero(counts)
-    pos, starts, n_in = segment_positions(mdp.in_offset, states)
+    pos, n_in = segment_positions(mdp.in_offset, states)
     edges = mdp.in_edges[pos]
-    return states, counts[states], edges, mdp.edge_src[edges], starts, n_in
+    return states, counts[states], edges, mdp.edge_src[edges], n_in
 
 
 def _in_balance(v, w, segments, hp: HuberParams, head):
@@ -379,11 +379,11 @@ def _in_balance(v, w, segments, hp: HuberParams, head):
     w(e) (``head`` where s has no parents; no w term where ``w`` is None) at
     the states of ``_in_segments``, weighted by their share of the visits,
     and its coefficients on the tables ``v``, ``w`` and ``head``."""
-    states, counts, edges, srcs, starts, n_in = segments
+    states, counts, edges, srcs, n_in = segments
     weight = counts / float(counts.sum())
     terms = v[srcs] if w is None else v[srcs] + w[edges]
-    lse = np.full(len(states), head)
-    lse[n_in > 0] = segment_logsumexp(terms, starts[n_in > 0])
+    lse = segment_logsumexp(terms, n_in)
+    lse[n_in == 0] = head
     res = v[states] - lse
     c = weight * _coef(res, hp)
     c_in = -np.repeat(c, n_in) * np.exp(terms - np.repeat(lse, n_in))
@@ -430,27 +430,18 @@ def compute_loss_and_grads(
     # visited states.  Those include the steps' sources, and are where each
     # parent's l-gradient through q_l adds up, in increasing edge id.
     visited = _in_segments(mdp, np.concatenate([mdp.edge_src[se], batch.terminals]))
-    states, counts, q_edges, parents, q_starts, q_runs = visited
-    q_starts, q_runs = q_starts[1:], q_runs[1:]  # the initial state's run is empty
+    states, counts, q_edges, parents, q_runs = visited
     q_logits = [model.l_hat[parents]] if ql_needed else []
     if q_needed:
         q_logits.append(exact_l[parents] if l_known else model.backward_logits[q_edges])
-    out_edges, starts, runs = segment_positions(
+    out_edges, out_runs = segment_positions(
         mdp.out_offset, np.flatnonzero(np.bincount(parents, minlength=n_states)))
     n_q, q_size = len(q_logits), len(q_edges)
-    logits = np.concatenate(q_logits + [model.forward_logits[out_edges]])
-    starts = np.concatenate([q_starts + i * q_size for i in range(n_q)] + [starts + n_q * q_size])
-    runs = np.concatenate([q_runs] * n_q + [runs])
-    # padded_logsumexp reduces each run by itself, so every segment gets the
-    # bits that segment_log_softmax gives it on its whole table
-    k = np.arange(len(runs))
-    heads = starts + k
-    slots = np.ones(len(logits) + len(k), dtype=bool)
-    slots[heads] = False
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lse = numerics.padded_logsumexp(logits, starts, runs, slots, heads, np.zeros(slots.size))
-    run = np.repeat(k, runs)
-    log_p = logits - lse[run]
+    runs = np.concatenate([q_runs] * n_q + [out_runs])
+    # each segment is reduced by itself, so it gets the bits that
+    # segment_log_softmax gives it on its whole table
+    log_p = segment_log_softmax(np.concatenate(q_logits + [model.forward_logits[out_edges]]), runs)
+    run = np.repeat(np.arange(len(runs)), runs)
     # group i's log-probabilities on its edges, read nowhere else: log q_l and
     # log q, where computed, and log pi
     tables = np.empty((n_q + 1) * n_edges)
@@ -495,7 +486,7 @@ def compute_loss_and_grads(
     n_loss = 0.0
     if config.n_objective == "bellman":
         # l(s) against the logsumexp of l over the parents of each step's child
-        children = states[1:], counts[1:], q_edges, parents, q_starts, q_runs
+        children = states[1:], counts[1:], q_edges, parents, q_runs[1:]
         n_loss, g_v, _, _ = _in_balance(model.l_hat, None, children, hp, 0.0)
         g_l += g_v
     elif n_traj:

@@ -17,6 +17,8 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
+from .numerics import padded_layout
+
 DEFAULT_MAX_STATES = 1_000_000
 
 
@@ -165,14 +167,14 @@ class EnumeratedMdp:
         return replace(self, log_target=log_target)
 
 
-def segment_positions(offset: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+def segment_positions(offset: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions ``offset[r]:offset[r + 1]`` of every row in ``rows``, row
-    after row, and where each row's run starts among them and its length."""
+    after row, and each row's length."""
     rows = np.asarray(rows, dtype=np.int64)
     first = offset[rows]
     lengths = offset[rows + 1] - first
     starts = np.cumsum(lengths) - lengths
-    return np.repeat(first - starts, lengths) + np.arange(int(lengths.sum())), starts, lengths
+    return np.repeat(first - starts, lengths) + np.arange(int(lengths.sum())), lengths
 
 
 def padded_runs(offset: np.ndarray, levels: list[int]) -> list[tuple]:
@@ -180,18 +182,16 @@ def padded_runs(offset: np.ndarray, levels: list[int]) -> list[tuple]:
     of ``levels`` whose segments in the CSR ``offset`` (each state's in-edges
     or its out-edges) fill the nonempty positions ``lo:hi``.
 
-    Every state's segment follows a 0.0 in one ``numerics.padded_logsumexp``
-    layout, state ``s``'s 0.0 at ``heads[s] = offset[s] + s``, so a run fills
-    the window ``:hi + b``.  The kernel's tables for the run (``starts``
-    counted from ``lo``) are views of tables built once for all states.
+    The kernel's tables for the run are cut from one
+    ``numerics.padded_layout`` of all states' segments, ``starts`` counted
+    from ``lo`` and ``slots`` as indices, so a run fills the window
+    ``:hi + b`` of its padded array.
     """
-    n = len(offset) - 1
     lengths = np.diff(offset)
-    starts = offset[:-1] - np.repeat(offset[levels[:-1]], np.diff(levels))
-    slots = np.arange(offset[-1]) + np.repeat(np.arange(1, n + 1), lengths)
-    heads = offset[:-1] + np.arange(n)
+    starts, slots, heads = padded_layout(lengths)
+    slots = np.flatnonzero(slots)
     cuts = offset[levels].tolist()
-    return [(a, b, lo, hi, starts[a:b], lengths[a:b], slots[lo:hi], heads[a:b])
+    return [(a, b, lo, hi, starts[a:b] - lo, lengths[a:b], slots[lo:hi], heads[a:b])
             for a, b, lo, hi in zip(levels, levels[1:], cuts, cuts[1:]) if lo < hi]
 
 

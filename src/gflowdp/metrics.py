@@ -55,13 +55,6 @@ def kl_terminal(mdp: EnumeratedMdp, log_pi: np.ndarray, direction: str = "forwar
     return _kl(*_terminal_logs(mdp, exact.log_marginals(mdp, log_pi)), direction)
 
 
-def _distinct(ids) -> np.ndarray:
-    """The distinct ids, sorted: ``np.unique`` without its first call's
-    import of ``numpy.ma``."""
-    ids = np.sort(np.asarray(ids, dtype=np.int64))
-    return ids[np.diff(ids, prepend=ids[:1] - 1) != 0]
-
-
 def pearson_logprob(
     samples,
     policy_terminal_logprob: np.ndarray,
@@ -71,7 +64,8 @@ def pearson_logprob(
     over a multiset of sampled terminal state ids; clipped to [-1, 1], which
     rounding can overshoot."""
     idx = np.asarray(samples, dtype=np.int64)
-    if len(_distinct(idx)) < 2:
+    # np.unique imports numpy.ma unless it is asked for counts or an inverse
+    if len(np.unique(idx, return_counts=True)[0]) < 2:
         raise DegenerateVariance("need at least two distinct samples")
     x = np.asarray(policy_terminal_logprob, dtype=float)[idx]
     y = np.asarray(log_target, dtype=float)[idx]
@@ -85,7 +79,8 @@ def pearson_logprob(
 
 def mode_count(visited_terminals, log_target: np.ndarray, thresholds) -> dict[float, int]:
     """Distinct visited terminals with target at or above each threshold."""
-    targets = log_target[_distinct(visited_terminals)]
+    targets = log_target[np.unique(np.asarray(visited_terminals, dtype=np.int64),
+                                   return_counts=True)[0]]
     return {float(theta): int((targets >= np.log(theta)).sum()) for theta in thresholds}
 
 

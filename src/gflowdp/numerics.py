@@ -6,7 +6,9 @@ the grids get interesting, so linear-space arithmetic is never an option.
 
 The ``segment_*`` helpers reduce many consecutive segments of one flat array
 at once (the CSR layout of ``EnumeratedMdp``'s edge tables) with the same
-arithmetic as the scalar helpers applied segment by segment.
+arithmetic as the scalar helpers applied segment by segment.  They all take
+the segments' lengths, empty segments allowed, and all reduce on the one
+layout of ``padded_layout``, which the exact DPs also slice run by run.
 
 ``json_float_texts`` gives the JSON writers the text of each table entry.
 """
@@ -32,48 +34,54 @@ def logsumexp(values) -> float:
     return m + float(np.log(np.exp(arr - m).sum()))
 
 
-def segment_sum(values, starts) -> np.ndarray:
-    """Sum of each segment of ``values``; ``starts`` are the offsets of the
-    nonempty segments, increasing, the first 0.
+def padded_layout(lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(starts, slots, heads)`` of segments of the given lengths laid end
+    to end, each behind a 0.0: segment k starts at ``starts[k]`` among the
+    values, and in a zeroed array of ``len(values) + len(lengths)`` entries
+    the values fill the ``slots`` mask, the segment's 0.0 at ``heads[k]``.
 
     ``add.reduceat`` seeds a segment with its first element and adds the rest
     pairwise, while ``ndarray.sum`` adds the whole segment pairwise from zero.
-    A 0.0 put at the head of every segment makes the two add in the same
-    order, so the results match ``values[segment].sum()`` to the last bit
-    rather than to rounding.
+    With the 0.0 ahead, ``add.reduceat`` over ``heads`` adds in the same
+    order, so a segment sums to ``values[segment].sum()`` to the last bit
+    rather than to rounding, and an empty one to 0.0.
     """
-    values = np.asarray(values, dtype=float)
-    starts = np.asarray(starts, dtype=np.int64)
-    if starts.size == 0:
-        return np.zeros(0)
-    heads = starts + np.arange(starts.size)
-    keep = np.ones(values.size + starts.size, dtype=bool)
-    keep[heads] = False
-    padded = np.zeros(keep.size)
-    padded[keep] = values
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    heads = starts + np.arange(lengths.size)
+    slots = np.ones(lengths.sum() + lengths.size, dtype=bool)
+    slots[heads] = False
+    return starts, slots, heads
+
+
+def segment_sum(values, lengths) -> np.ndarray:
+    """Sum of each segment of ``values`` (segments of the given lengths laid
+    end to end, empty ones allowed), bit for bit ``ndarray.sum``."""
+    _, slots, heads = padded_layout(lengths)
+    padded = np.zeros(slots.size)
+    padded[slots] = values
     return np.add.reduceat(padded, heads)
 
 
-def segment_logsumexp(values, starts) -> np.ndarray:
+def segment_logsumexp(values, lengths) -> np.ndarray:
     """``logsumexp`` of each segment of ``values`` (segments as in
-    ``segment_sum``): shifted by the segment's max, -inf for an all -inf
-    segment, +inf/nan propagated."""
+    ``segment_sum``): shifted by the segment's max, -inf for an empty or all
+    -inf segment, +inf/nan propagated."""
     values = np.asarray(values, dtype=float)
-    starts = np.asarray(starts, dtype=np.int64)
-    if starts.size == 0:
-        return np.zeros(0)
-    heads = starts + np.arange(starts.size)
-    keep = np.ones(values.size + starts.size, dtype=bool)
-    keep[heads] = False
-    lengths = np.diff(starts, append=values.size)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    out = np.full(lengths.size, NEG_INF)
+    live = lengths > 0
+    starts, slots, heads = padded_layout(lengths[live])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return padded_logsumexp(values, starts, lengths, keep, heads, np.zeros(keep.size))
+        out[live] = padded_logsumexp(values, starts, lengths[live], slots, heads,
+                                     np.zeros(slots.size))
+    return out
 
 
 def padded_logsumexp(values, starts, lengths, slots, heads, padded) -> np.ndarray:
-    """``segment_logsumexp`` on kept tables: segment k is ``lengths[k]`` long;
-    in the zeroed ``padded`` the values go to ``slots`` (indices or a mask), a
-    0.0 ahead of each segment at ``heads``.  The caller silences warnings."""
+    """``segment_logsumexp`` of nonempty segments on the tables of
+    ``padded_layout`` (or on slices of them, with ``slots`` as indices), with
+    the zeroed ``padded`` to fill.  The caller silences warnings."""
     m = np.maximum.reduceat(values, starts)
     finite = np.isfinite(m)
     shift = np.where(finite, m, 0.0)
@@ -81,15 +89,11 @@ def padded_logsumexp(values, starts, lengths, slots, heads, padded) -> np.ndarra
     return np.where(finite, shift + np.log(np.add.reduceat(padded, heads)), m)
 
 
-def segment_log_softmax(values, offset) -> np.ndarray:
-    """``values`` minus the logsumexp of their segment, for segments given as
-    CSR offsets (``offset[i]:offset[i + 1]``, empty segments allowed)."""
-    values = np.asarray(values, dtype=float)
-    offset = np.asarray(offset, dtype=np.int64)
-    lengths = np.diff(offset)
-    live = lengths > 0
-    lse = segment_logsumexp(values, offset[:-1][live])
-    return values - np.repeat(lse, lengths[live])
+def segment_log_softmax(values, lengths) -> np.ndarray:
+    """``values`` minus the logsumexp of their segment (segments as in
+    ``segment_sum``)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return values - np.repeat(segment_logsumexp(values, lengths), lengths)
 
 
 def json_float_texts(values) -> np.ndarray:
@@ -98,19 +102,13 @@ def json_float_texts(values) -> np.ndarray:
     tables a DP solves on a symmetric DAG repeat few values.
 
     Entries are grouped by their bits, not by ``==``: ``-0.0`` and ``0.0``
-    print differently, and NaN equals nothing.
+    print differently, and NaN equals nothing.  With ``return_inverse``,
+    ``np.unique`` does not import ``numpy.ma``.
     """
     values = np.ascontiguousarray(values, dtype=float)
-    flat = values.reshape(-1)
-    bits = flat.view(np.int64)
-    order = np.argsort(bits)
-    bits = bits[order]
-    first = np.ones(flat.size, dtype=bool)  # first of a run of equal bits
-    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    bits, rank = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
     # no float's text holds ", "; with no values, the one "" is never read
-    texts = json.dumps(flat[order[first]].tolist())[1:-1].split(", ")
-    rank = np.empty(flat.size, dtype=np.intp)
-    rank[order] = np.cumsum(first) - 1
+    texts = json.dumps(bits.view(float).tolist())[1:-1].split(", ")
     return np.array(texts, dtype=object)[rank].reshape(values.shape)
 
 

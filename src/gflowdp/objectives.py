@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import EnumeratedMdp
-from .numerics import logsumexp, segment_logsumexp
+from .numerics import logsumexp, segment_log_softmax
 
 
 @dataclass(frozen=True)
@@ -155,10 +155,8 @@ def subtrajectory_cells(lengths, lam: float = 1.0):
     b, at = np.nonzero(tj[None, :] < lengths[:, None])
     i, j = ti[at], tj[at]
     log_w = (j - i + 1) * np.log(lam)
-    per_row = lengths * (lengths + 1) // 2
-    live = per_row > 0
-    norm = segment_logsumexp(log_w, (np.cumsum(per_row) - per_row)[live])
-    return (b, i, j), np.exp(log_w - np.repeat(norm, per_row[live])) / len(lengths)
+    log_w = segment_log_softmax(log_w, lengths * (lengths + 1) // 2)
+    return (b, i, j), np.exp(log_w) / len(lengths)
 
 
 def cross_cumsum(v: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -340,7 +340,7 @@ def push_forward_levels(mdp: EnumeratedMdp, log_w: np.ndarray, log_init: np.ndar
     for a, b in zip(bounds, bounds[1:]):
         if off[a] < off[b]:
             ids = mdp.in_edges[off[a]:off[b]]
-            out[a:b] = segment_logsumexp(out[mdp.edge_src[ids]] + log_w[ids], off[a:b] - off[a])
+            out[a:b] = segment_logsumexp(out[mdp.edge_src[ids]] + log_w[ids], np.diff(off[a:b + 1]))
     return out
 
 
@@ -353,7 +353,7 @@ def pull_backward_levels(mdp: EnumeratedMdp, log_w: np.ndarray, log_terminal: np
     for a, b in reversed(list(zip(bounds, bounds[1:]))):
         if off[a] < off[b]:
             ids = np.arange(off[a], off[b])
-            out[a:b] = segment_logsumexp(log_w[ids] + out[mdp.edge_dst[ids]], off[a:b] - off[a])
+            out[a:b] = segment_logsumexp(log_w[ids] + out[mdp.edge_dst[ids]], np.diff(off[a:b + 1]))
     return out
 
 
@@ -792,13 +792,13 @@ def _dense_in_balance(mdp, v, w, visits, hp, head):
     counts = np.bincount(visits, minlength=mdp.n_states)
     states = np.flatnonzero(counts)
     weight = counts[states] / float(counts.sum())
-    pos, starts, _ = segment_positions(mdp.in_offset, states)
+    pos, _ = segment_positions(mdp.in_offset, states)
     edges = mdp.in_edges[pos]
     srcs = mdp.edge_src[edges]
     terms = v[srcs] + w[edges]
     n_in = np.diff(mdp.in_offset)[states]
     lse = np.full(len(states), head)
-    lse[n_in > 0] = segment_logsumexp(terms, starts[n_in > 0])
+    lse[n_in > 0] = segment_logsumexp(terms, n_in[n_in > 0])
     res = v[states] - lse
     c = weight * _coef(res, hp)
     c_in = -np.repeat(c, n_in) * np.exp(terms - np.repeat(lse, n_in))

@@ -4,9 +4,10 @@ or orders its lines, and a constant added to every log target moves only
 the quantities that carry the target's scale."""
 
 import json
+import random
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gflowdp import cli
@@ -62,7 +63,9 @@ def rewrite(text, name, shift=0.0):
         if parts[0] == "initial":
             parts[1] = str(name[int(parts[1])])
         elif parts[0] == "terminal":
-            parts[1:] = [str(name[int(parts[1])]), repr(float(parts[2]) + shift)]
+            # as written when unshifted: 0.0 + -0.0 would turn a -0.0 target into 0.0
+            parts[1:] = [str(name[int(parts[1])]),
+                         repr(float(parts[2]) + shift) if shift else parts[2]]
         else:
             parts[0], parts[2] = str(name[int(parts[0])]), str(name[int(parts[2])])
         lines.append(" ".join(parts))
@@ -74,6 +77,10 @@ new_ids = st.lists(st.integers(0, 10**6), min_size=10, max_size=10, unique=True)
 
 
 @given(random_dag_text(), new_ids, st.randoms(use_true_random=False))
+# a -0.0 target, which the rewritten text must keep
+@example(text="initial 0\n" + "".join(f"0 {k} {k + 1}\n" for k in range(6)) + "1 0 7\n"
+         + "".join(f"terminal {s} 0.0\n" for s in range(2, 7)) + "terminal 7 -0.0\n",
+         ids=list(range(10)), rnd=random.Random(0))
 @settings(max_examples=25, deadline=None)
 def test_outputs_do_not_depend_on_state_ids_or_line_order(tmp_path_factory, text, ids, rnd):
     lines = rewrite(text, ids)

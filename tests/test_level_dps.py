@@ -14,7 +14,7 @@ import loop_oracles as loops
 from gflowdp import exact, learner
 from gflowdp.learner import PolicyModel, TrainConfig
 from gflowdp.mdp import _freeze, enumerate_mdp, parse_dag_text
-from gflowdp.numerics import logsumexp, segment_logsumexp, segment_sum
+from gflowdp.numerics import logsumexp, segment_log_softmax, segment_logsumexp, segment_sum
 
 from conftest import (
     batch_from_trajectories,
@@ -52,7 +52,6 @@ segment_lists = st.lists(
             st.floats(min_value=-50.0, max_value=50.0),
             st.sampled_from([-math.inf, math.inf, math.nan]),
         ),
-        min_size=1,
         max_size=12,
     ),
     min_size=1,
@@ -60,47 +59,61 @@ segment_lists = st.lists(
 )
 
 
+def flat(segments):
+    """The segments' values laid end to end, and their lengths."""
+    values = np.concatenate([np.asarray(seg, dtype=float) for seg in segments])
+    return values, np.array([len(seg) for seg in segments])
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
 @given(segment_lists)
 @settings(max_examples=200, deadline=None)
 def test_segment_reductions_match_scalar_helpers(segments):
-    values = np.concatenate([np.asarray(seg, dtype=float) for seg in segments])
-    starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    values, lengths = flat(segments)
     with np.errstate(invalid="ignore", over="ignore"):
         want_lse = [logsumexp(seg) for seg in segments]
         want_sum = [np.asarray(seg, dtype=float).sum() for seg in segments]
-        got_sum = segment_sum(values, starts)
-    assert close(segment_logsumexp(values, starts), want_lse)
+        got_sum = segment_sum(values, lengths)
+    assert close(segment_logsumexp(values, lengths), want_lse)
     assert close(got_sum, want_sum)
 
 
 @given(segment_lists)
+@example([[], [1.0, 2.0], [], [], [-math.inf]])
 @settings(max_examples=200, deadline=None)
 def test_segment_sum_is_the_insert_form_bit_for_bit(segments):
-    values = np.concatenate([np.asarray(seg, dtype=float) for seg in segments])
-    starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    values, lengths = flat(segments)
+    starts = np.cumsum(lengths) - lengths
     with np.errstate(invalid="ignore", over="ignore"):
         want = np.add.reduceat(np.insert(values, starts, 0.0), starts + np.arange(starts.size))
-        got = segment_sum(values, starts)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got = segment_sum(values, lengths)
+        sums = [np.asarray(seg, dtype=float).sum() for seg in segments]
+    assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(bits(got), bits(sums))
 
 
 @given(segment_lists)
 # an 11-term segment where add.reduceat without the 0.0 ahead adds in another order
 @example([[1.0], [-1.9, 2.2, -3.5, -4.3, 1.9, 2.3, -2.9, 1.7, -0.9, 0.9, -3.8]])
+@example([[], [0.5], [], [-math.inf, -math.inf], []])
 @settings(max_examples=200, deadline=None)
 def test_segment_logsumexp_is_the_scalar_helper_bit_for_bit(segments):
     # the exact DPs reduce each run with padded_logsumexp, the same kernel
-    values = np.concatenate([np.asarray(seg, dtype=float) for seg in segments])
-    starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    values, lengths = flat(segments)
     with np.errstate(invalid="ignore", over="ignore"):
         want = np.array([logsumexp(seg) for seg in segments])
-    got = segment_logsumexp(values, starts)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        want_softmax = [np.asarray(seg, dtype=float) - logsumexp(seg) for seg in segments]
+        got_softmax = segment_log_softmax(values, lengths)
+    assert np.array_equal(bits(segment_logsumexp(values, lengths)), bits(want))
+    assert np.array_equal(bits(got_softmax), bits(np.concatenate(want_softmax)))
 
 
 def test_all_neg_inf_segment_is_neg_inf():
     values = np.array([-math.inf, -math.inf, 0.0, math.log(3.0)])
-    out = segment_logsumexp(values, [0, 2])
+    out = segment_logsumexp(values, [2, 2])
     assert out[0] == -math.inf
     assert out[1] == pytest.approx(math.log(4.0), abs=TOL)
 
