@@ -243,6 +243,9 @@ def bitvec_n(state: bytes) -> int:
     return math.factorial(k)
 
 
+_UNSET = b"*"  # an entry of a BitVectorEnv state that is not set yet
+
+
 class BitVectorEnv:
     """Fills a vector of placeholders with 0/1 values in any order.
 
@@ -261,23 +264,22 @@ class BitVectorEnv:
         self.ones_reward = float(ones_reward)
 
     def initial_state(self) -> bytes:
-        return b"*" * self.length
-
-    def _unset(self, state: bytes) -> list[int]:
-        return [i for i, b in enumerate(state) if b == ord("*")]
+        return _UNSET * self.length
 
     def n_actions(self, state: bytes) -> int:
-        return 2 * len(self._unset(state))
+        return 2 * state.count(_UNSET)
 
     def step(self, state: bytes, action: int) -> bytes:
         rank, value = divmod(action, 2)
-        i = self._unset(state)[rank]
+        i = -1
+        for _ in range(rank + 1):  # the rank-th unset entry
+            i = state.index(_UNSET, i + 1)
         out = bytearray(state)
         out[i] = ord("1") if value else ord("0")
         return bytes(out)
 
     def is_terminal(self, state: bytes) -> bool:
-        return b"*" not in state
+        return _UNSET not in state
 
     def log_target(self, state: bytes) -> float:
         if not self.is_terminal(state):
@@ -286,13 +288,11 @@ class BitVectorEnv:
 
     def parents(self, state: bytes) -> list[tuple[bytes, int]]:
         out = []
-        for i, b in enumerate(state):
-            if b == ord("*"):
-                continue
-            prev = bytearray(state)
-            prev[i] = ord("*")
-            rank = self._unset(bytes(prev)).index(i)
-            out.append((bytes(prev), 2 * rank + (1 if b == ord("1") else 0)))
+        for i in range(len(state)):
+            entry = state[i:i + 1]
+            if entry != _UNSET:  # unset again, it is the unset entry of rank "unset before i"
+                rank = state.count(_UNSET, 0, i)
+                out.append((state[:i] + _UNSET + state[i + 1:], 2 * rank + (entry == b"1")))
         return out
 
 

@@ -1,11 +1,14 @@
 """Acyclic deterministic MDP core: enumeration and validation.
 
 Environments expose states as opaque byte encodings behind the ``Env``
-protocol.  ``enumerate_mdp`` walks the reachable graph, numbers the states
-level by level (longest-path depth from the initial state, terminals last),
-and freezes the DAG into flat edge tables (``EnumeratedMdp``) that every
-solver in this package consumes.  Each level is then a range of indices,
-``EnumeratedMdp.levels``, that the DPs read as slices.
+protocol.  ``enumerate_mdp`` walks the reachable graph breadth first,
+numbers the states level by level (longest-path depth from the initial
+state, terminals last), and builds the flat edge tables (``EnumeratedMdp``)
+that every solver in this package consumes in that numbering.  When every
+edge goes from one discovery frontier to the next, as on a hypergrid, the
+frontiers are the levels; otherwise a Kahn pass finds the levels and any
+cycle.  Each level is then a range of indices, ``EnumeratedMdp.levels``,
+that the DPs read as slices.
 """
 
 from __future__ import annotations
@@ -201,35 +204,6 @@ class ValidationReport:
     failure: str | None = None
 
 
-def _freeze(
-    states: list[bytes],
-    terminal: Sequence[bool],
-    log_target: Sequence[float],
-    edges: Sequence[tuple[int, int, int]] | np.ndarray,
-) -> EnumeratedMdp:
-    """Build the CSR tables from (src, action, dst) edge rows."""
-    n = len(states)
-    table = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-    table = table[np.lexsort((table[:, 1], table[:, 0]))]
-    src, act, dst = (np.ascontiguousarray(col) for col in table.T)
-
-    out_offset = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-    in_edges = np.argsort(dst, kind="stable")  # by (dst, src, action)
-    in_offset = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
-
-    return EnumeratedMdp(
-        states=tuple(states),
-        terminal=np.asarray(terminal, dtype=bool),
-        log_target=np.asarray(log_target, dtype=float),
-        edge_src=src,
-        edge_action=act,
-        edge_dst=dst,
-        out_offset=out_offset,
-        in_edges=in_edges,
-        in_offset=in_offset,
-    )
-
-
 class _PerState:
     """The batched calls of ``Env`` made through the env's per-state methods,
     one state at a time in batch order."""
@@ -265,10 +239,12 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
     within a state).  They are numbered by (terminal last, longest-path
     depth from the initial state, discovery id), so the initial state gets
     index 0, every edge goes from a lower to a higher index, and each level
-    is a run of ``EnumeratedMdp.levels``.  Deterministic for a deterministic
-    env.  Every pair that ``env.parents`` omits is an error, and so is a
-    declared pair that enumeration did not step itself (say, one from an
-    unreachable state) unless ``env.step`` replays it to the state.
+    is a run of ``EnumeratedMdp.levels``; the frontiers are the levels when
+    every edge goes from one frontier to the next, else a Kahn pass finds
+    them (``_level_order``).  Deterministic for a deterministic env.  Every
+    pair that ``env.parents`` omits is an error, and so is a declared pair
+    that enumeration did not step itself (say, one from an unreachable
+    state) unless ``env.step`` replays it to the state.
 
     The env answers through the batched calls of ``Env``: one
     ``batch_children`` per discovery frontier, then one ``batch_log_target``
@@ -285,36 +261,48 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
     frontier = [env.initial_state()]
     index_of: dict[bytes, int] = {frontier[0]: 0}
     states: list[bytes] = []  # by discovery id, one frontier after another
-    terminal, n_kids, kids = [], [], []  # per frontier; kids are child discovery ids
+    sizes, terminal, n_kids, kids = [], [], [], []  # per frontier; kids are child discovery ids
     while frontier:
         states += frontier
+        sizes.append(len(frontier))
         term, counts, children = calls.batch_children(frontier)
         # the next frontier: the new children, in order of first appearance
         frontier = list(filterfalse(index_of.__contains__, dict.fromkeys(children)))
         index_of.update(zip(frontier, count(len(index_of))))
         if len(index_of) > max(max_states, len(states)):  # a new state past the budget
             raise StateBudgetExceeded(f"more than {max_states} reachable states")
-        kids += map(index_of.__getitem__, children)
+        kids.append(np.fromiter(map(index_of.__getitem__, children), dtype=np.int64,
+                                count=len(children)))
         terminal.append(np.asarray(term, dtype=bool))
         n_kids.append(np.asarray(counts, dtype=np.int64))
 
     n = len(states)
-    offset = np.concatenate(([0], np.cumsum(np.concatenate(n_kids))))
-    src = np.repeat(np.arange(n), np.diff(offset))
-    dst = np.array(kids, dtype=np.int64)
+    dst = np.concatenate(kids)
+    offset = np.concatenate(([0], np.cumsum(np.concatenate(n_kids))))  # of each id's out-edges
     terminal = np.concatenate(terminal)
-    order = _level_order(offset, src, dst, terminal, states)
+    order = _level_order(offset, dst, np.repeat(np.arange(len(sizes)), sizes), terminal, states)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
 
     new_states = list(map(states.__getitem__, order.tolist()))
     terminal = terminal[order]
     log_target = np.full(n, -np.inf)
-    ends = np.flatnonzero(terminal)
-    log_target[ends] = calls.batch_log_target(list(map(new_states.__getitem__, ends.tolist())))
-    edges = np.column_stack((rank[src], np.arange(len(kids)) - offset[src], rank[dst]))
-    pos = segment_positions(offset, order)[0]  # by source rank, then action: as _freeze sorts
-    mdp = _freeze(new_states, terminal, log_target, edges[pos])
+    inner = n - int(terminal.sum())  # the terminals are the last block
+    log_target[inner:] = calls.batch_log_target(new_states[inner:])
+    pos, counts = segment_positions(offset, order)  # by source rank, then action
+    out_offset = np.concatenate(([0], np.cumsum(counts)))
+    edge_dst = rank[dst[pos]]
+    mdp = EnumeratedMdp(
+        states=tuple(new_states),
+        terminal=terminal,
+        log_target=log_target,
+        edge_src=np.repeat(np.arange(n), counts),
+        edge_action=np.arange(len(pos)) - np.repeat(out_offset[:-1], counts),
+        edge_dst=edge_dst,
+        out_offset=out_offset,
+        in_edges=np.argsort(edge_dst, kind="stable"),  # by (dst, src, action)
+        in_offset=np.concatenate(([0], np.cumsum(np.bincount(edge_dst, minlength=n)))),
+    )
     n_pairs, parents, actions = calls.batch_parents(new_states)
     ranks = np.append(rank, n)  # n: a parent that enumeration never reached
     parent_rank = ranks[np.fromiter(map(index_of.get, parents, repeat(n)),
@@ -323,25 +311,33 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
     return mdp
 
 
-def _level_order(offset: np.ndarray, src: np.ndarray, dst: np.ndarray, terminal: np.ndarray,
-                 states: list[bytes]) -> np.ndarray:
+def _level_order(offset: np.ndarray, dst: np.ndarray, frontier: np.ndarray,
+                 terminal: np.ndarray, states: list[bytes]) -> np.ndarray:
     """Discovery ids sorted by (terminal last, longest-path depth, id) for
-    the edges ``src -> dst`` (``offset``: CSR of each id's out-edges), from
-    one Kahn pass (Kahn 1962) seeded with the states without parents.  A
-    state left over lies on or below a cycle: walking back through left-over
+    the edges ``id -> dst`` (``offset``: CSR of each id's out-edges), with
+    ``frontier`` the discovery frontier of each id.
+
+    When every edge goes from frontier k to frontier k + 1, every path to a
+    state has the same length, so its frontier is its depth.  Only when an
+    edge skips a frontier or goes back does one Kahn pass (Kahn 1962),
+    seeded with the states without parents, find the depths.  A state it
+    leaves over lies on or below a cycle: walking back through left-over
     parents from the lowest one reaches a cycle, and CycleDetected names the
     cycle's lowest id."""
-    n = len(states)
+    n, counts = len(states), np.diff(offset)
+    if np.array_equal(frontier[dst], np.repeat(frontier + 1, counts)):
+        return np.lexsort((frontier, terminal))
     waiting = np.bincount(dst, minlength=n)  # parents not yet placed
     depth = np.zeros(n, dtype=np.int64)
-    frontier, level = np.flatnonzero(waiting == 0), 0
-    while frontier.size:
-        depth[frontier] = level
+    ready, level = np.flatnonzero(waiting == 0), 0
+    while ready.size:
+        depth[ready] = level
         # with return_counts, np.unique does not import numpy.ma
-        children, hits = np.unique(dst[segment_positions(offset, frontier)[0]], return_counts=True)
+        children, hits = np.unique(dst[segment_positions(offset, ready)[0]], return_counts=True)
         waiting[children] -= hits
-        frontier, level = children[waiting[children] == 0], level + 1
+        ready, level = children[waiting[children] == 0], level + 1
     if (left := waiting > 0).any():
+        src = np.repeat(np.arange(n), counts)
         stuck = left[src] & left[dst]
         parent = np.full(n, -1)
         np.maximum.at(parent, dst[stuck], src[stuck])

@@ -121,6 +121,39 @@ def random_dag_text(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def layered_dag_text(draw, skip=False):
+    """DAG spec text for a random layered DAG: the initial state, then 2-4
+    layers of 1-3 states, each state with 1-3 distinct parents in the layer
+    before, so every edge goes from layer k to layer k + 1 and breadth-first
+    discovery finds each state at its layer.  With ``skip``, one more edge
+    goes from a state to one two or more layers further on, so discovery
+    finds that state early.  Every sink is a terminal with a log target in
+    [-2, 2]."""
+    layers, n = [[0]], 1
+    for size in draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)):
+        layers.append(list(range(n, n + size)))
+        n += size
+    lines = ["initial 0"]
+    actions = [0] * n
+    for above, layer in zip(layers, layers[1:]):
+        for child in layer:
+            k = draw(st.integers(1, min(3, len(above))))
+            for p in draw(st.lists(st.sampled_from(above), min_size=k, max_size=k, unique=True)):
+                lines.append(f"{p} {actions[p]} {child}")
+                actions[p] += 1
+    if skip:
+        i = draw(st.integers(0, len(layers) - 3))
+        p = draw(st.sampled_from(layers[i]))
+        child = draw(st.sampled_from([s for layer in layers[i + 2:] for s in layer]))
+        lines.append(f"{p} {actions[p]} {child}")
+        actions[p] += 1
+    for s in range(n):
+        if actions[s] == 0:
+            lines.append(f"terminal {s} {draw(st.floats(min_value=-2.0, max_value=2.0))!r}")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # fixture MDPs
 

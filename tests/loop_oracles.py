@@ -2,9 +2,10 @@
 training step, kept as reference oracles for the whole-array and
 level-synchronous implementations, together with ``enumerate_mdp_dfs``,
 which asks the env one state at a time and finds the level-order numbering
-with a depth-first walk, the hypergrid env calls that rebuild their move
-list, the run loops of ``exact.push_forward``/``pull_backward`` that reduce
-each run of ``EnumeratedMdp.levels`` with ``segment_logsumexp``, and
+with a depth-first walk, the hypergrid and bit-vector env calls that
+rebuild their move or unset-entry lists, the run loops of
+``exact.push_forward``/``pull_backward`` that reduce each run of
+``EnumeratedMdp.levels`` with ``segment_logsumexp``, and
 ``dense_loss_and_grads``, the training loss that computed every softmax and
 softmax VJP on all E edges.
 
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from gflowdp import exact, learner
-from gflowdp.envs import HypergridEnv
+from gflowdp.envs import BitVectorEnv, HypergridEnv
 from gflowdp.exact import NonFiniteTarget, ZeroFlow
 from gflowdp.learner import (
     BackwardRequiresL,
@@ -262,6 +263,34 @@ class HypergridMovesEnv(HypergridEnv):
                 prev[i] -= 1
                 prev_moves = self._moves(bytes(prev))
                 out.append((bytes([0]) + bytes(prev), prev_moves.index(i)))
+        return out
+
+
+class BitVectorUnsetEnv(BitVectorEnv):
+    """The bit-vector env whose calls rebuild the list of unset entries."""
+
+    def _unset(self, state: bytes) -> list[int]:
+        return [i for i, b in enumerate(state) if b == ord("*")]
+
+    def n_actions(self, state: bytes) -> int:
+        return 2 * len(self._unset(state))
+
+    def step(self, state: bytes, action: int) -> bytes:
+        rank, value = divmod(action, 2)
+        i = self._unset(state)[rank]
+        out = bytearray(state)
+        out[i] = ord("1") if value else ord("0")
+        return bytes(out)
+
+    def parents(self, state: bytes) -> list[tuple[bytes, int]]:
+        out = []
+        for i, b in enumerate(state):
+            if b == ord("*"):
+                continue
+            prev = bytearray(state)
+            prev[i] = ord("*")
+            rank = self._unset(bytes(prev)).index(i)
+            out.append((bytes(prev), 2 * rank + (1 if b == ord("1") else 0)))
         return out
 
 

@@ -77,6 +77,18 @@ def test_hypergrid_calls_match_move_list_oracle_on_every_state(dims, side):
                 assert env.step(state, action) == expected
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 5])
+def test_bitvec_calls_match_unset_list_oracle_on_every_state(length):
+    env, oracle = BitVectorEnv(length, 0.5), loops.BitVectorUnsetEnv(length, 0.5)
+    for state in mdp.enumerate_mdp(oracle).states:
+        assert env.n_actions(state) == oracle.n_actions(state)
+        assert env.is_terminal(state) == oracle.is_terminal(state)
+        assert env.parents(state) == oracle.parents(state)
+        assert all(type(p) is bytes and type(a) is int for p, a in env.parents(state))
+        for action in range(env.n_actions(state)):
+            assert env.step(state, action) == oracle.step(state, action)
+
+
 def test_hypergrid_out_of_range_action_raises():
     env = HypergridEnv(2, 3)
     for state in (bytes([0, 0, 0]), bytes([0, 2, 1]), bytes([0, 2, 2]), bytes([1, 2, 2])):

@@ -1,18 +1,21 @@
 """Whole-command invariances on small DAG files, driven through ``cli.main``
 in this process: outputs do not depend on how a DAG file names its states
-or orders its lines, and a constant added to every log target moves only
-the quantities that carry the target's scale."""
+or orders its lines, the action labels at a state move only the state
+numbering, and a constant added to every log target moves only the
+quantities that carry the target's scale."""
 
 import json
 import random
+from collections import Counter
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gflowdp import cli
+from gflowdp.mdp import enumerate_mdp, parse_dag_text
 
-from conftest import random_dag_text
+from conftest import layered_dag_text, random_dag_text
 
 CONFIG = """
 [env]
@@ -116,3 +119,29 @@ def test_a_constant_on_the_log_targets_shifts_only_the_scaled_tables(tmp_path_fa
         assert np.allclose(tables_c[key], tables[key] + c, rtol=0.0, atol=tol), key
     for key in policies:  # the uniform backward's forward is scale-free too
         assert np.allclose(policies_c[key], policies[key], rtol=0.0, atol=tol), key
+
+
+def permute_actions(text, rnd):
+    """``text`` with the action ids of each state permuted at random."""
+    lines = [line.split() for line in text.splitlines()]
+    degree = Counter(parts[0] for parts in lines if parts[0] not in ("initial", "terminal"))
+    new_id = {p: rnd.sample(range(k), k) for p, k in degree.items()}
+    for parts in lines:
+        if parts[0] in new_id:
+            parts[1] = str(new_id[parts[0]][int(parts[1])])
+    return "\n".join(" ".join(parts) for parts in lines) + "\n"
+
+
+@given(st.one_of(random_dag_text(), layered_dag_text()), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_action_labels_move_only_the_state_numbering(tmp_path_factory, text, rnd):
+    root = tmp_path_factory.mktemp("actions")
+    permuted = permute_actions(text, rnd)
+    log_z, tables, _ = exact_outputs(root / "a", text)
+    log_z_p, tables_p, _ = exact_outputs(root / "b", permuted)
+    # the commands number the states as enumerate_mdp does; match them by encoding
+    index = {s: i for i, s in enumerate(enumerate_mdp(parse_dag_text(permuted)).states)}
+    match = [index[s] for s in enumerate_mdp(parse_dag_text(text)).states]
+    assert abs(log_z_p - log_z) <= 1e-9
+    for key in ("l", "V", "mu", "logF"):
+        assert np.allclose(tables_p[key][match], tables[key], rtol=0.0, atol=1e-9), key

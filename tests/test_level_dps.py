@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 import loop_oracles as loops
 from gflowdp import exact, learner
 from gflowdp.learner import PolicyModel, TrainConfig
-from gflowdp.mdp import _freeze, enumerate_mdp, parse_dag_text
+from gflowdp.mdp import enumerate_mdp, parse_dag_text
 from gflowdp.numerics import logsumexp, segment_log_softmax, segment_logsumexp, segment_sum
 
 from conftest import (
     batch_from_trajectories,
+    layered_dag_text,
     oracle_path_counts,
     oracle_terminal_probs,
     random_dag_text,
@@ -122,16 +123,19 @@ def test_all_neg_inf_segment_is_neg_inf():
 # structure
 
 
-@given(random_dag_text(), st.randoms(use_true_random=False))
+@given(st.one_of(random_dag_text(), layered_dag_text()), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
-def test_freeze_matches_loop_version(text, rnd):
+def test_enumerated_tables_are_the_loop_freeze_of_their_edges(text, rnd):
+    # edges by (src, action), in-edges by (dst, src, action), whichever way
+    # the levels were found
     m = enumerate_mdp(parse_dag_text(text))
     edges = list(zip(m.edge_src.tolist(), m.edge_action.tolist(), m.edge_dst.tolist()))
     rnd.shuffle(edges)
-    args = (list(m.states), m.terminal, m.log_target, edges)
-    want, got = loops._freeze(*args), _freeze(*args)
-    for name in ("edge_src", "edge_action", "edge_dst", "out_offset", "in_edges", "in_offset"):
-        a, b = getattr(got, name), getattr(want, name)
+    want = loops._freeze(list(m.states), m.terminal, m.log_target, edges)
+    assert m.states == want.states
+    for name in ("terminal", "log_target", "edge_src", "edge_action", "edge_dst", "out_offset",
+                 "in_edges", "in_offset"):
+        a, b = getattr(m, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
