@@ -61,6 +61,16 @@ def _grid_target(first: bool, second: bool) -> float:
     return 0.1 + 0.5 * first + 2.0 * second
 
 
+def _rows(states: Sequence[bytes], width: int) -> np.ndarray:
+    """The states, each ``width`` bytes long, as the rows of a ``uint8`` array."""
+    return np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), width)
+
+
+def _states(rows: np.ndarray) -> list[bytes]:
+    """The rows of a C-contiguous ``uint8`` array as states."""
+    return rows.view(f"V{rows.shape[1]}").ravel().tolist()  # void items are bytes
+
+
 # the log of each target value, by first + 2 * second
 _GRID_LOG_TARGETS = np.array([math.log(_grid_target(f, s)) for s in (0, 1) for f in (0, 1)])
 
@@ -125,26 +135,18 @@ class HypergridEnv:
             below += state[i] < self.side - 1
         return out
 
-    def _rows(self, states: Sequence[bytes]) -> np.ndarray:
-        return np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), 1 + self.dims)
-
-    def _moved(self, rows: np.ndarray, moves: np.ndarray, step) -> list[bytes]:
-        """``step(row r, unit j)`` for every ``moves[r, j]``, row-major."""
-        out = step(rows[:, None, :], self._unit)[moves]
-        return out.view(f"V{out.shape[1]}").ravel().tolist()  # void items are bytes
-
     def batch_children(self, states: Sequence[bytes]):
         """(is_terminal, n_actions, children in action order) of the states,
         children one state after another."""
-        rows = self._rows(states)
+        rows = _rows(states, 1 + self.dims)
         done = rows[:, :1] != 0
         moves = np.concatenate((rows[:, 1:] < self.side - 1, ~done), axis=1) & ~done
-        return done[:, 0], moves.sum(axis=1), self._moved(rows, moves, np.add)
+        return done[:, 0], moves.sum(axis=1), _states((rows[:, None, :] + self._unit)[moves])
 
     def batch_parents(self, states: Sequence[bytes]):
         """(number of pairs, parent states, actions) of ``parents`` of the
         states, pairs one state after another."""
-        rows = self._rows(states)
+        rows = _rows(states, 1 + self.dims)
         done = rows[:, :1] != 0
         below = rows[:, 1:] < self.side - 1
         moves = np.concatenate(((rows[:, 1:] > 0) & ~done, done), axis=1)
@@ -152,11 +154,11 @@ class HypergridEnv:
         # comes after all of them
         actions = np.concatenate((np.cumsum(below, axis=1) - below,
                                   below.sum(axis=1, keepdims=True)), axis=1)
-        return moves.sum(axis=1), self._moved(rows, moves, np.subtract), actions[moves]
+        return moves.sum(axis=1), _states((rows[:, None, :] - self._unit)[moves]), actions[moves]
 
     def batch_log_target(self, states: Sequence[bytes]) -> np.ndarray:
         """``log_target`` of the states, bit for bit."""
-        rows = self._rows(states)
+        rows = _rows(states, 1 + self.dims)
         d = np.abs(rows[:, 1:] / (self.side - 1) - 0.5)
         first = (d > 0.25).all(axis=1)
         second = ((0.3 < d) & (d < 0.4)).all(axis=1)
@@ -212,6 +214,8 @@ class WordsEnv:
         return 2 * self.alphabet_size
 
     def step(self, state: bytes, action: int) -> bytes:
+        if not 0 <= action < self.n_actions(state):
+            raise IndexError(f"action {action} out of range")
         if action < self.alphabet_size:
             return state + bytes([action])
         return bytes([action - self.alphabet_size]) + state
@@ -253,6 +257,10 @@ class BitVectorEnv:
     the maximum-entropy backward coincides with the uniform backward
     everywhere.  States are byte strings over ``*01``; the terminal target is
     exp(ones_reward * number_of_ones).
+
+    The ``batch_*`` calls answer for many states at once, as on
+    ``HypergridEnv``; the per-state calls are their specification, so a
+    subclass that changes one must change its batched counterpart too.
     """
 
     def __init__(self, length: int, ones_reward: float = 0.0):
@@ -271,6 +279,8 @@ class BitVectorEnv:
 
     def step(self, state: bytes, action: int) -> bytes:
         rank, value = divmod(action, 2)
+        if not 0 <= rank < state.count(_UNSET):
+            raise IndexError(f"action {action} out of range")
         i = -1
         for _ in range(rank + 1):  # the rank-th unset entry
             i = state.index(_UNSET, i + 1)
@@ -294,6 +304,33 @@ class BitVectorEnv:
                 rank = state.count(_UNSET, 0, i)
                 out.append((state[:i] + _UNSET + state[i + 1:], 2 * rank + (entry == b"1")))
         return out
+
+    def batch_children(self, states: Sequence[bytes]):
+        """(is_terminal, n_actions, children in action order) of the states,
+        children one state after another."""
+        rows = _rows(states, self.length)
+        unset = rows == ord(_UNSET)
+        state, entry = np.nonzero(unset)  # by state, then by rank
+        kids = rows[state.repeat(2)]
+        kids[np.arange(len(kids)), entry.repeat(2)] = ord("0") + np.arange(len(kids)) % 2
+        return ~unset.any(axis=1), 2 * unset.sum(axis=1), _states(kids)
+
+    def batch_parents(self, states: Sequence[bytes]):
+        """(number of pairs, parent states, actions) of ``parents`` of the
+        states, pairs one state after another."""
+        rows = _rows(states, self.length)
+        unset = rows == ord(_UNSET)
+        state, entry = np.nonzero(~unset)
+        prev = rows[state]
+        prev[np.arange(len(prev)), entry] = ord(_UNSET)
+        actions = 2 * np.cumsum(unset, axis=1)[state, entry] + (rows[state, entry] == ord("1"))
+        return self.length - unset.sum(axis=1), _states(prev), actions
+
+    def batch_log_target(self, states: Sequence[bytes]) -> np.ndarray:
+        """``log_target`` of the states, bit for bit."""
+        rows = _rows(states, self.length)
+        ones = self.ones_reward * (rows == ord("1")).sum(axis=1)
+        return np.where((rows == ord(_UNSET)).any(axis=1), NEG_INF, ones)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +473,8 @@ class TreeBuildEnv:
         return k * self.n_labels
 
     def step(self, state: bytes, action: int) -> bytes:
+        if not 0 <= action < self.n_actions(state):
+            raise IndexError(f"action {action} out of range")
         if state == b"":
             return canonical_tree([action], [[]])
         labels, adj = parse_tree(state)

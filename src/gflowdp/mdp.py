@@ -367,7 +367,11 @@ def _check_parents(env: Env, mdp: EnumeratedMdp, child: np.ndarray, parent_rank:
     worst = int(mdp.edge_dst[~declared].min(initial=n))  # the first state missing a pair
     for i in np.flatnonzero(~stepped & (child <= worst)).tolist():
         state = mdp.states[child[i]]
-        if env.step(parents[i], actions[i]) != state:
+        try:
+            replayed = env.step(parents[i], actions[i])
+        except IndexError:  # an action out of range replays to no state
+            replayed = None
+        if replayed != state:
             raise ParentMismatch(f"parents({state!r}) lists ({parents[i]!r}, {actions[i]}) "
                                  "which does not replay to it")
     if worst < n:
@@ -501,6 +505,8 @@ class ExplicitDagEnv:
         return len(self._children.get(state, ()))
 
     def step(self, state: bytes, action: int) -> bytes:
+        if action not in self._children.get(state, ()):
+            raise IndexError(f"action {action} out of range")
         return self._children[state][action]
 
     def is_terminal(self, state: bytes) -> bool:

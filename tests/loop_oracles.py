@@ -201,12 +201,20 @@ def enumerate_mdp_dfs(env: Env, max_states: int = DEFAULT_MAX_STATES) -> Enumera
         for p_state, p_action in env.parents(state):
             pair = (bytes(p_state), int(p_action))
             declared.add(pair)
-            if pair not in discovered[c] and env.step(p_state, p_action) != state:
+            if pair not in discovered[c] and _replay(env, p_state, p_action) != state:
                 raise ParentMismatch(f"parents({state!r}) lists ({p_state!r}, {p_action}) "
                                      "which does not replay to it")
         if missing := discovered[c] - declared:
             raise ParentMismatch(f"parents({state!r}) is missing the pairs {sorted(missing)}")
     return mdp
+
+
+def _replay(env: Env, state: bytes, action: int) -> bytes | None:
+    """``env.step(state, action)``, or None for an action out of range."""
+    try:
+        return env.step(state, action)
+    except IndexError:
+        return None
 
 
 def hypergrid_target_np(coords: Sequence[int], side: int) -> float:

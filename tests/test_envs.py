@@ -8,6 +8,7 @@ from gflowdp import exact, mdp
 from gflowdp.envs import (
     BitVectorEnv,
     HypergridEnv,
+    SimpleDagEnv,
     TreeBuildEnv,
     WordsEnv,
     bitvec_n,
@@ -80,7 +81,8 @@ def test_hypergrid_calls_match_move_list_oracle_on_every_state(dims, side):
 @pytest.mark.parametrize("length", [1, 2, 3, 5])
 def test_bitvec_calls_match_unset_list_oracle_on_every_state(length):
     env, oracle = BitVectorEnv(length, 0.5), loops.BitVectorUnsetEnv(length, 0.5)
-    for state in mdp.enumerate_mdp(oracle).states:
+    # the oracle inherits the batched calls, so enumerate it one state at a time
+    for state in loops.enumerate_mdp_dfs(oracle).states:
         assert env.n_actions(state) == oracle.n_actions(state)
         assert env.is_terminal(state) == oracle.is_terminal(state)
         assert env.parents(state) == oracle.parents(state)
@@ -93,6 +95,17 @@ def test_hypergrid_out_of_range_action_raises():
     env = HypergridEnv(2, 3)
     for state in (bytes([0, 0, 0]), bytes([0, 2, 1]), bytes([0, 2, 2]), bytes([1, 2, 2])):
         for action in (env.dims + 1, 7, -1):
+            with pytest.raises(IndexError, match=f"action {action} out of range"):
+                env.step(state, action)
+
+
+@pytest.mark.parametrize("env", [BitVectorEnv(3), WordsEnv(2, 3), WordsEnv(2, 3, "append-either-side"),
+                                 TreeBuildEnv(2, 3), SimpleDagEnv()],
+                         ids=["bits", "words", "words-either", "tree", "diamond"])
+def test_out_of_range_action_raises(env):
+    # as on the hypergrid: no action outside 0..n_actions-1 aliases a legal one
+    for state in mdp.enumerate_mdp(env).states:
+        for action in (-2, -1, env.n_actions(state), env.n_actions(state) + 1, 7):
             with pytest.raises(IndexError, match=f"action {action} out of range"):
                 env.step(state, action)
 
@@ -313,21 +326,31 @@ def test_env_parameter_validation():
         TreeBuildEnv(1, 0)
 
 
+def assert_batched_calls_match_per_state_calls(env, states):
+    terminal, n_children, children = env.batch_children(states)
+    assert terminal.tolist() == [env.is_terminal(s) for s in states]
+    assert n_children.tolist() == [0 if env.is_terminal(s) else env.n_actions(s) for s in states]
+    assert children == [env.step(s, a) for s, k in zip(states, n_children) for a in range(k)]
+    n_pairs, parents, actions = env.batch_parents(states)
+    pairs = [env.parents(s) for s in states]
+    assert n_pairs.tolist() == [len(p) for p in pairs]
+    assert list(zip(parents, actions.tolist())) == [pair for p in pairs for pair in p]
+    assert all(type(p) is bytes for p in children + parents)
+    # bit for bit, -inf off the terminals included
+    bits = env.batch_log_target(states).view(np.int64)
+    assert bits.tolist() == np.array([env.log_target(s) for s in states]).view(np.int64).tolist()
+
+
 @pytest.mark.parametrize("dims", [1, 2, 3, 4])
 def test_hypergrid_batched_calls_match_per_state_calls_on_every_state(dims):
     for side in range(2, 11):
-        env = HypergridEnv(dims, side)
         states = [bytes((done,) + cell) for done in (0, 1)
                   for cell in itertools.product(range(side), repeat=dims)]
-        terminal, n_children, children = env.batch_children(states)
-        assert terminal.tolist() == [env.is_terminal(s) for s in states]
-        assert n_children.tolist() == [0 if s[0] else env.n_actions(s) for s in states]
-        assert children == [env.step(s, a) for s, k in zip(states, n_children) for a in range(k)]
-        n_pairs, parents, actions = env.batch_parents(states)
-        pairs = [env.parents(s) for s in states]
-        assert n_pairs.tolist() == [len(p) for p in pairs]
-        assert list(zip(parents, actions.tolist())) == [pair for p in pairs for pair in p]
-        assert all(type(p) is bytes for p in children + parents)
-        # bit for bit, -inf off the terminals included
-        bits = env.batch_log_target(states).view(np.int64)
-        assert bits.tolist() == np.array([env.log_target(s) for s in states]).view(np.int64).tolist()
+        assert_batched_calls_match_per_state_calls(HypergridEnv(dims, side), states)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
+def test_bitvec_batched_calls_match_per_state_calls_on_every_state(length):
+    states = [bytes(entries) for entries in itertools.product(b"*01", repeat=length)]
+    for ones_reward in (0.0, 0.5, -1.3):  # -1.3 * 0 is -0.0
+        assert_batched_calls_match_per_state_calls(BitVectorEnv(length, ones_reward), states)

@@ -153,6 +153,11 @@ class _LyingParentsEnv(envs.SimpleDagEnv):
         return good
 
 
+class _OutOfRangeParentEnv(envs.SimpleDagEnv):
+    def parents(self, state):
+        return super().parents(state) + ([(b"s0", 2)] if state == b"sT" else [])  # s0 has 2 actions
+
+
 def _mismatch(enumerate_fn, env) -> str:
     with pytest.raises(ParentMismatch) as info:
         enumerate_fn(env)
@@ -166,6 +171,7 @@ def test_enumerate_parent_mismatch():
         (_LyingParentsEnv, "parents(b'sT') lists (b's0', 0) which does not replay to it"),
         (lambda: _ExtraParentEnv(b"s1"),
          "parents(b'sT') lists (b'x', 0) which does not replay to it"),
+        (_OutOfRangeParentEnv, "parents(b'sT') lists (b's0', 2) which does not replay to it"),
     ]
     for make, message in cases:
         assert _mismatch(enumerate_mdp, make()) == message
@@ -651,21 +657,23 @@ class _PerStateOnly:
 
 
 GRIDS = [envs.HypergridEnv(d, side) for d, side in ((1, 2), (1, 7), (2, 2), (2, 8), (3, 5), (4, 4))]
+BITS = [envs.BitVectorEnv(n, r) for n, r in ((1, 0.0), (2, -1.3), (5, 0.5), (7, 0.0))]
 
 
-@pytest.mark.parametrize("env", GRIDS, ids=lambda env: f"{env.dims}x{env.side}")
+@pytest.mark.parametrize("env", GRIDS + BITS, ids=lambda env: f"{env.dims}x{env.side}"
+                         if isinstance(env, envs.HypergridEnv) else f"bits{env.length}")
 def test_enumerate_batched_calls_match_per_state_calls(env):
     assert all(hasattr(type(env), name) for name in mdp.BATCHED_CALLS)
     assert not hasattr(type(_PerStateOnly(env)), "batch_children")
     assert_same_tables(enumerate_mdp(env), enumerate_mdp(_PerStateOnly(env)))
 
 
-class _RecordingGrid(envs.HypergridEnv):
-    """Lists the states each batched call receives and counts the per-state
-    calls."""
+class _Recording:
+    """Mixed into an env class: lists the states each batched call receives
+    and counts the per-state calls."""
 
-    def __init__(self, dims, side):
-        super().__init__(dims, side)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.batches = {name: [] for name in mdp.BATCHED_CALLS}
         self.per_state = 0
 
@@ -687,6 +695,14 @@ class _RecordingGrid(envs.HypergridEnv):
         return super().batch_log_target(states)
 
 
+class _RecordingGrid(_Recording, envs.HypergridEnv):
+    pass
+
+
+class _RecordingBits(_Recording, envs.BitVectorEnv):
+    pass
+
+
 @pytest.mark.parametrize("dims, side", [(1, 3), (2, 8), (3, 4)])
 def test_enumerate_batched_calls_get_each_state_once(dims, side):
     env = _RecordingGrid(dims, side)
@@ -701,13 +717,27 @@ def test_enumerate_batched_calls_get_each_state_once(dims, side):
     assert env.batches["batch_log_target"] == [[s for s, t in zip(m.states, m.terminal) if t]]
 
 
-class _EditedParentsGrid(envs.HypergridEnv):
-    """Both the batched and the per-state parents of each state in ``edits``
-    have their first pair replaced by the listed pairs."""
+@pytest.mark.parametrize("length", [1, 3, 6])
+def test_enumerate_batched_bit_vector_calls_get_each_state_once(length):
+    env = _RecordingBits(length, 0.5)
+    m = enumerate_mdp(env)
+    assert env.per_state == 0
+    frontiers = env.batches["batch_children"]
+    # frontier k holds the states with k entries set
+    assert [sorted(f) for f in frontiers] == [
+        sorted(s for s in m.states if s.count(b"*") == length - k) for k in range(length + 1)]
+    assert env.batches["batch_parents"] == [list(m.states)]
+    assert env.batches["batch_log_target"] == [[s for s, t in zip(m.states, m.terminal) if t]]
 
-    def __init__(self, dims, side, edits):
-        super().__init__(dims, side)
-        self.edits = edits
+
+class _EditedParents:
+    """Mixed into an env class: both the batched and the per-state parents
+    of each state in ``edits``, the last constructor argument, have their
+    first pair replaced by the listed pairs."""
+
+    def __init__(self, *args):
+        super().__init__(*args[:-1])
+        self.edits = args[-1]
 
     def parents(self, state):
         pairs = super().parents(state)
@@ -723,6 +753,14 @@ class _EditedParentsGrid(envs.HypergridEnv):
             actions = np.concatenate((actions[:at], np.array([a for _, a in head], dtype=np.int64),
                                       actions[at + 1:]))
         return n_pairs, parents, actions
+
+
+class _EditedParentsGrid(_EditedParents, envs.HypergridEnv):
+    pass
+
+
+class _EditedParentsBits(_EditedParents, envs.BitVectorEnv):
+    pass
 
 
 HEAD = (b"\x00\x00\x01", 0)  # the first parent pair of (1,1)
@@ -751,6 +789,37 @@ def test_enumerate_batched_parent_mismatch_messages(edits, message):
     assert got == _mismatch(enumerate_mdp, _PerStateOnly(_EditedParentsGrid(2, 3, edits)))
     assert got == _mismatch(loops.enumerate_mdp_dfs, _EditedParentsGrid(2, 3, edits))
     assert got == message or message is None
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({b"*1*": []}, "parents(b'*1*') is missing the pairs [(b'***', 3)]"),
+    ({b"101": []}, "parents(b'101') is missing the pairs [(b'*01', 1)]"),
+    # replays to another state, and actions out of range, which replay to none
+    ({b"*11": [(b"***", 0), (b"**1", 3)]},
+     "parents(b'*11') lists (b'***', 0) which does not replay to it"),
+    ({b"*11": [(b"**1", 3), (b"*1*", -1)]},
+     "parents(b'*11') lists (b'*1*', -1) which does not replay to it"),
+    ({b"*11": [(b"**1", 3), (b"*1*", 4)]},
+     "parents(b'*11') lists (b'*1*', 4) which does not replay to it"),
+    ({b"0**": [(b"***", 6)]}, "parents(b'0**') lists (b'***', 6) which does not replay to it"),
+    # the first offender in index order
+    ({b"*1*": [], b"*11": [(b"**1", 3), (b"*1*", -1)]}, None),
+    ({b"101": [(b"10*", 2)], b"0*1": [(b"***", 0)]}, None),
+])
+def test_enumerate_batched_parent_mismatch_messages_on_bit_vectors(edits, message):
+    got = _mismatch(enumerate_mdp, _EditedParentsBits(3, 0.5, edits))
+    assert got == _mismatch(enumerate_mdp, _PerStateOnly(_EditedParentsBits(3, 0.5, edits)))
+    assert got == _mismatch(loops.enumerate_mdp_dfs, _EditedParentsBits(3, 0.5, edits))
+    assert got == message or message is None
+
+
+@pytest.mark.parametrize("max_states", [1, 2, 7, 8, 26])
+def test_enumerate_batched_budget_message_like_per_state(max_states):
+    env = envs.BitVectorEnv(3)
+    for f in (enumerate_mdp, lambda env, n: enumerate_mdp(_PerStateOnly(env), n),
+              loops.enumerate_mdp_dfs):
+        with pytest.raises(StateBudgetExceeded, match=f"^more than {max_states} reachable states$"):
+            f(env, max_states)
 
 
 def test_enumerate_batched_first_offender_is_lowest_in_index_order():
