@@ -61,30 +61,50 @@ def _grid_target(first: bool, second: bool) -> float:
     return 0.1 + 0.5 * first + 2.0 * second
 
 
-def _rows(states: Sequence[bytes], width: int) -> np.ndarray:
-    """The states, each ``width`` bytes long, as the rows of a ``uint8`` array."""
-    return np.frombuffer(b"".join(states), dtype=np.uint8).reshape(len(states), width)
+class _DigitKeys:
+    """Keys for an env whose states are byte strings over ``alphabet``: a
+    state's key reads each byte as a digit, its index in ``alphabet``, most
+    significant first.  The env's ``batch_*`` calls run with numpy on keys
+    and digit rows; the per-state calls are their specification, so a
+    subclass that changes one must change its batched counterpart too."""
 
+    def _set_alphabet(self, alphabet: bytes, width: int) -> None:
+        self._bytes = np.frombuffer(alphabet, dtype=np.uint8)
+        self._digit = np.zeros(256, dtype=np.int64)
+        self._digit[self._bytes] = np.arange(len(alphabet))
+        # each digit's weight, wrapping past int64, where enumeration refuses the env
+        self._radix = len(alphabet) ** np.arange(width - 1, -1, -1)
 
-def _states(rows: np.ndarray) -> list[bytes]:
-    """The rows of a C-contiguous ``uint8`` array as states."""
-    return rows.view(f"V{rows.shape[1]}").ravel().tolist()  # void items are bytes
+    def batch_keys(self, states: Sequence[bytes]) -> np.ndarray:
+        rows = np.frombuffer(b"".join(states), dtype=np.uint8)
+        return self._digit[rows.reshape(len(states), len(self._radix))] @ self._radix
+
+    def batch_states(self, keys) -> list[bytes]:
+        rows = self._bytes[self._digits(keys)[1]]
+        return rows.view(f"V{rows.shape[1]}").ravel().tolist()  # void items are bytes
+
+    def _digits(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """The keys as int64 and, as rows, their digits."""
+        keys, base, radix = np.asarray(keys, dtype=np.int64), len(self._bytes), self._radix
+        if keys.size * len(radix) < 2048:  # on few keys one division by an array costs least
+            return keys, keys[:, None] // radix % base
+        digits, rest = np.empty((len(keys), len(radix)), dtype=np.int64), keys
+        for j in range(len(radix) - 1, -1, -1):  # numpy divides by a scalar much faster
+            digits[:, j] = rest - (rest := rest // base) * base
+        return keys, digits
 
 
 # the log of each target value, by first + 2 * second
 _GRID_LOG_TARGETS = np.array([math.log(_grid_target(f, s)) for s in (0, 1) for f in (0, 1)])
 
 
-class HypergridEnv:
+class HypergridEnv(_DigitKeys):
     """d-dimensional grid walk from the origin.
 
     Each action increments one coordinate that is below side-1; one extra
     stop action moves to a distinct terminal copy of the cell, where the
-    target is defined.  State encoding: bytes([done, x_0, ..., x_{d-1}]).
-
-    The ``batch_*`` calls answer for many states at once, with numpy on the
-    states' ``uint8`` rows; the per-state calls are their specification, so a
-    subclass that changes one must change its batched counterpart too.
+    target is defined.  State encoding: bytes([done, x_0, ..., x_{d-1}]),
+    whose key is that number in base ``side``, below ``2 * side**dims``.
     """
 
     def __init__(self, dims: int, side: int):
@@ -94,8 +114,9 @@ class HypergridEnv:
             raise ValueError("side must be in [2, 255]")
         self.dims = dims
         self.side = side
-        # row j < dims moves coordinate j, row dims the done flag
-        self._unit = np.eye(dims + 1, dtype=np.uint8)[np.arange(1, dims + 2) % (dims + 1)]
+        self.key_space = 2 * side**dims
+        self._set_alphabet(bytes(range(side)), 1 + dims)
+        self._unit = np.roll(self._radix, -1)  # the key step of each action column
 
     def initial_state(self) -> bytes:
         return bytes(1 + self.dims)
@@ -135,18 +156,18 @@ class HypergridEnv:
             below += state[i] < self.side - 1
         return out
 
-    def batch_children(self, states: Sequence[bytes]):
-        """(is_terminal, n_actions, children in action order) of the states,
-        children one state after another."""
-        rows = _rows(states, 1 + self.dims)
+    def batch_children(self, keys):
+        """(is_terminal, n_actions, children's keys in action order) of the
+        states, children one state after another."""
+        keys, rows = self._digits(keys)
         done = rows[:, :1] != 0
         moves = np.concatenate((rows[:, 1:] < self.side - 1, ~done), axis=1) & ~done
-        return done[:, 0], moves.sum(axis=1), _states((rows[:, None, :] + self._unit)[moves])
+        return done[:, 0], moves.sum(axis=1), (keys[:, None] + self._unit)[moves]
 
-    def batch_parents(self, states: Sequence[bytes]):
-        """(number of pairs, parent states, actions) of ``parents`` of the
+    def batch_parents(self, keys):
+        """(number of pairs, parents' keys, actions) of ``parents`` of the
         states, pairs one state after another."""
-        rows = _rows(states, 1 + self.dims)
+        keys, rows = self._digits(keys)
         done = rows[:, :1] != 0
         below = rows[:, 1:] < self.side - 1
         moves = np.concatenate(((rows[:, 1:] > 0) & ~done, done), axis=1)
@@ -154,11 +175,11 @@ class HypergridEnv:
         # comes after all of them
         actions = np.concatenate((np.cumsum(below, axis=1) - below,
                                   below.sum(axis=1, keepdims=True)), axis=1)
-        return moves.sum(axis=1), _states((rows[:, None, :] - self._unit)[moves]), actions[moves]
+        return moves.sum(axis=1), (keys[:, None] - self._unit)[moves], actions[moves]
 
-    def batch_log_target(self, states: Sequence[bytes]) -> np.ndarray:
+    def batch_log_target(self, keys) -> np.ndarray:
         """``log_target`` of the states, bit for bit."""
-        rows = _rows(states, 1 + self.dims)
+        rows = self._digits(keys)[1]
         d = np.abs(rows[:, 1:] / (self.side - 1) - 0.5)
         first = (d > 0.25).all(axis=1)
         second = ((0.3 < d) & (d < 0.4)).all(axis=1)
@@ -250,17 +271,14 @@ def bitvec_n(state: bytes) -> int:
 _UNSET = b"*"  # an entry of a BitVectorEnv state that is not set yet
 
 
-class BitVectorEnv:
+class BitVectorEnv(_DigitKeys):
     """Fills a vector of placeholders with 0/1 values in any order.
 
     A state with k set entries has exactly k parents and k! build orders, so
     the maximum-entropy backward coincides with the uniform backward
     everywhere.  States are byte strings over ``*01``; the terminal target is
-    exp(ones_reward * number_of_ones).
-
-    The ``batch_*`` calls answer for many states at once, as on
-    ``HypergridEnv``; the per-state calls are their specification, so a
-    subclass that changes one must change its batched counterpart too.
+    exp(ones_reward * number_of_ones).  A state's key reads it as a number in
+    base 3, with digits 0 for ``*``, 1 for ``0`` and 2 for ``1``.
     """
 
     def __init__(self, length: int, ones_reward: float = 0.0):
@@ -270,6 +288,8 @@ class BitVectorEnv:
             raise ValueError("ones_reward must be finite")
         self.length = length
         self.ones_reward = float(ones_reward)
+        self.key_space = 3**length
+        self._set_alphabet(b"*01", length)
 
     def initial_state(self) -> bytes:
         return _UNSET * self.length
@@ -305,32 +325,30 @@ class BitVectorEnv:
                 out.append((state[:i] + _UNSET + state[i + 1:], 2 * rank + (entry == b"1")))
         return out
 
-    def batch_children(self, states: Sequence[bytes]):
-        """(is_terminal, n_actions, children in action order) of the states,
-        children one state after another."""
-        rows = _rows(states, self.length)
-        unset = rows == ord(_UNSET)
+    def batch_children(self, keys):
+        """(is_terminal, n_actions, children's keys in action order) of the
+        states, children one state after another."""
+        keys, digits = self._digits(keys)
+        unset = digits == 0
         state, entry = np.nonzero(unset)  # by state, then by rank
-        kids = rows[state.repeat(2)]
-        kids[np.arange(len(kids)), entry.repeat(2)] = ord("0") + np.arange(len(kids)) % 2
-        return ~unset.any(axis=1), 2 * unset.sum(axis=1), _states(kids)
+        kids = keys[state][:, None] + self._radix[entry][:, None] * np.array([1, 2])
+        return ~unset.any(axis=1), 2 * unset.sum(axis=1), kids.ravel()
 
-    def batch_parents(self, states: Sequence[bytes]):
-        """(number of pairs, parent states, actions) of ``parents`` of the
+    def batch_parents(self, keys):
+        """(number of pairs, parents' keys, actions) of ``parents`` of the
         states, pairs one state after another."""
-        rows = _rows(states, self.length)
-        unset = rows == ord(_UNSET)
+        keys, digits = self._digits(keys)
+        unset = digits == 0
         state, entry = np.nonzero(~unset)
-        prev = rows[state]
-        prev[np.arange(len(prev)), entry] = ord(_UNSET)
-        actions = 2 * np.cumsum(unset, axis=1)[state, entry] + (rows[state, entry] == ord("1"))
-        return self.length - unset.sum(axis=1), _states(prev), actions
+        value = digits[state, entry]
+        actions = 2 * np.cumsum(unset, axis=1)[state, entry] + (value == 2)
+        return self.length - unset.sum(axis=1), keys[state] - value * self._radix[entry], actions
 
-    def batch_log_target(self, states: Sequence[bytes]) -> np.ndarray:
+    def batch_log_target(self, keys) -> np.ndarray:
         """``log_target`` of the states, bit for bit."""
-        rows = _rows(states, self.length)
-        ones = self.ones_reward * (rows == ord("1")).sum(axis=1)
-        return np.where((rows == ord(_UNSET)).any(axis=1), NEG_INF, ones)
+        digits = self._digits(keys)[1]
+        ones = self.ones_reward * (digits == 2).sum(axis=1)
+        return np.where((digits == 0).any(axis=1), NEG_INF, ones)
 
 
 # ---------------------------------------------------------------------------

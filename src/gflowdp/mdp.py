@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import count, filterfalse, repeat
-from typing import Iterator, Protocol, Sequence
+from itertools import count, filterfalse
+from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -55,15 +55,18 @@ class Env(Protocol):
     ``parents(step(s, a))`` must contain ``(s, a)`` for every legal pair.
 
     For ``enumerate_mdp`` an env may also answer a batch of F states at once
-    through three optional calls, which must agree with the per-state ones:
+    through five calls on int64 keys, which must agree with the per-state
+    calls, the specification.  Its reachable states have the keys
+    ``0..key_space-1``, one each.
 
-    - ``batch_children(states) -> (terminal, n_children, children)``: F
-      ``is_terminal`` flags, F child counts (0 at a terminal), and the
-      ``step`` results of every state in action order, state after state;
-    - ``batch_parents(states) -> (n_pairs, parents, actions)``: F counts of
-      ``parents`` pairs, then the pairs' states (bytes) and their actions,
-      state after state;
-    - ``batch_log_target(states)``: the F ``log_target`` values.
+    - ``batch_keys(states)`` and ``batch_states(keys)``: keys and states;
+    - ``batch_children(keys) -> (terminal, n_children, child_keys)``: F
+      ``is_terminal`` flags, F child counts (0 at a terminal), and the keys
+      of the ``step`` results of every state in action order, state after
+      state;
+    - ``batch_parents(keys) -> (n_pairs, parent_keys, actions)``: F counts of
+      ``parents`` pairs, then the pairs' keys and actions, state after state;
+    - ``batch_log_target(keys)``: the F ``log_target`` values.
 
     They are looked up on the env's class, not the instance, so a wrapper
     that forwards attributes per instance is asked one state at a time.  An
@@ -206,29 +209,42 @@ class ValidationReport:
 
 class _PerState:
     """The batched calls of ``Env`` made through the env's per-state methods,
-    one state at a time in batch order."""
+    one state at a time in batch order.  Keys number the states in order of
+    first sight, so ``key_space`` grows as they are seen."""
 
     def __init__(self, env: Env):
-        self.env = env
+        self.env, self.states, self.key_of, self.key_space = env, [], {}, 0
 
-    def batch_children(self, states):
+    def batch_keys(self, states):
+        new = dict.fromkeys(filterfalse(self.key_of.__contains__, states))
+        self.key_of.update(zip(new, count(self.key_space)))
+        self.states += new
+        self.key_space = len(self.states)
+        return np.fromiter(map(self.key_of.__getitem__, states), dtype=np.int64, count=len(states))
+
+    def batch_states(self, keys):
+        return list(map(self.states.__getitem__, keys.tolist()))
+
+    def batch_children(self, keys):
         env, terminal, counts, children = self.env, [], [], []
-        for st in states:
+        for st in self.batch_states(keys):
             terminal.append(env.is_terminal(st))
             counts.append(0 if terminal[-1] else env.n_actions(st))
             children += [env.step(st, a) for a in range(counts[-1])]
-        return terminal, counts, children
+        return terminal, counts, self.batch_keys(children)
 
-    def batch_parents(self, states):
-        pairs = [list(self.env.parents(st)) for st in states]
+    def batch_parents(self, keys):
+        pairs = [list(self.env.parents(st)) for st in self.batch_states(keys)]
         flat = [pair for ps in pairs for pair in ps]
-        return [len(ps) for ps in pairs], [bytes(p) for p, _ in flat], [a for _, a in flat]
+        return ([len(ps) for ps in pairs], self.batch_keys([bytes(p) for p, _ in flat]),
+                [a for _, a in flat])
 
-    def batch_log_target(self, states):
-        return [float(self.env.log_target(st)) for st in states]
+    def batch_log_target(self, keys):
+        return [float(self.env.log_target(st)) for st in self.batch_states(keys)]
 
 
-BATCHED_CALLS = ("batch_children", "batch_parents", "batch_log_target")
+BATCHED_CALLS = ("batch_keys", "batch_states", "batch_children", "batch_parents",
+                 "batch_log_target")
 
 
 def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedMdp:
@@ -249,51 +265,64 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
     The env answers through the batched calls of ``Env``: one
     ``batch_children`` per discovery frontier, then one ``batch_log_target``
     on all terminals and one ``batch_parents`` on all states, both in index
-    order.  An env whose class lacks them is asked one state at a time: per
-    state one ``is_terminal``, one ``n_actions`` unless terminal, one
-    ``parents`` and, if terminal, one ``log_target``; per edge one ``step``.
-    Only a declared pair that enumeration did not step costs one more
-    ``step``, its replay.  Everything else runs on discovery ids.
+    order; a table indexed by key holds each state's discovery id.  An env
+    whose class lacks them is asked one state at a time: per state one
+    ``is_terminal``, one ``n_actions`` unless terminal, one ``parents`` and,
+    if terminal, one ``log_target``; per edge one ``step``.  Only a declared
+    pair that enumeration did not step costs one more ``step``, its replay.
 
-    Raises CycleDetected, StateBudgetExceeded, or ParentMismatch.
+    Raises CycleDetected, StateBudgetExceeded (at once for a ``key_space``
+    past ``max_states``), ParentMismatch, or MdpError for an env that
+    reaches other than ``key_space`` states.
     """
     calls = env if all(hasattr(type(env), name) for name in BATCHED_CALLS) else _PerState(env)
-    frontier = [env.initial_state()]
-    index_of: dict[bytes, int] = {frontier[0]: 0}
-    states: list[bytes] = []  # by discovery id, one frontier after another
-    sizes, terminal, n_kids, kids = [], [], [], []  # per frontier; kids are child discovery ids
-    while frontier:
-        states += frontier
-        sizes.append(len(frontier))
+    if calls.key_space > max_states:  # in Python ints, before any key array exists
+        raise StateBudgetExceeded(f"more than {max_states} reachable states")
+    frontier = calls.batch_keys([env.initial_state()])
+    ids = np.full(calls.key_space + 1, -1)  # discovery id by key; the last entry stays -1
+    ids[frontier], n = 0, 1
+    found = [frontier]  # keys by discovery id, one frontier after another
+    terminal, n_kids, kids = [], [], []  # per frontier; kids are child discovery ids
+    while len(frontier):
         term, counts, children = calls.batch_children(frontier)
-        # the next frontier: the new children, in order of first appearance
-        frontier = list(filterfalse(index_of.__contains__, dict.fromkeys(children)))
-        index_of.update(zip(frontier, count(len(index_of))))
-        if len(index_of) > max(max_states, len(states)):  # a new state past the budget
+        if len(ids) <= calls.key_space:  # a per-state env's key space grows
+            ids = np.append(ids, np.full(max(calls.key_space + 1, 2 * len(ids)) - len(ids), -1))
+        # the next frontier: the new children, in order of first appearance;
+        # repeated indices are assigned in order, so the last (first) one wins
+        unseen = (ids[children] < 0).nonzero()[0]
+        new = children[unseen]
+        ids[new[::-1]] = unseen[::-1]
+        frontier = new[ids[new] == unseen]
+        if n + len(frontier) > max(max_states, n):  # a new state past the budget
             raise StateBudgetExceeded(f"more than {max_states} reachable states")
-        kids.append(np.fromiter(map(index_of.__getitem__, children), dtype=np.int64,
-                                count=len(children)))
+        ids[frontier] = np.arange(n, n + len(frontier))
+        n += len(frontier)
+        found.append(frontier)
+        kids.append(ids[children])
         terminal.append(np.asarray(term, dtype=bool))
         n_kids.append(np.asarray(counts, dtype=np.int64))
 
-    n = len(states)
+    if n != calls.key_space:
+        raise MdpError(f"the env reached {n} states but has {calls.key_space} keys")
+    keys = np.concatenate(found)
     dst = np.concatenate(kids)
     offset = np.concatenate(([0], np.cumsum(np.concatenate(n_kids))))  # of each id's out-edges
     terminal = np.concatenate(terminal)
-    order = _level_order(offset, dst, np.repeat(np.arange(len(sizes)), sizes), terminal, states)
+    order = _level_order(offset, dst, np.repeat(np.arange(len(found)), list(map(len, found))),
+                         terminal, lambda i: calls.batch_states(keys[i:i + 1])[0])
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
 
-    new_states = list(map(states.__getitem__, order.tolist()))
+    keys = keys[order]
     terminal = terminal[order]
     log_target = np.full(n, -np.inf)
     inner = n - int(terminal.sum())  # the terminals are the last block
-    log_target[inner:] = calls.batch_log_target(new_states[inner:])
+    log_target[inner:] = calls.batch_log_target(keys[inner:])
     pos, counts = segment_positions(offset, order)  # by source rank, then action
     out_offset = np.concatenate(([0], np.cumsum(counts)))
     edge_dst = rank[dst[pos]]
     mdp = EnumeratedMdp(
-        states=tuple(new_states),
+        states=tuple(calls.batch_states(keys)),
         terminal=terminal,
         log_target=log_target,
         edge_src=np.repeat(np.arange(n), counts),
@@ -303,19 +332,20 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
         in_edges=np.argsort(edge_dst, kind="stable"),  # by (dst, src, action)
         in_offset=np.concatenate(([0], np.cumsum(np.bincount(edge_dst, minlength=n)))),
     )
-    n_pairs, parents, actions = calls.batch_parents(new_states)
-    ranks = np.append(rank, n)  # n: a parent that enumeration never reached
-    parent_rank = ranks[np.fromiter(map(index_of.get, parents, repeat(n)),
-                                    dtype=np.int64, count=len(parents))]
-    _check_parents(env, mdp, np.repeat(np.arange(n), n_pairs), parent_rank, parents, actions)
+    n_pairs, parents, actions = calls.batch_parents(keys)
+    known = (parents >= 0) & (parents < len(ids))  # else, like ids' last entry, unreached
+    parent_rank = np.append(rank, n)[ids[np.where(known, parents, -1)]]
+    _check_parents(env, calls, mdp, np.repeat(np.arange(n), n_pairs), parent_rank, parents,
+                   actions)
     return mdp
 
 
 def _level_order(offset: np.ndarray, dst: np.ndarray, frontier: np.ndarray,
-                 terminal: np.ndarray, states: list[bytes]) -> np.ndarray:
+                 terminal: np.ndarray, state: Callable[[int], bytes]) -> np.ndarray:
     """Discovery ids sorted by (terminal last, longest-path depth, id) for
     the edges ``id -> dst`` (``offset``: CSR of each id's out-edges), with
-    ``frontier`` the discovery frontier of each id.
+    ``frontier`` the discovery frontier of each id and ``state(id)`` its
+    encoding.
 
     When every edge goes from frontier k to frontier k + 1, every path to a
     state has the same length, so its frontier is its depth.  Only when an
@@ -324,7 +354,7 @@ def _level_order(offset: np.ndarray, dst: np.ndarray, frontier: np.ndarray,
     leaves over lies on or below a cycle: walking back through left-over
     parents from the lowest one reaches a cycle, and CycleDetected names the
     cycle's lowest id."""
-    n, counts = len(states), np.diff(offset)
+    n, counts = len(frontier), np.diff(offset)
     if np.array_equal(frontier[dst], np.repeat(frontier + 1, counts)):
         return np.lexsort((frontier, terminal))
     waiting = np.bincount(dst, minlength=n)  # parents not yet placed
@@ -345,17 +375,18 @@ def _level_order(offset: np.ndarray, dst: np.ndarray, frontier: np.ndarray,
         while s not in at:
             at[s] = len(at)
             s = int(parent[s])
-        raise CycleDetected(f"state {states[min(list(at)[at[s]:])]!r} lies on a cycle")
+        raise CycleDetected(f"state {state(min(list(at)[at[s]:]))!r} lies on a cycle")
     return np.lexsort((depth, terminal))
 
 
-def _check_parents(env: Env, mdp: EnumeratedMdp, child: np.ndarray, parent_rank: np.ndarray,
-                   parents: Sequence[bytes], actions: Sequence[int]) -> None:
+def _check_parents(env: Env, calls, mdp: EnumeratedMdp, child: np.ndarray,
+                   parent_rank: np.ndarray, parents: np.ndarray, actions: Sequence[int]) -> None:
     """Raise ParentMismatch at the first state, in index order, whose declared
     pairs (``parents[i]``, ``actions[i]``) of state ``child[i]``, with the
-    parent at index ``parent_rank[i]`` (n when unreached), either omit a
-    stepped edge or hold one that was not stepped and does not replay
-    through ``env.step``; at one state, a failed replay comes first."""
+    parent's key ``parents[i]`` and its index ``parent_rank[i]`` (n when
+    unreached), either omit a stepped edge or hold one that was not stepped
+    and does not replay through ``env.step``; at one state, a failed replay
+    comes first.  Only the replayed parents are decoded through ``calls``."""
     n = mdp.n_states
     offset = np.append(mdp.out_offset, mdp.n_edges)  # state n has no edges
     action = np.asarray(actions, dtype=np.int64)
@@ -365,14 +396,15 @@ def _check_parents(env: Env, mdp: EnumeratedMdp, child: np.ndarray, parent_rank:
     declared = np.zeros(mdp.n_edges, dtype=bool)
     declared[edge[stepped]] = True
     worst = int(mdp.edge_dst[~declared].min(initial=n))  # the first state missing a pair
-    for i in np.flatnonzero(~stepped & (child <= worst)).tolist():
+    replays = np.flatnonzero(~stepped & (child <= worst))
+    for i, parent in zip(replays.tolist(), calls.batch_states(parents[replays])):
         state = mdp.states[child[i]]
         try:
-            replayed = env.step(parents[i], actions[i])
+            replayed = env.step(parent, actions[i])
         except IndexError:  # an action out of range replays to no state
             replayed = None
         if replayed != state:
-            raise ParentMismatch(f"parents({state!r}) lists ({parents[i]!r}, {actions[i]}) "
+            raise ParentMismatch(f"parents({state!r}) lists ({parent!r}, {actions[i]}) "
                                  "which does not replay to it")
     if worst < n:
         lost = np.flatnonzero(~declared & (mdp.edge_dst == worst))

@@ -90,6 +90,12 @@ def test_enumerate_state_budget(tmp_path, capsys, max_states, rc, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_exact_refuses_a_hypergrid_past_the_default_budget_at_once(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 7\nside = 10\n")  # 2e7 states
+    assert cli.main(["exact", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: more than 1000000 reachable states\n"
+
+
 def test_missing_config_is_usage_error(tmp_path):
     assert cli.main(["enumerate", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path)]) == 1

@@ -327,17 +327,26 @@ def test_env_parameter_validation():
 
 
 def assert_batched_calls_match_per_state_calls(env, states):
-    terminal, n_children, children = env.batch_children(states)
+    """``states`` lists every state of ``env``: their keys are a permutation
+    of ``0..key_space-1`` that ``batch_states`` decodes back, and the batched
+    calls on them, decoded through ``batch_states``, equal the per-state
+    calls."""
+    keys = env.batch_keys(states)
+    assert keys.dtype == np.int64 and sorted(keys.tolist()) == list(range(env.key_space))
+    assert env.batch_states(keys) == states
+    terminal, n_children, children = env.batch_children(keys)
     assert terminal.tolist() == [env.is_terminal(s) for s in states]
     assert n_children.tolist() == [0 if env.is_terminal(s) else env.n_actions(s) for s in states]
+    children = env.batch_states(children)
     assert children == [env.step(s, a) for s, k in zip(states, n_children) for a in range(k)]
-    n_pairs, parents, actions = env.batch_parents(states)
+    n_pairs, parents, actions = env.batch_parents(keys)
+    parents = env.batch_states(parents)
     pairs = [env.parents(s) for s in states]
     assert n_pairs.tolist() == [len(p) for p in pairs]
     assert list(zip(parents, actions.tolist())) == [pair for p in pairs for pair in p]
     assert all(type(p) is bytes for p in children + parents)
     # bit for bit, -inf off the terminals included
-    bits = env.batch_log_target(states).view(np.int64)
+    bits = env.batch_log_target(keys).view(np.int64)
     assert bits.tolist() == np.array([env.log_target(s) for s in states]).view(np.int64).tolist()
 
 
@@ -349,8 +358,20 @@ def test_hypergrid_batched_calls_match_per_state_calls_on_every_state(dims):
         assert_batched_calls_match_per_state_calls(HypergridEnv(dims, side), states)
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 7])
 def test_bitvec_batched_calls_match_per_state_calls_on_every_state(length):
     states = [bytes(entries) for entries in itertools.product(b"*01", repeat=length)]
     for ones_reward in (0.0, 0.5, -1.3):  # -1.3 * 0 is -0.0
         assert_batched_calls_match_per_state_calls(BitVectorEnv(length, ones_reward), states)
+
+
+@pytest.mark.parametrize("env", [HypergridEnv(dims, side) for dims in (1, 2, 3, 4)
+                                 for side in range(2, 7)]
+                         + [BitVectorEnv(length) for length in range(1, 8)],
+                         ids=lambda env: f"grid{env.dims}x{env.side}"
+                         if isinstance(env, HypergridEnv) else f"bits{env.length}")
+def test_keys_number_the_reachable_states_densely(env):
+    states = list(mdp.enumerate_mdp(env).states)
+    keys = env.batch_keys(states)
+    assert sorted(keys.tolist()) == list(range(env.key_space))
+    assert env.batch_states(keys) == states

@@ -669,8 +669,8 @@ def test_enumerate_batched_calls_match_per_state_calls(env):
 
 
 class _Recording:
-    """Mixed into an env class: lists the states each batched call receives
-    and counts the per-state calls."""
+    """Mixed into an env class: lists the states (decoded from their keys)
+    each batched call receives and counts the per-state calls."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -682,17 +682,17 @@ class _Recording:
             self.per_state += 1
         return super().__getattribute__(name)
 
-    def batch_children(self, states):
-        self.batches["batch_children"].append(list(states))
-        return super().batch_children(states)
+    def batch_children(self, keys):
+        self.batches["batch_children"].append(self.batch_states(keys))
+        return super().batch_children(keys)
 
-    def batch_parents(self, states):
-        self.batches["batch_parents"].append(list(states))
-        return super().batch_parents(states)
+    def batch_parents(self, keys):
+        self.batches["batch_parents"].append(self.batch_states(keys))
+        return super().batch_parents(keys)
 
-    def batch_log_target(self, states):
-        self.batches["batch_log_target"].append(list(states))
-        return super().batch_log_target(states)
+    def batch_log_target(self, keys):
+        self.batches["batch_log_target"].append(self.batch_states(keys))
+        return super().batch_log_target(keys)
 
 
 class _RecordingGrid(_Recording, envs.HypergridEnv):
@@ -730,10 +730,34 @@ def test_enumerate_batched_bit_vector_calls_get_each_state_once(length):
     assert env.batches["batch_log_target"] == [[s for s, t in zip(m.states, m.terminal) if t]]
 
 
+def test_enumerate_refuses_a_key_space_past_the_budget_before_any_frontier():
+    env = _RecordingGrid(7, 10)  # 2e7 states
+    with pytest.raises(StateBudgetExceeded, match="^more than 1000000 reachable states$"):
+        enumerate_mdp(env)
+    assert env.batches == {name: [] for name in mdp.BATCHED_CALLS} and env.per_state == 0
+
+
+class _InflatedGrid(envs.HypergridEnv):
+    """Claims one key more than it has reachable states."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.key_space += 1
+
+
+def test_enumerate_checks_that_a_keyed_env_reaches_its_key_space():
+    with pytest.raises(mdp.MdpError, match="^the env reached 18 states but has 19 keys$"):
+        enumerate_mdp(_InflatedGrid(2, 3))
+    # its inflated key space alone would have refused it at 18 states
+    with pytest.raises(StateBudgetExceeded):
+        enumerate_mdp(_InflatedGrid(2, 3), max_states=18)
+
+
 class _EditedParents:
     """Mixed into an env class: both the batched and the per-state parents
     of each state in ``edits``, the last constructor argument, have their
-    first pair replaced by the listed pairs."""
+    first pair replaced by the listed pairs (states as bytes, which the
+    batched call encodes with ``batch_keys``)."""
 
     def __init__(self, *args):
         super().__init__(*args[:-1])
@@ -743,13 +767,14 @@ class _EditedParents:
         pairs = super().parents(state)
         return self.edits[state] + pairs[1:] if state in self.edits else pairs
 
-    def batch_parents(self, states):
-        n_pairs, parents, actions = super().batch_parents(states)
-        n_pairs = n_pairs.copy()
+    def batch_parents(self, keys):
+        n_pairs, parents, actions = super().batch_parents(keys)
+        n_pairs, states = n_pairs.copy(), self.batch_states(keys)
         for k in sorted(map(states.index, self.edits), reverse=True):
             at, head = int(n_pairs[:k].sum()), self.edits[states[k]]
             n_pairs[k] += len(head) - 1
-            parents = parents[:at] + [p for p, _ in head] + parents[at + 1:]
+            parents = np.concatenate((parents[:at], self.batch_keys([p for p, _ in head]),
+                                      parents[at + 1:]))
             actions = np.concatenate((actions[:at], np.array([a for _, a in head], dtype=np.int64),
                                       actions[at + 1:]))
         return n_pairs, parents, actions
