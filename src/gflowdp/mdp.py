@@ -56,8 +56,8 @@ class Env(Protocol):
 
     For ``enumerate_mdp`` an env may also answer a batch of F states at once
     through five calls on int64 keys, which must agree with the per-state
-    calls, the specification.  Its reachable states have the keys
-    ``0..key_space-1``, one each.
+    calls, the specification.  Such an env has a ``key_space``, and its
+    reachable states have the keys ``0..key_space-1``, one each.
 
     - ``batch_keys(states)`` and ``batch_states(keys)``: keys and states;
     - ``batch_children(keys) -> (terminal, n_children, child_keys)``: F

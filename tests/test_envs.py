@@ -327,10 +327,10 @@ def test_env_parameter_validation():
 
 
 def assert_batched_calls_match_per_state_calls(env, states):
-    """``states`` lists every state of ``env``: their keys are a permutation
-    of ``0..key_space-1`` that ``batch_states`` decodes back, and the batched
-    calls on them, decoded through ``batch_states``, equal the per-state
-    calls."""
+    """``states`` lists every reachable state of ``env``: their keys are a
+    permutation of ``0..key_space-1`` that ``batch_states`` decodes back, and
+    the batched calls on them, decoded through ``batch_states``, equal the
+    per-state calls."""
     keys = env.batch_keys(states)
     assert keys.dtype == np.int64 and sorted(keys.tolist()) == list(range(env.key_space))
     assert env.batch_states(keys) == states
@@ -364,14 +364,3 @@ def test_bitvec_batched_calls_match_per_state_calls_on_every_state(length):
     for ones_reward in (0.0, 0.5, -1.3):  # -1.3 * 0 is -0.0
         assert_batched_calls_match_per_state_calls(BitVectorEnv(length, ones_reward), states)
 
-
-@pytest.mark.parametrize("env", [HypergridEnv(dims, side) for dims in (1, 2, 3, 4)
-                                 for side in range(2, 7)]
-                         + [BitVectorEnv(length) for length in range(1, 8)],
-                         ids=lambda env: f"grid{env.dims}x{env.side}"
-                         if isinstance(env, HypergridEnv) else f"bits{env.length}")
-def test_keys_number_the_reachable_states_densely(env):
-    states = list(mdp.enumerate_mdp(env).states)
-    keys = env.batch_keys(states)
-    assert sorted(keys.tolist()) == list(range(env.key_space))
-    assert env.batch_states(keys) == states
