@@ -333,7 +333,7 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
         in_offset=np.concatenate(([0], np.cumsum(np.bincount(edge_dst, minlength=n)))),
     )
     n_pairs, parents, actions = calls.batch_parents(keys)
-    known = (parents >= 0) & (parents < len(ids))  # else, like ids' last entry, unreached
+    known = (parents >= 0) & (parents < len(ids))  # else read ids[-1], -1: unreached
     parent_rank = np.append(rank, n)[ids[np.where(known, parents, -1)]]
     _check_parents(env, calls, mdp, np.repeat(np.arange(n), n_pairs), parent_rank, parents,
                    actions)
