@@ -62,36 +62,30 @@ def _grid_target(first: bool, second: bool) -> float:
 
 
 class _DigitKeys:
-    """Keys for an env whose states are byte strings over ``alphabet``: a
-    state's key reads each byte as a digit, its index in ``alphabet``, most
-    significant first.  The env's ``batch_*`` calls run with numpy on keys
-    and digit rows; the per-state calls are their specification, so a
-    subclass that changes one must change its batched counterpart too."""
+    """A state's key reads its bytes as digits, their indices in ``alphabet``,
+    most significant first (wrapping past int64, where enumeration refuses the
+    env).  The per-state calls specify the ``batch_*`` calls, so a subclass
+    that changes one must change its batched counterpart too."""
 
     def _set_alphabet(self, alphabet: bytes, width: int) -> None:
-        self._bytes = np.frombuffer(alphabet, dtype=np.uint8)
-        self._digit = np.zeros(256, dtype=np.int64)
-        self._digit[self._bytes] = np.arange(len(alphabet))
-        # each digit's weight, wrapping past int64, where enumeration refuses the env
+        self._bytes = np.frombuffer(alphabet, dtype=np.uint8)  # increasing, for searchsorted
         self._radix = len(alphabet) ** np.arange(width - 1, -1, -1)
 
     def batch_keys(self, states: Sequence[bytes]) -> np.ndarray:
-        rows = np.frombuffer(b"".join(states), dtype=np.uint8)
-        return self._digit[rows.reshape(len(states), len(self._radix))] @ self._radix
+        rows = np.frombuffer(b"".join(states), dtype=np.uint8).reshape(-1, len(self._radix))
+        return np.searchsorted(self._bytes, rows) @ self._radix
 
     def batch_states(self, keys) -> list[bytes]:
-        rows = self._bytes[self._digits(keys)[1]]
+        rows = np.ascontiguousarray(self._bytes[self._digits(keys)[1]])
         return rows.view(f"V{rows.shape[1]}").ravel().tolist()  # void items are bytes
 
     def _digits(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """The keys as int64 and, as rows, their digits."""
-        keys, base, radix = np.asarray(keys, dtype=np.int64), len(self._bytes), self._radix
-        if keys.size * len(radix) < 2048:  # on few keys one division by an array costs least
-            return keys, keys[:, None] // radix % base
-        digits, rest = np.empty((len(keys), len(radix)), dtype=np.int64), keys
-        for j in range(len(radix) - 1, -1, -1):  # numpy divides by a scalar much faster
-            digits[:, j] = rest - (rest := rest // base) * base
-        return keys, digits
+        """The keys as int64 and, as rows, their digits (numpy divides fast by a scalar)."""
+        keys = rest = np.asarray(keys, dtype=np.int64)
+        digits, base = np.empty((len(self._radix), len(keys)), dtype=np.int64), len(self._bytes)
+        for j in range(len(digits) - 1, -1, -1):
+            digits[j] = rest - (rest := rest // base) * base
+        return keys, digits.T
 
 
 # the log of each target value, by first + 2 * second

@@ -54,16 +54,14 @@ class Env(Protocol):
     ``log_target`` must be finite exactly on terminal states, and
     ``parents(step(s, a))`` must contain ``(s, a)`` for every legal pair.
 
-    For ``enumerate_mdp`` an env may also answer a batch of F states at once
-    through five calls on int64 keys, which must agree with the per-state
-    calls, the specification.  Such an env has a ``key_space``, and its
-    reachable states have the keys ``0..key_space-1``, one each.
+    For ``enumerate_mdp`` an env may also answer F states at once through five
+    calls on int64 keys that agree with the per-state calls, the specification.
+    Such an env has a ``key_space`` and its reachable states the keys ``0..key_space-1``,
+    one each, which ``batch_keys(states)`` and ``batch_states(keys)`` give and read.
 
-    - ``batch_keys(states)`` and ``batch_states(keys)``: keys and states;
     - ``batch_children(keys) -> (terminal, n_children, child_keys)``: F
       ``is_terminal`` flags, F child counts (0 at a terminal), and the keys
-      of the ``step`` results of every state in action order, state after
-      state;
+      of every state's ``step`` results in action order, state after state;
     - ``batch_parents(keys) -> (n_pairs, parent_keys, actions)``: F counts of
       ``parents`` pairs, then the pairs' keys and actions, state after state;
     - ``batch_log_target(keys)``: the F ``log_target`` values.
@@ -209,16 +207,14 @@ class ValidationReport:
 
 class _PerState:
     """The batched calls of ``Env`` made through the env's per-state methods,
-    one state at a time in batch order.  Keys number the states in order of
-    first sight, so ``key_space`` grows as they are seen."""
+    one state at a time in batch order; keys number states in order of first sight."""
 
     def __init__(self, env: Env):
         self.env, self.states, self.key_of, self.key_space = env, [], {}, 0
 
     def batch_keys(self, states):
-        new = dict.fromkeys(filterfalse(self.key_of.__contains__, states))
-        self.key_of.update(zip(new, count(self.key_space)))
-        self.states += new
+        self.states += filterfalse(self.key_of.__contains__, dict.fromkeys(states))
+        self.key_of.update(zip(self.states[self.key_space:], count(self.key_space)))
         self.key_space = len(self.states)
         return np.fromiter(map(self.key_of.__getitem__, states), dtype=np.int64, count=len(states))
 
@@ -235,9 +231,8 @@ class _PerState:
 
     def batch_parents(self, keys):
         pairs = [list(self.env.parents(st)) for st in self.batch_states(keys)]
-        flat = [pair for ps in pairs for pair in ps]
-        return ([len(ps) for ps in pairs], self.batch_keys([bytes(p) for p, _ in flat]),
-                [a for _, a in flat])
+        flat = [(bytes(p), a) for ps in pairs for p, a in ps]
+        return list(map(len, pairs)), self.batch_keys([p for p, _ in flat]), [a for _, a in flat]
 
     def batch_log_target(self, keys):
         return [float(self.env.log_target(st)) for st in self.batch_states(keys)]
@@ -271,32 +266,28 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
     if terminal, one ``log_target``; per edge one ``step``.  Only a declared
     pair that enumeration did not step costs one more ``step``, its replay.
 
-    Raises CycleDetected, StateBudgetExceeded (at once for a ``key_space``
-    past ``max_states``), ParentMismatch, or MdpError for an env that
-    reaches other than ``key_space`` states.
+    Raises CycleDetected, StateBudgetExceeded, ParentMismatch, or MdpError.
     """
     calls = env if all(hasattr(type(env), name) for name in BATCHED_CALLS) else _PerState(env)
-    if calls.key_space > max_states:  # in Python ints, before any key array exists
-        raise StateBudgetExceeded(f"more than {max_states} reachable states")
     frontier = calls.batch_keys([env.initial_state()])
     ids = np.full(calls.key_space + 1, -1)  # discovery id by key; the last entry stays -1
-    ids[frontier], n = 0, 1
-    found = [frontier]  # keys by discovery id, one frontier after another
+    ids[frontier], n, found = 0, 1, [frontier]  # found: keys by discovery id, frontier by frontier
     terminal, n_kids, kids = [], [], []  # per frontier; kids are child discovery ids
     while len(frontier):
+        if calls.key_space > max(max_states, 1):  # keyed: at once; per-state: the states found
+            raise StateBudgetExceeded(f"more than {max_states} reachable states")
         term, counts, children = calls.batch_children(frontier)
+        if len(children) and not 0 <= children.min() <= children.max() < calls.key_space:
+            raise MdpError(f"a child's key lies outside 0..{calls.key_space - 1}")
         if len(ids) <= calls.key_space:  # a per-state env's key space grows
-            ids = np.append(ids, np.full(max(calls.key_space + 1, 2 * len(ids)) - len(ids), -1))
-        # the next frontier: the new children, in order of first appearance;
-        # repeated indices are assigned in order, so the last (first) one wins
+            ids = np.pad(ids, (0, calls.key_space + len(ids)), constant_values=-1)
+        # the next frontier: the new children, in order of first appearance: numpy writes
+        # repeated indices in order (undocumented; test_enumerate_matches_dfs_oracle pins it)
         unseen = (ids[children] < 0).nonzero()[0]
         new = children[unseen]
         ids[new[::-1]] = unseen[::-1]
         frontier = new[ids[new] == unseen]
-        if n + len(frontier) > max(max_states, n):  # a new state past the budget
-            raise StateBudgetExceeded(f"more than {max_states} reachable states")
-        ids[frontier] = np.arange(n, n + len(frontier))
-        n += len(frontier)
+        ids[frontier] = np.arange(n, n := n + len(frontier))
         found.append(frontier)
         kids.append(ids[children])
         terminal.append(np.asarray(term, dtype=bool))
@@ -304,16 +295,15 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
 
     if n != calls.key_space:
         raise MdpError(f"the env reached {n} states but has {calls.key_space} keys")
-    keys = np.concatenate(found)
     dst = np.concatenate(kids)
     offset = np.concatenate(([0], np.cumsum(np.concatenate(n_kids))))  # of each id's out-edges
     terminal = np.concatenate(terminal)
     order = _level_order(offset, dst, np.repeat(np.arange(len(found)), list(map(len, found))),
-                         terminal, lambda i: calls.batch_states(keys[i:i + 1])[0])
+                         terminal, lambda i: calls.batch_states(np.concatenate(found)[[i]])[0])
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
 
-    keys = keys[order]
+    keys = np.concatenate(found)[order]
     terminal = terminal[order]
     log_target = np.full(n, -np.inf)
     inner = n - int(terminal.sum())  # the terminals are the last block
@@ -333,10 +323,9 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
         in_offset=np.concatenate(([0], np.cumsum(np.bincount(edge_dst, minlength=n)))),
     )
     n_pairs, parents, actions = calls.batch_parents(keys)
-    known = (parents >= 0) & (parents < len(ids))  # else read ids[-1], -1: unreached
-    parent_rank = np.append(rank, n)[ids[np.where(known, parents, -1)]]
-    _check_parents(env, calls, mdp, np.repeat(np.arange(n), n_pairs), parent_rank, parents,
-                   actions)
+    # a key out of range reads the last entry, -1: unreached
+    parent_rank = np.append(rank, n)[ids[np.clip(parents, -1, len(ids) - 1)]]
+    _check_parents(env, calls, mdp, n_pairs, parent_rank, parents, actions)
     return mdp
 
 
@@ -344,8 +333,7 @@ def _level_order(offset: np.ndarray, dst: np.ndarray, frontier: np.ndarray,
                  terminal: np.ndarray, state: Callable[[int], bytes]) -> np.ndarray:
     """Discovery ids sorted by (terminal last, longest-path depth, id) for
     the edges ``id -> dst`` (``offset``: CSR of each id's out-edges), with
-    ``frontier`` the discovery frontier of each id and ``state(id)`` its
-    encoding.
+    ``frontier`` the discovery frontier of each id, ``state(id)`` its bytes.
 
     When every edge goes from frontier k to frontier k + 1, every path to a
     state has the same length, so its frontier is its depth.  Only when an
@@ -379,15 +367,14 @@ def _level_order(offset: np.ndarray, dst: np.ndarray, frontier: np.ndarray,
     return np.lexsort((depth, terminal))
 
 
-def _check_parents(env: Env, calls, mdp: EnumeratedMdp, child: np.ndarray,
+def _check_parents(env: Env, calls, mdp: EnumeratedMdp, n_pairs: np.ndarray,
                    parent_rank: np.ndarray, parents: np.ndarray, actions: Sequence[int]) -> None:
     """Raise ParentMismatch at the first state, in index order, whose declared
-    pairs (``parents[i]``, ``actions[i]``) of state ``child[i]``, with the
-    parent's key ``parents[i]`` and its index ``parent_rank[i]`` (n when
-    unreached), either omit a stepped edge or hold one that was not stepped
-    and does not replay through ``env.step``; at one state, a failed replay
-    comes first.  Only the replayed parents are decoded through ``calls``."""
-    n = mdp.n_states
+    pairs (``n_pairs[s]`` for each state s in turn: parent key ``parents[i]``
+    at index ``parent_rank[i]``, n when unreached, and ``actions[i]``) either
+    omit a stepped edge or hold one that was not stepped and does not replay
+    through ``env.step``; at one state, a failed replay comes first."""
+    n, child = mdp.n_states, np.repeat(np.arange(mdp.n_states), n_pairs)
     offset = np.append(mdp.out_offset, mdp.n_edges)  # state n has no edges
     action = np.asarray(actions, dtype=np.int64)
     edge = offset[parent_rank] + action
@@ -396,9 +383,8 @@ def _check_parents(env: Env, calls, mdp: EnumeratedMdp, child: np.ndarray,
     declared = np.zeros(mdp.n_edges, dtype=bool)
     declared[edge[stepped]] = True
     worst = int(mdp.edge_dst[~declared].min(initial=n))  # the first state missing a pair
-    replays = np.flatnonzero(~stepped & (child <= worst))
-    for i, parent in zip(replays.tolist(), calls.batch_states(parents[replays])):
-        state = mdp.states[child[i]]
+    for i in np.flatnonzero(~stepped & (child <= worst)).tolist():
+        state, parent = mdp.states[child[i]], calls.batch_states(parents[i:i + 1])[0]
         try:
             replayed = env.step(parent, actions[i])
         except IndexError:  # an action out of range replays to no state

@@ -753,6 +753,26 @@ def test_enumerate_checks_that_a_keyed_env_reaches_its_key_space():
         enumerate_mdp(_InflatedGrid(2, 3), max_states=18)
 
 
+class _StrayChildGrid(envs.HypergridEnv):
+    """Gives the last child of every frontier the key ``stray``."""
+
+    def __init__(self, stray):
+        super().__init__(2, 3)
+        self.stray = stray
+
+    def batch_children(self, keys):
+        terminal, counts, children = super().batch_children(keys)
+        return terminal, counts, np.append(children[:-1], self.stray)
+
+
+@pytest.mark.parametrize("stray", [-2, -1, 18, 19, 2**62])
+def test_enumerate_refuses_a_child_key_off_the_key_space(stray):
+    # -1 and 18 would land on the table's last entry, -2 would alias key 16,
+    # and 19 and past would index past the table
+    with pytest.raises(mdp.MdpError, match=r"^a child's key lies outside 0\.\.17$"):
+        enumerate_mdp(_StrayChildGrid(stray))
+
+
 class _EditedParents:
     """Mixed into an env class: both the batched and the per-state parents
     of each state in ``edits``, the last constructor argument, have their
