@@ -183,13 +183,12 @@ def model_to_json(model: PolicyModel) -> str:
     """``json.dumps`` of the model's tables as lists, but ``log_z_hat`` as
     its one number, byte for byte, with each distinct value formatted once
     (``json_float_texts``)."""
-    tables = {f.name: getattr(model, f.name) for f in fields(PolicyModel)}
-    log_z_hat = tables.pop("log_z_hat")  # the last field
-    texts = json_float_texts(np.concatenate([*tables.values(), log_z_hat])).tolist()
+    texts = json_float_texts(model.params).tolist()  # the tables in field order
     items, start = [], 0
-    for name, table in tables.items():
-        items.append(f'"{name}": [{", ".join(texts[start:start + table.size])}]')
-        start += table.size
+    for f in fields(PolicyModel)[:-1]:  # all but log_z_hat, the last
+        size = getattr(model, f.name).size
+        items.append(f'"{f.name}": [{", ".join(texts[start:start + size])}]')
+        start += size
     items.append(f'"log_z_hat": {texts[start]}')
     return "{" + ", ".join(items) + "}"
 

@@ -1,9 +1,9 @@
 """Tabular stochastic-gradient training of policies, flows, counts, and Z.
 
-The model is a flat table per parameter group: forward logits per edge,
-backward logits per edge (free-backward variant only), a log path-count
-estimate per state (initial pinned to 0), a log state-flow estimate per
-state (terminals clamped to the target), and a scalar log-Z estimate.
+The model is one float64 vector whose parts are the parameter groups:
+forward logits per edge, backward logits per edge (free-backward variant
+only), a log path-count estimate per state (initial pinned to 0), a log
+state-flow estimate per state (terminals clamped to the target), and log Z.
 The count-induced backward is ``exact.backward_maxent`` of l_hat, and the
 free backward ``exact.backward_softmax`` of its logits.
 The loss has two residual shapes: ``_balance`` over sub-trajectories of the
@@ -12,9 +12,10 @@ in-edges of the visited states (fm, n-bellman).
 Loss and gradient touch only the softmax segments the batch reads, in one
 ``numerics.segment_log_softmax`` call, and scatter the gradients into dense
 zero tables; each sum keeps the order of the whole-table computation, so
-results are the same to the bit.  The behaviour CDF, Adam, ``repin`` and the
-EMA stay O(E) per step: Adam's momentum moves entries whose gradient is 0,
-and the EMA's 0.95x + 0.05x is not x to the bit.
+results are the same to the bit.  Adam and the EMA are one elementwise pass
+each over the whole vector (Adam's momentum moves entries whose gradient is
+0, and the EMA's 0.95x + 0.05x is not x to the bit), and the behaviour CDF
+one pass over the edges on tables cached on the MDP.
 Gradients are computed analytically; ``tests`` cross-check every
 objective/backward combination against central finite differences.
 """
@@ -22,7 +23,7 @@ objective/backward combination against central finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +34,7 @@ from .mdp import EnumeratedMdp, segment_positions
 # ``logsumexp``, ``cross_cumsum`` and ``backward_from_counts`` are not called
 # here; benchmarks/tracer.py counts calls made through these names.
 from .numerics import logsumexp  # noqa: F401
-from .numerics import segment_log_softmax, segment_logsumexp
+from .numerics import padded_logsumexp, segment_log_softmax, segment_logsumexp
 from .objectives import cross_cumsum  # noqa: F401
 from .objectives import (
     HuberParams,
@@ -113,15 +114,32 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
 
 
+class ParamGroups(dict):
+    """A model's tables by group name, with ``flat`` the buffer they view."""
+
+    flat: np.ndarray
+
+
 @dataclass
 class PolicyModel:
-    """Mutable parameter tables; see module docstring for the groups."""
+    """Mutable parameter tables; see module docstring for the groups.  The
+    constructor copies them, in field order, into the one float64 buffer
+    ``params`` and keeps each as a view of its part, so tables are written
+    in place: an array assigned to an attribute would not be in ``params``."""
 
     forward_logits: np.ndarray  # [E]
     backward_logits: np.ndarray  # [E]
     l_hat: np.ndarray  # [S], l_hat[initial] pinned to 0
     log_f_hat: np.ndarray  # [S], terminal entries clamped to log target
     log_z_hat: np.ndarray  # shape (1,)
+
+    def __post_init__(self) -> None:
+        names = [f.name for f in fields(self)]
+        tables = [getattr(self, name) for name in names]
+        self.params = np.concatenate(tables, dtype=float)
+        cuts = np.cumsum([len(t) for t in tables])[:-1]
+        for name, view in zip(names, np.split(self.params, cuts)):
+            setattr(self, name, view)
 
     @classmethod
     def init(
@@ -130,20 +148,10 @@ class PolicyModel:
         rng: np.random.Generator | None = None,
         scale: float = 0.0,
     ) -> "PolicyModel":
-        """Zero-initialized (uniform policy) or Gaussian logits of the given scale."""
-
-        def draw(shape):
-            if rng is None or scale == 0.0:
-                return np.zeros(shape)
-            return rng.normal(0.0, scale, shape)
-
-        model = cls(
-            forward_logits=draw(mdp.n_edges),
-            backward_logits=draw(mdp.n_edges),
-            l_hat=draw(mdp.n_states),
-            log_f_hat=draw(mdp.n_states),
-            log_z_hat=draw(1),
-        )
+        """Zero-initialized (uniform policy) or Gaussian logits of the given
+        scale, drawn table by table in field order."""
+        draw = np.zeros if rng is None or scale == 0.0 else lambda n: rng.normal(0.0, scale, n)
+        model = cls(*map(draw, (mdp.n_edges, mdp.n_edges, mdp.n_states, mdp.n_states, 1)))
         model.repin(mdp)
         return model
 
@@ -153,16 +161,13 @@ class PolicyModel:
         self.log_f_hat[mdp.terminal] = mdp.log_target[mdp.terminal]
 
     def copy(self) -> "PolicyModel":
-        return PolicyModel(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
+        return replace(self)
 
-    def param_groups(self) -> dict[str, np.ndarray]:
-        return {
-            "forward": self.forward_logits,
-            "backward": self.backward_logits,
-            "l": self.l_hat,
-            "log_f": self.log_f_hat,
-            "log_z": self.log_z_hat,
-        }
+    def param_groups(self) -> ParamGroups:
+        groups = ParamGroups(zip(PARAM_GROUPS, (self.forward_logits, self.backward_logits,
+                                                self.l_hat, self.log_f_hat, self.log_z_hat)))
+        groups.flat = self.params
+        return groups
 
     @property
     def log_z(self) -> float:
@@ -170,23 +175,24 @@ class PolicyModel:
 
     def check_fits(self, mdp: EnumeratedMdp) -> None:
         """Raise ModelMismatch unless every table has the MDP's length."""
-        lengths = {
-            "forward_logits": (len(self.forward_logits), mdp.n_edges),
-            "backward_logits": (len(self.backward_logits), mdp.n_edges),
-            "l_hat": (len(self.l_hat), mdp.n_states),
-            "log_f_hat": (len(self.log_f_hat), mdp.n_states),
-        }
-        for name, (have, want) in lengths.items():
-            if have != want:
+        e, s = mdp.n_edges, mdp.n_states
+        for name, want in (("forward_logits", e), ("backward_logits", e), ("l_hat", s),
+                           ("log_f_hat", s)):
+            if (have := len(getattr(self, name))) != want:
                 raise ModelMismatch(
                     f"model {name} has {have} entries but the MDP has "
                     f"{mdp.n_states} states and {mdp.n_edges} edges"
                 )
 
     def forward_log_probs(self, mdp: EnumeratedMdp) -> np.ndarray:
-        """Softmax of forward logits within each state's out-edge segment."""
+        """Softmax of forward logits within each state's out-edge segment:
+        ``segment_log_softmax`` on the layout ``mdp.out_segments`` caches."""
         self.check_fits(mdp)
-        return segment_log_softmax(self.forward_logits, np.diff(mdp.out_offset))
+        seg = mdp.out_segments
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            lse = padded_logsumexp(self.forward_logits, *seg.layout,
+                                   np.zeros(mdp.n_edges + len(seg.caps)))  # a head per segment
+        return self.forward_logits - np.repeat(lse, seg.layout[1])
 
     def clamped_log_f(self, mdp: EnumeratedMdp) -> np.ndarray:
         return np.where(mdp.terminal, mdp.log_target, self.log_f_hat)
@@ -194,29 +200,22 @@ class PolicyModel:
     # free-parameter vector, used by the finite-difference checks -----------
 
     @staticmethod
-    def _free(mdp: EnumeratedMdp) -> dict[str, np.ndarray]:
-        """The entries training moves where a group has pinned or clamped ones."""
-        return {
-            "l": np.arange(1, mdp.n_states),
-            "log_f": np.flatnonzero(~mdp.terminal),
-        }
+    def _free(mdp: EnumeratedMdp) -> np.ndarray:
+        """Mask over ``params`` of the entries training moves: all but the
+        pinned initial count and the clamped terminal flows."""
+        return np.concatenate([np.ones(2 * mdp.n_edges, dtype=bool),
+                               np.arange(mdp.n_states) != mdp.initial, ~mdp.terminal, [True]])
 
     def pack(self, mdp: EnumeratedMdp) -> np.ndarray:
-        return self.pack_grads(mdp, self.param_groups())
+        return self.params[self._free(mdp)]
 
     def unpack(self, mdp: EnumeratedMdp, vec: np.ndarray) -> "PolicyModel":
         out = self.copy()
-        free, pos = self._free(mdp), 0
-        for key, p in out.param_groups().items():
-            at = free.get(key, slice(None))
-            n = len(p[at])
-            p[at] = vec[pos : pos + n]
-            pos += n
+        out.params[self._free(mdp)] = vec
         return out
 
     def pack_grads(self, mdp: EnumeratedMdp, grads: dict[str, np.ndarray]) -> np.ndarray:
-        free = self._free(mdp)
-        return np.concatenate([grads[k][free.get(k, slice(None))] for k in PARAM_GROUPS])
+        return np.concatenate([grads[k] for k in PARAM_GROUPS])[self._free(mdp)]
 
 
 @dataclass(frozen=True)
@@ -268,15 +267,12 @@ class RolloutBatch:
 def _behavior_tables(mdp: EnumeratedMdp, model: PolicyModel, epsilon: float) -> np.ndarray:
     """Per-edge sampling CDF, within each state's out-edge segment, of the
     behavior policy (1-eps) * softmax(logits) + eps * uniform."""
-    log_pi = model.forward_log_probs(mdp)
-    degree = np.diff(mdp.out_offset)
-    cdf = (1.0 - epsilon) * np.exp(log_pi) + epsilon / degree[mdp.edge_src]
+    seg = mdp.out_segments
+    cdf = (1.0 - epsilon) * np.exp(model.forward_log_probs(mdp)) + epsilon / seg.edge_degree
     # a running sum per segment, position by position, so every CDF is added
     # in the same order as np.cumsum over that segment alone
-    starts = mdp.out_offset[:-1]
-    for j in range(1, int(degree.max(initial=0))):
-        at = starts[degree > j] + j
-        cdf[at] += cdf[at - 1]
+    for at, before in seg.cdf_steps:
+        cdf[at] += cdf[before]
     return cdf
 
 
@@ -292,7 +288,7 @@ def _walk(mdp: EnumeratedMdp, cdf: np.ndarray, n: int, streams: list[np.random.G
     # keys sort by state, then CDF; each segment's last entry, +inf, caps picks at hi - 1
     keys = np.empty(mdp.n_edges, dtype=complex)
     keys.real, keys.imag = mdp.edge_src, cdf
-    keys.imag[mdp.out_offset[1:][np.diff(mdp.out_offset) > 0] - 1] = np.inf
+    keys.imag[mdp.out_segments.caps] = np.inf
     state = np.full(n, mdp.initial, dtype=np.int64)
     # live walkers are grouped by stream, each group in walker order, so the
     # streams' draws concatenate into the uniforms of the live walkers
@@ -531,36 +527,42 @@ def compute_loss_and_grads(
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray  # first moments over a model's ``params``
+    v: np.ndarray  # second moments
     t: int = 0
 
 
 def adam_init(model: PolicyModel) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(p) for k, p in model.param_groups().items()},
-        v={k: np.zeros_like(p) for k, p in model.param_groups().items()},
-    )
+    return AdamState(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
 
 
 def optimizer_update(
-    params: dict[str, np.ndarray],
+    params: ParamGroups,
     grads: dict[str, np.ndarray],
     state: AdamState,
     learning_rate: float,
 ) -> None:
-    """One Adam step (betas 0.9, 0.999, eps 1e-8), in place on the parameters."""
+    """One Adam step (betas 0.9, 0.999, eps 1e-8), in place on
+    ``params.flat``, with the gradients laid end to end in ``PARAM_GROUPS``
+    order.  Every entry gets the arithmetic of a per-group update, in the
+    same order, so the steps are the same to the bit."""
+    g = np.concatenate([grads[key] for key in PARAM_GROUPS])
+    if not np.isfinite(g).all():
+        key = next(k for k in PARAM_GROUPS if not np.isfinite(grads[k]).all())
+        raise NonFiniteGradient(f"non-finite gradient in group {key!r}")
     beta1, beta2 = 0.9, 0.999
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for key, p in params.items():
-        g = grads[key]
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"non-finite gradient in group {key!r}")
-        state.m[key] = beta1 * state.m[key] + (1.0 - beta1) * g
-        state.v[key] = beta2 * state.v[key] + (1.0 - beta2) * g * g
-        p -= learning_rate * (state.m[key] / bc1) / (np.sqrt(state.v[key] / bc2) + 1e-8)
+    m, v, step = state.m, state.v, np.empty_like(g)
+    m *= beta1
+    m += np.multiply(1.0 - beta1, g, out=step)
+    v *= beta2
+    v += np.multiply(np.multiply(1.0 - beta2, g, out=step), g, out=step)
+    np.multiply(np.divide(m, bc1, out=step), learning_rate, out=step)
+    # g is read no more: it holds sqrt(v / bc2) + eps
+    step /= np.add(np.sqrt(np.divide(v, bc2, out=g), out=g), 1e-8, out=g)
+    params.flat -= step
 
 
 def train_step(
@@ -582,10 +584,8 @@ def ema_update(
     sampling_model: PolicyModel, train_model: PolicyModel, decay: float
 ) -> PolicyModel:
     """sampling <- decay * sampling + (1 - decay) * train, in place."""
-    s, t = sampling_model.param_groups(), train_model.param_groups()
-    for key in s:
-        s[key] *= decay
-        s[key] += (1.0 - decay) * t[key]
+    sampling_model.params *= decay
+    sampling_model.params += (1.0 - decay) * train_model.params
     return sampling_model
 
 

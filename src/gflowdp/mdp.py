@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count, filterfalse
+from types import SimpleNamespace
 from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -163,6 +164,22 @@ class EnumeratedMdp:
     @cached_property
     def out_runs(self) -> list[tuple]:  # for exact.pull_backward
         return padded_runs(self.out_offset, self.levels)
+
+    @cached_property
+    def out_segments(self) -> SimpleNamespace:  # for learner's behaviour policy
+        """Of the nonempty out-segments: ``layout``, the ``(starts, lengths,
+        slots, heads)`` of ``padded_logsumexp``; ``caps``, their last edges;
+        ``edge_degree``, each edge's segment length as float; and
+        ``cdf_steps``, for j = 1, 2, ..., the j-th edges ``at`` of the
+        segments longer than j, as ``(at, at - 1)``."""
+        degree = np.diff(self.out_offset)
+        live = degree > 0
+        starts, slots, heads = padded_layout(degree[live])
+        at = [self.out_offset[:-1][degree > j] + j for j in range(1, int(degree.max(initial=0)))]
+        return SimpleNamespace(
+            layout=(starts, degree[live], np.flatnonzero(slots), heads),
+            caps=self.out_offset[1:][live] - 1, edge_degree=degree[self.edge_src].astype(float),
+            cdf_steps=[(a, a - 1) for a in at])
 
     def with_log_target(self, log_target: np.ndarray) -> "EnumeratedMdp":
         log_target = np.asarray(log_target, dtype=float)

@@ -299,12 +299,13 @@ def oracle_model_json(model: PolicyModel) -> str:
 
 
 def model_at_exact(m: mdp.EnumeratedMdp, tables: exact.ExactTables) -> PolicyModel:
-    """The model at the fixed point: every residual is zero there."""
+    """The model at the fixed point: every residual is zero there.  The
+    constructor copies the tables into the model's buffer."""
     return PolicyModel(
         forward_logits=exact.gsql_policy(m, tables.l),
         backward_logits=exact.backward_maxent(m, tables.l),
-        l_hat=tables.l.copy(),
-        log_f_hat=tables.logF.copy(),
+        l_hat=tables.l,
+        log_f_hat=tables.logF,
         log_z_hat=np.array([tables.logZ]),
     )
 

@@ -7,7 +7,8 @@ rebuild their move or unset-entry lists, the run loops of
 ``exact.push_forward``/``pull_backward`` that reduce each run of
 ``EnumeratedMdp.levels`` with ``segment_logsumexp``, and
 ``dense_loss_and_grads``, the training loss that computed every softmax and
-softmax VJP on all E edges.
+softmax VJP on all E edges, and Adam, ``repin`` and the EMA group by group,
+as they ran before the model's tables were views of one buffer.
 
 Each function is the loop version verbatim, except that calls into
 functions that were rewritten go to the loop copies in this module, that
@@ -19,6 +20,7 @@ level-order numbering.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -777,6 +779,61 @@ def compute_loss_and_grads(
         raise NonFiniteGradient(f"non-finite loss {total}")
     stats = {"loss": total, "policy_loss": policy_loss, "n_loss": n_loss}
     return stats, grads
+
+
+# ---------------------------------------------------------------------------
+# Adam, repin and the EMA group by group, with the moments in per-group dicts
+
+
+@dataclass
+class AdamState:
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+    t: int = 0
+
+
+def adam_init(model: PolicyModel) -> AdamState:
+    return AdamState(
+        m={k: np.zeros_like(p) for k, p in model.param_groups().items()},
+        v={k: np.zeros_like(p) for k, p in model.param_groups().items()},
+    )
+
+
+def optimizer_update(
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    state: AdamState,
+    learning_rate: float,
+) -> None:
+    """One Adam step (betas 0.9, 0.999, eps 1e-8), in place on the parameters."""
+    beta1, beta2 = 0.9, 0.999
+    state.t += 1
+    bc1 = 1.0 - beta1**state.t
+    bc2 = 1.0 - beta2**state.t
+    for key, p in params.items():
+        g = grads[key]
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradient(f"non-finite gradient in group {key!r}")
+        state.m[key] = beta1 * state.m[key] + (1.0 - beta1) * g
+        state.v[key] = beta2 * state.v[key] + (1.0 - beta2) * g * g
+        p -= learning_rate * (state.m[key] / bc1) / (np.sqrt(state.v[key] / bc2) + 1e-8)
+
+
+def repin(model: PolicyModel, mdp: EnumeratedMdp) -> None:
+    """Re-apply the pinned initial count and clamped terminal flows."""
+    model.l_hat[mdp.initial] = 0.0
+    model.log_f_hat[mdp.terminal] = mdp.log_target[mdp.terminal]
+
+
+def ema_update(
+    sampling_model: PolicyModel, train_model: PolicyModel, decay: float
+) -> PolicyModel:
+    """sampling <- decay * sampling + (1 - decay) * train, in place."""
+    s, t = sampling_model.param_groups(), train_model.param_groups()
+    for key in s:
+        s[key] *= decay
+        s[key] += (1.0 - decay) * t[key]
+    return sampling_model
 
 
 # ---------------------------------------------------------------------------

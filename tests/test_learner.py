@@ -1,17 +1,19 @@
 import bisect
 import itertools
+import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gflowdp import exact, learner, metrics, objectives
+from gflowdp import cli, exact, learner, metrics, objectives
 from gflowdp.learner import (
     BACKWARDS,
     N_OBJECTIVES,
     OBJECTIVES,
-    AdamState,
+    PARAM_GROUPS,
     BackwardRequiresL,
+    ModelMismatch,
     NonFiniteGradient,
     PolicyModel,
     RolloutBatch,
@@ -24,9 +26,11 @@ from gflowdp.learner import (
     run_training,
     train_step,
 )
+from gflowdp.envs import BitVectorEnv, HypergridEnv
 from gflowdp.mdp import enumerate_mdp, parse_dag_text
 
-from conftest import batch_from_trajectories, model_at_exact
+import loop_oracles as loops
+from conftest import batch_from_trajectories, model_at_exact, oracle_model_json
 
 
 # ---------------------------------------------------------------------------
@@ -237,37 +241,122 @@ def test_fixed_point_training_is_stationary(grid33):
 # optimizer
 
 
+def _one_group(w):
+    """The parameter groups of a model whose only nonempty table is ``w``,
+    its ``forward_logits``; its Adam state; and its gradient mapping of a
+    gradient ``g`` on ``w``."""
+    model = PolicyModel(np.array(w, dtype=float), *[np.zeros(0)] * 4)
+    return (model.param_groups(), adam_init(model),
+            lambda g: {k: np.zeros(0) for k in PARAM_GROUPS} | {"forward": np.asarray(g)})
+
+
 def test_optimizer_zero_gradient_is_identity():
-    params = {"w": np.array([1.0, -2.0])}
-    state = AdamState(m={"w": np.zeros(2)}, v={"w": np.zeros(2)})
-    optimizer_update(params, {"w": np.zeros(2)}, state, 0.1)
-    assert np.array_equal(params["w"], [1.0, -2.0])
+    params, state, grads = _one_group([1.0, -2.0])
+    optimizer_update(params, grads(np.zeros(2)), state, 0.1)
+    assert np.array_equal(params["forward"], [1.0, -2.0])
 
 
 def test_optimizer_moves_against_constant_gradient():
-    params = {"w": np.array([0.0])}
-    state = AdamState(m={"w": np.zeros(1)}, v={"w": np.zeros(1)})
+    params, state, grads = _one_group([0.0])
     history = []
     for _ in range(50):
-        optimizer_update(params, {"w": np.array([2.5])}, state, 0.01)
-        history.append(params["w"][0])
+        optimizer_update(params, grads([2.5]), state, 0.01)
+        history.append(params["forward"][0])
     assert all(b < a for a, b in zip(history, history[1:]))
 
 
 def test_optimizer_scalar_quadratic_converges():
-    params = {"w": np.array([3.0])}
-    state = AdamState(m={"w": np.zeros(1)}, v={"w": np.zeros(1)})
+    params, state, grads = _one_group([3.0])
     for _ in range(10_000):
-        grad = 2.0 * (params["w"] - 0.5)
-        optimizer_update(params, {"w": grad}, state, 1e-2)
-    assert abs(params["w"][0] - 0.5) < 1e-6
+        grad = 2.0 * (params["forward"] - 0.5)
+        optimizer_update(params, grads(grad), state, 1e-2)
+    assert abs(params["forward"][0] - 0.5) < 1e-6
 
 
 def test_optimizer_rejects_nonfinite_gradient():
-    params = {"w": np.array([0.0])}
-    state = AdamState(m={"w": np.zeros(1)}, v={"w": np.zeros(1)})
+    params, state, grads = _one_group([0.0])
     with pytest.raises(NonFiniteGradient):
-        optimizer_update(params, {"w": np.array([float("nan")])}, state, 0.1)
+        optimizer_update(params, grads([float("nan")]), state, 0.1)
+
+
+@pytest.mark.parametrize("key", PARAM_GROUPS)
+def test_optimizer_names_the_group_of_a_nonfinite_gradient(grid33, key):
+    model = PolicyModel.init(grid33, np.random.default_rng(0), 0.5)
+    before = model.params.copy()
+    grads = {k: np.ones_like(p) for k, p in model.param_groups().items()}
+    grads[key][-1] = float("nan")
+    with pytest.raises(NonFiniteGradient, match=f"^non-finite gradient in group {key!r}$"):
+        optimizer_update(model.param_groups(), grads, adam_init(model), 0.1)
+    assert np.array_equal(model.params, before)
+
+
+@pytest.mark.parametrize("m", [HypergridEnv(2, 8), BitVectorEnv(5)], ids=["grid8", "bitvec5"])
+def test_flat_adam_repin_and_ema_match_the_per_group_loops(m):
+    # 200 steps of sparse gradients with exact zeros and -0.0, and some far
+    # below Adam's eps, where a change of operation order would show
+    m = enumerate_mdp(m)
+    rng = np.random.default_rng(7)
+    model = PolicyModel.init(m, rng, 0.5)
+    sampling, state = model.copy(), adam_init(model)
+    want, want_sampling = model.copy(), model.copy()
+    want_state = loops.adam_init(want)
+    for _ in range(200):
+        grads = {}
+        for key, p in model.param_groups().items():
+            g = rng.normal(0.0, 1.0, p.size) * 10.0 ** rng.integers(-18, 1, p.size)
+            g[rng.random(p.size) < 0.5] = 0.0
+            g[rng.random(p.size) < 0.2] = -0.0
+            grads[key] = g
+        optimizer_update(model.param_groups(), grads, state, 0.01)
+        model.repin(m)
+        ema_update(sampling, model, 0.95)
+        loops.optimizer_update(want.param_groups(), grads, want_state, 0.01)
+        loops.repin(want, m)
+        loops.ema_update(want_sampling, want, 0.95)
+    for have, oracle in [(model, want), (sampling, want_sampling)]:
+        assert np.array_equal(have.params.view(np.int64), oracle.params.view(np.int64))
+    for have, oracle in [(state.m, want_state.m), (state.v, want_state.v)]:
+        oracle = np.concatenate([oracle[k] for k in PARAM_GROUPS])
+        assert np.array_equal(have.view(np.int64), oracle.view(np.int64))
+
+
+def test_model_tables_are_views_of_one_buffer(grid33):
+    tables = {f.name: np.arange(n, dtype=float) + k for k, (f, n) in enumerate(zip(
+        fields(PolicyModel), [grid33.n_edges] * 2 + [grid33.n_states] * 2 + [1]))}
+    model = PolicyModel(**tables)
+    assert np.array_equal(model.params, np.concatenate(list(tables.values())))
+    for name, table in tables.items():
+        assert getattr(model, name).base is model.params, name
+        assert not np.shares_memory(table, model.params), name
+        table += 1.0  # the model owns its copy
+    assert np.array_equal(model.params, np.concatenate(list(tables.values())) - 1.0)
+    groups = model.param_groups()
+    assert list(groups) == list(PARAM_GROUPS) and groups.flat is model.params
+    model.l_hat[3] = -7.0  # the views write through
+    assert model.params[2 * grid33.n_edges + 3] == -7.0
+    twin = model.copy()
+    assert not np.shares_memory(twin.params, model.params)
+    assert np.array_equal(twin.params.view(np.int64), model.params.view(np.int64))
+    for name in tables:
+        assert getattr(twin, name).base is twin.params, name
+
+
+def test_check_fits_names_the_first_table_that_does_not_fit(grid33):
+    e, s = grid33.n_edges, grid33.n_states
+    for name, short in [("forward_logits", e), ("backward_logits", e), ("l_hat", s),
+                        ("log_f_hat", s)]:
+        tables = {f.name: getattr(PolicyModel.init(grid33), f.name) for f in fields(PolicyModel)}
+        tables[name] = np.zeros(short - 1)
+        with pytest.raises(ModelMismatch, match=(
+                f"^model {name} has {short - 1} entries but the MDP has {s} states and {e} "
+                "edges$")):
+            PolicyModel(**tables).check_fits(grid33)
+
+
+def test_trained_model_json_is_json_dumps_of_its_lists(grid33):
+    _, model = run_training(grid33, TrainConfig(batch_size=8, steps=5, seed=3))
+    assert cli.model_to_json(model) == oracle_model_json(model)
+    assert isinstance(json.loads(cli.model_to_json(model))["log_z_hat"], float)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +590,13 @@ def test_benchmark_tracer_hooks_exist(fig_diamond):
     assert len(batch.step_edge) == int(batch.lengths.sum())
     assert all(m.terminal[int(x)] for x in batch.terminals)
     _, grads = learner.compute_loss_and_grads(m, model, batch, config, None)
-    learner.optimizer_update(model.param_groups(), grads, opt_state, config.learning_rate)
+    # optimizer_update reads the buffer through param_groups(), which still
+    # names the five tables; the tracer compares models through its values()
+    groups, before = model.param_groups(), model.params.copy()
+    assert list(groups) == list(learner.PARAM_GROUPS) and groups.flat is model.params
+    learner.optimizer_update(groups, grads, opt_state, config.learning_rate)
+    assert not np.array_equal(model.params, before)
     model.repin(m)
+    before = sampling_model.params.copy()
     learner.ema_update(sampling_model, model, config.ema_decay)
+    assert not np.array_equal(sampling_model.params, before)

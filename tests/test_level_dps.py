@@ -275,11 +275,32 @@ def test_segment_softmax_and_counts_backward_match_loops(text, seed):
     for m in both(text):
         logits, l = rng.normal(size=m.n_edges), rng.normal(size=m.n_states)
         model = PolicyModel.init(m)
-        model.forward_logits, model.backward_logits = logits, logits
+        model.forward_logits[:], model.backward_logits[:] = logits, logits
         assert close(model.forward_log_probs(m), loops._segment_log_softmax(m, logits, True))
         assert close(exact.backward_softmax(m, model.backward_logits),
                      loops._segment_log_softmax(m, logits, False))
         assert close(exact.backward_maxent(m, l), loops.backward_from_counts(m, l))
+
+
+@given(st.one_of(random_dag_text(), layered_dag_text()), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1e-3, 1.0]))
+@example("initial 0\nterminal 0 0.5\n", 0, 1e-3)  # no edges
+@example("initial 0\n0 0 1\n1 0 2\nterminal 2 0.0\n", 0, 1e-3)  # out-degree 1 only
+@settings(max_examples=60, deadline=None)
+def test_cached_out_segments_give_the_segment_softmax_and_cdf(text, seed, eps):
+    # bit for bit: the layout cached on the MDP reduces each segment as
+    # segment_log_softmax does, and the CDF of each segment is its np.cumsum
+    m = enumerate_mdp(parse_dag_text(text))
+    model = PolicyModel.init(m, np.random.default_rng(seed), 2.0)
+    degree = np.diff(m.out_offset)
+    log_pi = model.forward_log_probs(m)
+    want = segment_log_softmax(model.forward_logits, degree)
+    assert np.array_equal(log_pi.view(np.int64), want.view(np.int64))
+    cdf = learner._behavior_tables(m, model, eps)
+    p = (1.0 - eps) * np.exp(want) + eps / degree[m.edge_src]
+    for s in np.flatnonzero(degree):
+        sl = m.out_slice(s)
+        assert np.array_equal(cdf[sl].view(np.int64), np.cumsum(p[sl]).view(np.int64)), s
 
 
 @given(random_dag_text(), st.integers(0, 2**32 - 1))
