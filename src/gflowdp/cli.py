@@ -157,6 +157,9 @@ def build_train_config(cp: configparser.ConfigParser, seed: int | None) -> Train
         if seed is not None:
             config.seed = seed
         config.validate()
+        if config.backward == "maxent-learned" and config.n_objective == "none":
+            raise ValueError("backward = maxent-learned needs n_objective = bellman or "
+                             "trajectory, not none: nothing would train its counts")
         if "steps" not in cp["train"]:
             if not _positive(values["samples"]):
                 raise ValueError("samples must be finite and positive")
@@ -305,8 +308,8 @@ def cmd_exact(args) -> int:
 
 def cmd_train(args) -> int:
     cp = load_config(args.config)
-    mdp = _enumerate(cp)
     config = build_train_config(cp, args.seed)
+    mdp = _enumerate(cp)
     exact_l = exact.count_paths(mdp) if config.backward == "maxent-known" else None
     ev = eval_settings(cp)
     rows, model = learner.run_training(

@@ -4,11 +4,11 @@ The model is one float64 vector whose parts are the parameter groups:
 forward logits per edge, backward logits per edge (free-backward variant
 only), a log path-count estimate per state (initial pinned to 0), a log
 state-flow estimate per state (terminals clamped to the target), and log Z.
-The count-induced backward is ``exact.backward_maxent`` of l_hat, and the
-free backward ``exact.backward_softmax`` of its logits.
+Every backward is ``exact.backward_softmax`` of per-edge logits: zeros
+(uniform), l_hat or exact counts (count-induced), or free logits.
 The loss has two residual shapes: ``_balance`` over sub-trajectories of the
-sampled rows (tb, db, stb, pcl, n-trajectory) and ``_in_balance`` over the
-in-edges of the visited states (fm, n-bellman).
+sampled rows (one call for tb, db, stb or pcl, one for n-trajectory) and
+``_in_balance`` over the in-edges of the visited states (fm, n-bellman).
 Loss and gradient touch only the softmax segments the batch reads, in one
 ``numerics.segment_log_softmax`` call, and scatter the gradients into dense
 zero tables; each sum keeps the order of the whole-table computation, so
@@ -416,7 +416,7 @@ def compute_loss_and_grads(
     l_known = backward == "maxent-known"
     q_trains_l = reads_q and backward == "maxent-learned"
     ql_needed = n_traj or q_trains_l  # the l-induced backward q_l
-    q_needed = reads_q and backward in ("maxent-known", "free")
+    q_needed = reads_q and not q_trains_l  # any other backward q
     hp, lengths = config.huber, batch.lengths
 
     # The states a trajectory visits are the initial state, which has no
@@ -429,7 +429,8 @@ def compute_loss_and_grads(
     states, counts, q_edges, parents, q_runs = visited
     q_logits = [model.l_hat[parents]] if ql_needed else []
     if q_needed:
-        q_logits.append(exact_l[parents] if l_known else model.backward_logits[q_edges])
+        q_logits.append(np.zeros(len(q_edges)) if backward == "uniform"
+                        else exact_l[parents] if l_known else model.backward_logits[q_edges])
     out_edges, out_runs = segment_positions(
         mdp.out_offset, np.flatnonzero(np.bincount(parents, minlength=n_states)))
     n_q, q_size = len(q_logits), len(q_edges)
@@ -448,35 +449,30 @@ def compute_loss_and_grads(
     g_l = np.zeros(n_states)  # direct l terms (not through log q)
 
     # ---- policy objective ------------------------------------------------
-    # tb, db and stb: log F at both ends (clamped to log p~ at terminals, tb
-    # reads log Z at s0) and log pi - log q per step, over the whole
-    # trajectory, each step or every sub-trajectory; pcl: log Z at s0, the
-    # count-corrected terminal value log p~ - l, and log pi per step.  g_pi
-    # holds the coefficients on log pi; those on log q are -g_pi.
-    if reads_q:
-        cell_set = (trajectory_cells(lengths) if config.objective == "tb"
-                    else step_cells(lengths) if config.objective == "db"
-                    else subtrajectory_cells(lengths, config.lambda_stb))
-        head = model.log_z if config.objective == "tb" else None
-        log_q_steps = (-np.log(np.diff(mdp.in_offset)[mdp.edge_dst[se]])  # backward_uniform
-                       if backward == "uniform" else q_tables[-1][se])
-        policy_loss, g_lf, g_x, g_z = _balance(
-            batch, model.clamped_log_f(mdp), log_pi[se] - log_q_steps, cell_set, hp, head)
-        g_pi = np.bincount(se, g_x, n_edges)
-    elif config.objective == "pcl":
-        terminal_v = mdp.log_target - (exact_l if l_known else model.l_hat)
-        policy_loss, g_v, g_x, g_z = _balance(
-            batch, terminal_v, log_pi[se], trajectory_cells(lengths), hp, model.log_z)
-        g_pi, g_lf = np.bincount(se, g_x, n_edges), np.zeros(n_states)
-        if not l_known:
-            g_l -= g_v
-    elif config.objective == "fm":
-        # log F(s) (the target at terminals) against its in-flows or log Z, at
-        # the states a trajectory visits: its steps' sources and its terminal
+    # tb, db and stb: log F at both ends (clamped to log p~ at terminals) and
+    # log pi - log q per step, over the whole trajectory, each step or every
+    # sub-trajectory; pcl: the count-corrected terminal value log p~ - l and
+    # log pi per step; tb and pcl read log Z at s0.  fm: log F(s) against its
+    # in-flows or log Z at the visited states.  g_pi holds the coefficients
+    # on log pi; those on log q are -g_pi.
+    if config.objective == "fm":
         policy_loss, g_lf, g_pi, g_z = _in_balance(
             model.clamped_log_f(mdp), log_pi, visited, hp, model.log_z)
-    else:  # pragma: no cover - config.validate() rejects unknown objectives
-        raise ValueError(config.objective)
+    else:
+        whole = config.objective in ("tb", "pcl")
+        cell_set = (trajectory_cells(lengths) if whole
+                    else step_cells(lengths) if config.objective == "db"
+                    else subtrajectory_cells(lengths, config.lambda_stb))
+        # v and x inline: held in locals past the call, they slowed the loss
+        policy_loss, g_v, g_x, g_z = _balance(
+            batch, model.clamped_log_f(mdp) if reads_q
+            else mdp.log_target - (exact_l if l_known else model.l_hat),
+            log_pi[se] - q_tables[-1][se] if reads_q else log_pi[se],
+            cell_set, hp, model.log_z if whole else None)
+        g_pi = np.bincount(se, g_x, n_edges)
+        g_lf = g_v if reads_q else np.zeros(n_states)
+        if not (reads_q or l_known):
+            g_l -= g_v
 
     # ---- n objective ------------------------------------------------------
     n_loss = 0.0

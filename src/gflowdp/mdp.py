@@ -298,11 +298,12 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
             raise MdpError(f"a child's key lies outside 0..{calls.key_space - 1}")
         if len(ids) <= calls.key_space:  # a per-state env's key space grows
             ids = np.pad(ids, (0, calls.key_space + len(ids)), constant_values=-1)
-        # the next frontier: the new children, in order of first appearance: numpy writes
-        # repeated indices in order (undocumented; test_enumerate_matches_dfs_oracle pins it)
+        # the next frontier: the new children, in order of first appearance (each
+        # key takes its least position, above a sentinel that every position is under)
         unseen = (ids[children] < 0).nonzero()[0]
         new = children[unseen]
-        ids[new[::-1]] = unseen[::-1]
+        ids[new] = len(children)
+        np.minimum.at(ids, new, unseen)
         frontier = new[ids[new] == unseen]
         ids[frontier] = np.arange(n, n := n + len(frontier))
         found.append(frontier)
@@ -584,7 +585,11 @@ def parse_dag_text(text: str) -> ExplicitDagEnv:
                 value = float(parts[2])
                 if not np.isfinite(value):
                     raise DagFormatError(f"line {lineno}: log_target {parts[2]} is not finite")
-                terminals[b"%d" % int(parts[1])] = value
+                state = b"%d" % int(parts[1])
+                if state in terminals:
+                    raise DagFormatError(
+                        f"line {lineno}: duplicate terminal line for state {state.decode()}")
+                terminals[state] = value
             else:
                 edges.append((b"%d" % int(parts[0]), int(parts[1]), b"%d" % int(parts[2])))
         except ValueError as exc:

@@ -487,6 +487,7 @@ def _one_line_error(capsys):
         ("train", "[train]\nsteps = 1\nlambda_stb = 0\n", []),
         ("train", "[train]\nsteps = 1\nhuber_delta = 0\n", []),
         ("train", "[train]\nsteps = 1\nhuber_beta = nan\n", []),
+        ("train", "[train]\nsteps = 1\nn_objective = none\n", []),
         ("eval", "[eval]\npearson_samples = -3\n", []),
         ("eval", "[eval]\nthresholds = 1.0, nan\n", []),
         ("eval", "[eval]\nmode_threshold = -1\n", []),
@@ -659,6 +660,30 @@ def test_dag_file_with_non_finite_target_is_a_runtime_error(tmp_path, capsys, va
         rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert _one_line_error(capsys) == f"error: line 3: log_target {value} is not finite"
+
+
+def test_dag_file_with_a_duplicate_terminal_is_a_runtime_error(tmp_path, capsys):
+    dag = tmp_path / "twice.dag"
+    dag.write_text("initial 0\n0 0 1\nterminal 1 0.0\nterminal 1 5.0\n")
+    cfg = write_config(tmp_path, f"[env]\nname = dag-file\npath = {dag}\n")
+    assert cli.main(["exact", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: line 4: duplicate terminal line for state 1\n"
+
+
+def test_learned_counts_without_an_n_objective_fail_before_enumeration(
+        tmp_path, capsys, monkeypatch):
+    # the CLI cannot pass exact counts, so nothing would train l_hat
+    def enumerate_(cp):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(cli, "_enumerate", enumerate_)
+    cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 4\n"
+                       "[train]\nbackward = maxent-learned\nn_objective = none\nsteps = 1\n")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad train config: backward = maxent-learned needs n_objective = bellman or "
+        "trajectory, not none: nothing would train its counts\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_stb_with_huge_lambda_has_finite_losses(tmp_path):

@@ -618,6 +618,17 @@ def test_dag_text_format_errors(text):
         assert str(info.value) == DAG_STATE_MESSAGES[text]
 
 
+@pytest.mark.parametrize("text, line", [
+    ("initial 0\n0 0 1\nterminal 1 0.0\nterminal 1 5.0\n", 4),
+    # a state is its id written back in decimal, so 01 is state 1 again
+    ("terminal 1 0.0\ninitial 0\n0 0 1\n# 1\n\nterminal 01 0.0\n", 6),
+])
+def test_dag_text_refuses_a_second_terminal_line_for_a_state(text, line):
+    with pytest.raises(DagFormatError) as info:
+        parse_dag_text(text)
+    assert str(info.value) == f"line {line}: duplicate terminal line for state 1"
+
+
 # ---------------------------------------------------------------------------
 # property tests over random DAGs
 

@@ -26,7 +26,7 @@ from gflowdp.learner import (
 )
 from gflowdp.mdp import enumerate_mdp, parse_dag_text
 
-from conftest import random_dag_text
+from conftest import layered_dag_text, random_dag_text
 
 
 def _in_edges(m, states):
@@ -75,6 +75,16 @@ def test_loss_is_the_dense_loss_bit_for_bit(text, seed):
             assert np.all(grads[key][~touched] == 0.0), (config, key)
 
 
+@given(st.one_of(random_dag_text(), layered_dag_text()))
+@settings(max_examples=40, deadline=None)
+def test_uniform_backward_is_the_softmax_of_zero_logits(text):
+    # the loss sends the uniform backward through the softmax kernel: after
+    # a segment's 0.0 head it adds n ones exactly, so 0.0 - log(n) is -log(n)
+    # to the bit, but for n = 1, where -log(1) is -0.0 and the kernel gives 0.0
+    m = enumerate_mdp(parse_dag_text(text))
+    softmax = exact.backward_softmax(m, np.zeros(m.n_edges))
+    assert np.array_equal(softmax.view(np.int64), (exact.backward_uniform(m) + 0.0).view(np.int64))
+
 CRITERION_9 = dict(objective="tb", backward="maxent-learned", n_objective="bellman",
                    batch_size=64, learning_rate=0.015, epsilon_uniform=1e-3)
 
@@ -87,7 +97,12 @@ CRITERION_9 = dict(objective="tb", backward="maxent-learned", n_objective="bellm
                                    batch_size=16, learning_rate=0.01, steps=40)),
     (envs.HypergridEnv(2, 4), dict(objective="pcl", backward="free", n_objective="bellman",
                                    batch_size=16, learning_rate=0.01, steps=40)),
-], ids=["criterion-9-grid8", "stb-bitvec5", "fm-free-grid4", "pcl-free-grid4"])
+    (envs.HypergridEnv(2, 8), dict(CRITERION_9, backward="uniform", steps=50)),
+    # two backwards through the kernel: the uniform one and q_l for the n loss
+    (envs.BitVectorEnv(5, 0.5), dict(objective="db", backward="uniform",
+                                     n_objective="trajectory", steps=24)),
+], ids=["criterion-9-grid8", "stb-bitvec5", "fm-free-grid4", "pcl-free-grid4",
+        "tb-uniform-grid8", "db-uniform-bitvec5"])
 def test_training_is_the_dense_training_bit_for_bit(monkeypatch, env, config):
     # Adam turns summation noise of 1e-17 into parameter moves near 1e-12,
     # so one step could miss a change of summation order that many steps show
