@@ -298,8 +298,8 @@ def enumerate_mdp(env: Env, max_states: int = DEFAULT_MAX_STATES) -> EnumeratedM
             raise MdpError(f"a child's key lies outside 0..{calls.key_space - 1}")
         if len(ids) <= calls.key_space:  # a per-state env's key space grows
             ids = np.pad(ids, (0, calls.key_space + len(ids)), constant_values=-1)
-        # the next frontier: the new children, in order of first appearance (each
-        # key takes its least position, above a sentinel that every position is under)
+        # the next frontier: the new children, in order of first appearance; each new
+        # key's entry is set above every position, then lowered to its least one
         unseen = (ids[children] < 0).nonzero()[0]
         new = children[unseen]
         ids[new] = len(children)

@@ -85,6 +85,7 @@ def test_uniform_backward_is_the_softmax_of_zero_logits(text):
     softmax = exact.backward_softmax(m, np.zeros(m.n_edges))
     assert np.array_equal(softmax.view(np.int64), (exact.backward_uniform(m) + 0.0).view(np.int64))
 
+
 CRITERION_9 = dict(objective="tb", backward="maxent-learned", n_objective="bellman",
                    batch_size=64, learning_rate=0.015, epsilon_uniform=1e-3)
 
