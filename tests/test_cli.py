@@ -487,7 +487,6 @@ def _one_line_error(capsys):
         ("train", "[train]\nsteps = 1\nlambda_stb = 0\n", []),
         ("train", "[train]\nsteps = 1\nhuber_delta = 0\n", []),
         ("train", "[train]\nsteps = 1\nhuber_beta = nan\n", []),
-        ("train", "[train]\nsteps = 1\nn_objective = none\n", []),
         ("eval", "[eval]\npearson_samples = -3\n", []),
         ("eval", "[eval]\nthresholds = 1.0, nan\n", []),
         ("eval", "[eval]\nmode_threshold = -1\n", []),
@@ -503,6 +502,7 @@ def _one_line_error(capsys):
         ("exact", "sidee = 9\n", []),
         ("train", "dim = 2\n[train]\nsteps = 1\n", []),
         ("eval", "path = mdp.dag\n", []),
+        ("train", "[train]\nsteps = 1\nn_objective = none\n", []),
     ],
 )
 def test_bad_numeric_input_is_a_one_line_usage_error(tmp_path, capsys, command, sections, flags):
