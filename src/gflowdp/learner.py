@@ -186,13 +186,13 @@ class PolicyModel:
 
     def forward_log_probs(self, mdp: EnumeratedMdp) -> np.ndarray:
         """Softmax of forward logits within each state's out-edge segment:
-        ``segment_log_softmax`` on the layout ``mdp.out_segments`` caches."""
+        ``segment_log_softmax`` on the layout ``mdp.out_layout`` caches."""
         self.check_fits(mdp)
-        seg = mdp.out_segments
+        layout = mdp.out_layout
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            lse = padded_logsumexp(self.forward_logits, *seg.layout,
-                                   np.zeros(mdp.n_edges + len(seg.caps)))  # a head per segment
-        return self.forward_logits - np.repeat(lse, seg.layout[1])
+            lse = padded_logsumexp(self.forward_logits, *layout,
+                                   np.zeros(mdp.n_edges + len(layout[1])))  # a head per segment
+        return self.forward_logits - np.repeat(lse, layout[1])
 
     def clamped_log_f(self, mdp: EnumeratedMdp) -> np.ndarray:
         return np.where(mdp.terminal, mdp.log_target, self.log_f_hat)
@@ -267,7 +267,7 @@ class RolloutBatch:
 def _behavior_tables(mdp: EnumeratedMdp, model: PolicyModel, epsilon: float) -> np.ndarray:
     """Per-edge sampling CDF, within each state's out-edge segment, of the
     behavior policy (1-eps) * softmax(logits) + eps * uniform."""
-    seg = mdp.out_segments
+    seg = mdp.sampler_tables
     cdf = (1.0 - epsilon) * np.exp(model.forward_log_probs(mdp)) + epsilon / seg.edge_degree
     # a running sum per segment, position by position, so every CDF is added
     # in the same order as np.cumsum over that segment alone
@@ -288,7 +288,7 @@ def _walk(mdp: EnumeratedMdp, cdf: np.ndarray, n: int, streams: list[np.random.G
     # keys sort by state, then CDF; each segment's last entry, +inf, caps picks at hi - 1
     keys = np.empty(mdp.n_edges, dtype=complex)
     keys.real, keys.imag = mdp.edge_src, cdf
-    keys.imag[mdp.out_segments.caps] = np.inf
+    keys.imag[mdp.sampler_tables.caps] = np.inf
     state = np.full(n, mdp.initial, dtype=np.int64)
     # live walkers are grouped by stream, each group in walker order, so the
     # streams' draws concatenate into the uniforms of the live walkers

@@ -166,19 +166,22 @@ class EnumeratedMdp:
         return padded_runs(self.out_offset, self.levels)
 
     @cached_property
-    def out_segments(self) -> SimpleNamespace:  # for learner's behaviour policy
-        """Of the nonempty out-segments: ``layout``, the ``(starts, lengths,
-        slots, heads)`` of ``padded_logsumexp``; ``caps``, their last edges;
+    def out_layout(self) -> tuple:  # for learner's forward policy
+        """``padded_logsumexp``'s ``(starts, lengths, slots, heads)`` on the live out-segments."""
+        degree = np.diff(self.out_offset)
+        starts, slots, heads = padded_layout(degree[degree > 0])
+        return starts, degree[degree > 0], np.flatnonzero(slots), heads
+
+    @cached_property
+    def sampler_tables(self) -> SimpleNamespace:  # for learner's behaviour policy
+        """Of the nonempty out-segments: ``caps``, their last edges;
         ``edge_degree``, each edge's segment length as float; and
         ``cdf_steps``, for j = 1, 2, ..., the j-th edges ``at`` of the
         segments longer than j, as ``(at, at - 1)``."""
         degree = np.diff(self.out_offset)
-        live = degree > 0
-        starts, slots, heads = padded_layout(degree[live])
         at = [self.out_offset[:-1][degree > j] + j for j in range(1, int(degree.max(initial=0)))]
         return SimpleNamespace(
-            layout=(starts, degree[live], np.flatnonzero(slots), heads),
-            caps=self.out_offset[1:][live] - 1, edge_degree=degree[self.edge_src].astype(float),
+            caps=self.out_offset[1:][degree > 0] - 1, edge_degree=degree[self.edge_src].astype(float),
             cdf_steps=[(a, a - 1) for a in at])
 
     def with_log_target(self, log_target: np.ndarray) -> "EnumeratedMdp":

@@ -8,14 +8,15 @@ trajectory residual are one residual on trajectory rows, a value at s_i
 minus one at s_{j+1} plus a per-step sum over steps i..j
 (``subtrajectory_residuals`` and its transpose), read on a cell set: each
 whole trajectory, each step, or every sub-trajectory with lambda**length
-weights normalized in log space.  ``cross_cumsum`` and ``stb_residuals`` are
-the one-row case.  Flow matching's out side sum_a F(s) pi(a|s) is F(s)
-itself, the policy being normalized.
+weights normalized in log space (memoized, as batches of one length profile
+share it).  ``cross_cumsum`` and ``stb_residuals`` are the one-row case.
+Flow matching's out side sum_a F(s) pi(a|s) is F(s), pi being normalized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,15 +149,26 @@ def step_cells(lengths):
 
 def subtrajectory_cells(lengths, lam: float = 1.0):
     """Every sub-trajectory i <= j < T_b of every row, weighted lam**(j-i+1)
-    normalized to sum to one within the row, then 1/B.  The weights are
-    normalized in log space, so every finite positive lam works."""
-    lengths = np.asarray(lengths, dtype=np.int64)
+    normalized to sum to one within the row (in log space, so every finite
+    positive lam works), then 1/B.  Memoized 4 deep, the arrays read-only."""
+    return _subtrajectory_cells(np.asarray(lengths, dtype=np.int64).tobytes(), lam)
+
+
+@lru_cache(maxsize=4)
+def _subtrajectory_cells(key: bytes, lam: float):
+    lengths = np.frombuffer(key, dtype=np.int64)
     ti, tj = np.triu_indices(int(lengths.max(initial=0)))
     b, at = np.nonzero(tj[None, :] < lengths[:, None])
     i, j = ti[at], tj[at]
     log_w = (j - i + 1) * np.log(lam)
     log_w = segment_log_softmax(log_w, lengths * (lengths + 1) // 2)
-    return (b, i, j), np.exp(log_w) / len(lengths)
+    out = b, i, j, np.exp(log_w) / len(lengths)
+    for a in out:
+        a.flags.writeable = False
+    return out[:3], out[3]
+
+
+subtrajectory_cells.cache_clear = _subtrajectory_cells.cache_clear
 
 
 def cross_cumsum(v: np.ndarray, x: np.ndarray) -> np.ndarray:
