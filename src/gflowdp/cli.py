@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 from typing import Iterator
 
@@ -427,6 +428,7 @@ def _int_at_least(low: int):
     return parse
 
 
+@cache  # built once per process: building costs ~1 ms, parsing ~60 us
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gflowdp")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -239,6 +239,25 @@ def test_eval_trained_model(tmp_path):
     assert report["n_mse"] is not None
 
 
+def test_the_one_parser_gives_each_command_its_own_arguments(tmp_path):
+    # main builds its parser once per process; a usage error and an --model
+    # on earlier commands must leave nothing behind for the next one
+    cfg = write_config(tmp_path, GRID8.replace("steps = 60", "steps = 2"))
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["eval", "--config", cfg, "--threads", "0"]) == 1
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "train")]) == 0
+    assert cli.main(["eval", "--config", cfg, "--out", str(tmp_path / "model"),
+                     "--model", str(tmp_path / "train" / "model.json")]) == 0
+    assert cli.main(["eval", "--config", cfg, "--out", str(tmp_path / "cached")]) == 0
+    fresh = cli.build_parser.__wrapped__().parse_args(
+        ["eval", "--config", cfg, "--out", str(tmp_path / "fresh")])
+    assert fresh.model is None
+    assert fresh.fn(fresh) == 0
+    cached = (tmp_path / "cached" / "eval_report.json").read_bytes()
+    assert cached == (tmp_path / "fresh" / "eval_report.json").read_bytes()
+    assert cached != (tmp_path / "model" / "eval_report.json").read_bytes()
+
+
 def test_eval_pearson_stays_within_one(tmp_path):
     # rounding put the exact sampler's r a hair above 1 on this grid
     cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 3\n")
