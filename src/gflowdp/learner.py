@@ -6,16 +6,20 @@ only), a log path-count estimate per state (initial pinned to 0), a log
 state-flow estimate per state (terminals clamped to the target), and log Z.
 Every backward is ``exact.backward_softmax`` of per-edge logits: zeros
 (uniform), l_hat or exact counts (count-induced), or free logits.
-The loss has two residual shapes: ``_balance`` over sub-trajectories of the
-sampled rows (one call for tb, db, stb or pcl, one for n-trajectory) and
-``_in_balance`` over the in-edges of the visited states (fm, n-bellman).
-Loss and gradient touch only the softmax segments the batch reads, in one
-``numerics.segment_log_softmax`` call, and scatter the gradients into dense
-zero tables; each sum keeps the order of the whole-table computation, so
-results are the same to the bit.  Adam and the EMA are one elementwise pass
-each over the whole vector (Adam's momentum moves entries whose gradient is
-0, and the EMA's 0.95x + 0.05x is not x to the bit), and the behaviour CDF
-one pass over the edges on tables cached on the MDP.
+The loss has two residual shapes, each with a one-pass Huber (``_huber``):
+``_balance`` over sub-trajectories of the sampled rows at flat row positions
+(one call for tb, db, stb or pcl, one for n-trajectory) and ``_in_balance``
+over the in-edges of the visited states (fm, n-bellman).  Loss and gradient
+touch only the softmax segments the batch reads, in one
+``numerics.segment_softmax`` call, whose normalizers and probabilities of
+the l-induced backward are the n-bellman residual's; values are read and
+coefficients summed at their positions in its output, and only gradients
+are scattered into dense zero tables.  Each sum keeps the order of the
+whole-table computation, so results are the same to the bit.  Adam and the
+EMA are one elementwise pass each over the whole vector (Adam's momentum
+moves entries whose gradient is 0, and the EMA's 0.95x + 0.05x is not x to
+the bit), and the behaviour CDF one pass over the edges on tables cached on
+the MDP.
 Gradients are computed analytically; ``tests`` cross-check every
 objective/backward combination against central finite differences.
 """
@@ -34,18 +38,9 @@ from .mdp import EnumeratedMdp, segment_positions
 # ``logsumexp``, ``cross_cumsum`` and ``backward_from_counts`` are not called
 # here; benchmarks/tracer.py counts calls made through these names.
 from .numerics import logsumexp  # noqa: F401
-from .numerics import padded_logsumexp, segment_log_softmax, segment_logsumexp
+from .numerics import padded_logsumexp, segment_logsumexp, segment_softmax
 from .objectives import cross_cumsum  # noqa: F401
-from .objectives import (
-    HuberParams,
-    huber,
-    huber_grad,
-    step_cells,
-    subtrajectory_cells,
-    subtrajectory_residuals,
-    subtrajectory_transpose,
-    trajectory_cells,
-)
+from .objectives import HuberParams, step_cells, subtrajectory_cells, trajectory_cells
 
 OBJECTIVES = ("tb", "db", "stb", "fm", "pcl")
 BACKWARDS = ("uniform", "maxent-known", "maxent-learned", "free")
@@ -327,36 +322,51 @@ def collect_batch(
 # loss and analytic gradients
 
 
-def _coef(res, hp: HuberParams):
-    """Huber gradient of residuals, with the sub-tolerance deadband of
-    RESIDUAL_TOL applied."""
-    return np.where(np.abs(res) > RESIDUAL_TOL, huber_grad(res, hp), 0.0)
+def _huber(res, hp: HuberParams):
+    """Huber loss of the residuals and its gradient, zeroed in the deadband
+    |res| <= RESIDUAL_TOL; past beta, ``clip(res, -beta, beta) / delta`` is
+    ``beta * sign(res) / delta`` to the bit."""
+    a = np.abs(res)
+    value = np.where(a <= hp.beta, 0.5 * res * res / hp.delta,
+                     hp.beta * (a - 0.5 * hp.beta) / hp.delta)
+    return value, np.where(a > RESIDUAL_TOL, np.clip(res, -hp.beta, hp.beta) / hp.delta, 0.0)
 
 
 def _balance(batch: RolloutBatch, v, x, cell_set, hp: HuberParams, head=None):
     """Weighted Huber loss of one sub-trajectory family and its coefficients
     on the per-state table ``v``, the per-step values ``x`` (one per entry of
-    ``batch.step_edge``) and ``head``.
-
-    A cell reads ``v`` at its two ends and sums ``x`` over its steps;
-    ``head`` replaces ``v`` where a cell starts at a trajectory's first state.
-    """
-    cells, weights = cell_set
+    ``batch.step_edge``) and ``head``.  A cell (b, i, j) reads ``v`` at its
+    ends, the flat positions b(T+1) + i and b(T+1) + j + 1 of the (B, T+1)
+    state rows, and sums ``x`` over its steps; ``head`` replaces ``v`` where
+    a cell starts at a row's first state."""
+    (b, i, j), weights = cell_set
     rows = batch.state_rows
-    end = v[rows]
-    start = end if head is None else np.concatenate(
-        [np.full((len(rows), 1), head), end[:, 1:]], axis=1)
-    x_rows = np.zeros(rows.size - len(rows))
-    x_rows[batch.step_pos] = x
-    res = subtrajectory_residuals(start, end, x_rows.reshape(len(rows), -1), cells)
-    g_start, g_end, g_x = subtrajectory_transpose(
-        weights * _coef(res, hp), cells, rows.shape)
-    g_head = 0.0
+    n, width = rows.shape
+    base = b * width
+    start_at, end_at = base + i, base + j + 1
+    start = end = v[rows].ravel()
     if head is not None:
+        start = end.copy()
+        start[::width] = head
+    # prefix sums that restart at every row, so rounding grows with T, not B*T
+    x_rows, y = np.zeros(n * (width - 1)), np.zeros((n, width))
+    x_rows[batch.step_pos] = x
+    np.cumsum(x_rows.reshape(n, -1), axis=1, out=y[:, 1:])
+    y = y.ravel()
+    value, grad = _huber(start[start_at] - end[end_at] + (y[end_at] - y[start_at]), hp)
+    coef = weights * grad
+    # a cell adds its coefficient at its start and takes it off past its end,
+    # so a step's is the running sum along the row
+    g_start, g_end = (np.bincount(at, coef, n * width).reshape(n, width)
+                      for at in (start_at, end_at))
+    g = g_start - g_end
+    g_x = np.cumsum(g, axis=1)[:, :-1]
+    g_head = 0.0
+    if head is not None:  # an empty cell (a 0-step row) ends where it starts
         g_head = float(g_start[:, 0].sum())
-        g_start[:, 0] = 0.0
-    g_v = np.bincount(rows.ravel(), (g_start + g_end).ravel(), len(v))
-    return float((weights * huber(res, hp)).sum()), g_v, g_x.ravel()[batch.step_pos], g_head
+        g[:, 0] = 0.0 - g_end[:, 0]
+    g_v = np.bincount(rows.ravel(), g.ravel(), len(v))
+    return float((weights * value).sum()), g_v, g_x.ravel()[batch.step_pos], g_head
 
 
 def _in_segments(mdp: EnumeratedMdp, visits):
@@ -370,22 +380,19 @@ def _in_segments(mdp: EnumeratedMdp, visits):
     return states, counts[states], edges, mdp.edge_src[edges], n_in
 
 
-def _in_balance(v, w, segments, hp: HuberParams, head):
-    """Huber loss of v(s) - logsumexp over the in-edges e of s of v(src e) +
-    w(e) (``head`` where s has no parents; no w term where ``w`` is None) at
-    the states of ``_in_segments``, weighted by their share of the visits,
-    and its coefficients on the tables ``v``, ``w`` and ``head``."""
-    states, counts, edges, srcs, n_in = segments
+def _in_balance(v, segments, lse, p, hp: HuberParams):
+    """Huber loss of v(s) - lse(s) at the states of ``_in_segments``,
+    weighted by their share of the visits, with the caller's normalizer lse,
+    a logsumexp over the in-edges e of s of terms in v(src e), and p(e), e's
+    share of it; and the coefficients on ``v``, on each in-edge's term and
+    on lse where s has no parents."""
+    states, counts, _, srcs, n_in = segments
     weight = counts / float(counts.sum())
-    terms = v[srcs] if w is None else v[srcs] + w[edges]
-    lse = segment_logsumexp(terms, n_in)
-    lse[n_in == 0] = head
-    res = v[states] - lse
-    c = weight * _coef(res, hp)
-    c_in = -np.repeat(c, n_in) * np.exp(terms - np.repeat(lse, n_in))
+    value, grad = _huber(v[states] - lse, hp)
+    c = weight * grad
+    c_in = -np.repeat(c, n_in) * p
     g_v = np.bincount(np.concatenate([states, srcs]), np.concatenate([c, c_in]), len(v))
-    g_w = None if w is None else np.bincount(edges, c_in, len(w))
-    return float((weight * huber(res, hp)).sum()), g_v, g_w, -float(c[n_in == 0].sum())
+    return float((weight * value).sum()), g_v, c_in, -float(c[n_in == 0].sum())
 
 
 def compute_loss_and_grads(
@@ -414,37 +421,42 @@ def compute_loss_and_grads(
     n_states, n_edges, se = mdp.n_states, mdp.n_edges, batch.step_edge
     reads_q = config.objective in ("tb", "db", "stb")
     l_known = backward == "maxent-known"
+    bellman = config.n_objective == "bellman"
     q_trains_l = reads_q and backward == "maxent-learned"
-    ql_needed = n_traj or q_trains_l  # the l-induced backward q_l
+    ql_read = n_traj or q_trains_l  # a residual reads the l-induced backward q_l
     q_needed = reads_q and not q_trains_l  # any other backward q
     hp, lengths = config.huber, batch.lengths
 
-    # The states a trajectory visits are the initial state, which has no
-    # in-edges, and the steps' children.  One kernel call takes the softmax
-    # segments the loss reads: the in-segments of the children for log q_l
-    # and for log q, where needed, then the out-segments of the parents of the
-    # visited states.  Those include the steps' sources, and are where each
-    # parent's l-gradient through q_l adds up, in increasing edge id.
-    visited = _in_segments(mdp, np.concatenate([mdp.edge_src[se], batch.terminals]))
+    # The visited states are the initial state (first in ``states``, the one
+    # without in-edges) and the steps' children.  One kernel call takes the
+    # softmax segments the loss reads, each reduced by itself as on its whole
+    # table: the children's in-segments for q_l (whose normalizers are also
+    # the Bellman residual's) and q, where needed, then the out-segments of
+    # the visited states' parents, where each parent's l-gradient through
+    # q_l adds up in increasing edge id.  An edge's position in its group is
+    # its CSR position (out-edges by source, in-edges by child) less a shift
+    # per state.
+    src = mdp.edge_src[se]
+    visited = _in_segments(mdp, np.concatenate([src, batch.terminals]))
     states, counts, q_edges, parents, q_runs = visited
-    q_logits = [model.l_hat[parents]] if ql_needed else []
+    q_logits = [model.l_hat[parents]] if ql_read or bellman else []
     if q_needed:
         q_logits.append(np.zeros(len(q_edges)) if backward == "uniform"
                         else exact_l[parents] if l_known else model.backward_logits[q_edges])
-    out_edges, out_runs = segment_positions(
-        mdp.out_offset, np.flatnonzero(np.bincount(parents, minlength=n_states)))
-    n_q, q_size = len(q_logits), len(q_edges)
-    runs = np.concatenate([q_runs] * n_q + [out_runs])
-    # each segment is reduced by itself, so it gets the bits that
-    # segment_log_softmax gives it on its whole table
-    log_p = segment_log_softmax(np.concatenate(q_logits + [model.forward_logits[out_edges]]), runs)
-    run = np.repeat(np.arange(len(runs)), runs)
-    # group i's log-probabilities on its edges, read nowhere else: log q_l and
-    # log q, where computed, and log pi
-    tables = np.empty((n_q + 1) * n_edges)
-    tables[np.concatenate([q_edges + i * n_edges for i in range(n_q)]
-                          + [out_edges + n_q * n_edges])] = log_p
-    *q_tables, log_pi = tables.reshape(n_q + 1, n_edges)
+    out_states = np.flatnonzero(np.bincount(parents, minlength=n_states))
+    out_edges, out_runs = segment_positions(mdp.out_offset, out_states)
+    n_q, q_size, n_out = len(q_logits), len(q_edges), len(out_edges)
+    runs = np.concatenate([q_runs[1:]] * n_q + [out_runs])
+    log_p, lse, p = segment_softmax(
+        np.concatenate(q_logits + [model.forward_logits[out_edges]]), runs)
+    log_ql, log_q = log_p[:q_size], log_p[(n_q - 1) * q_size:][:q_size]
+    log_pi = log_p[n_q * q_size:]
+    shift = np.empty(n_states, dtype=np.int64)  # read only at the states set
+    shift[out_states] = mdp.out_offset[out_states] - (np.cumsum(out_runs) - out_runs)
+    step_pi, q_at_out = se - shift[src], q_edges - shift[parents]
+    if reads_q or n_traj:
+        shift[states] = mdp.in_offset[states] - (np.cumsum(q_runs) - q_runs)
+        step_q = mdp.in_rank[se] - shift[mdp.edge_dst[se]]
 
     g_l = np.zeros(n_states)  # direct l terms (not through log q)
 
@@ -453,11 +465,16 @@ def compute_loss_and_grads(
     # log pi - log q per step, over the whole trajectory, each step or every
     # sub-trajectory; pcl: the count-corrected terminal value log p~ - l and
     # log pi per step; tb and pcl read log Z at s0.  fm: log F(s) against its
-    # in-flows or log Z at the visited states.  g_pi holds the coefficients
-    # on log pi; those on log q are -g_pi.
+    # in-flows or log Z at the visited states.  g_pi and g_pi_q hold the
+    # coefficients on log pi at its and q's positions; those on log q: -g_pi_q.
     if config.objective == "fm":
-        policy_loss, g_lf, g_pi, g_z = _in_balance(
-            model.clamped_log_f(mdp), log_pi, visited, hp, model.log_z)
+        log_f = model.clamped_log_f(mdp)
+        terms = log_f[parents] + log_pi[q_at_out]
+        lse_f = segment_logsumexp(terms, q_runs)
+        lse_f[q_runs == 0] = model.log_z
+        policy_loss, g_lf, c_in, g_z = _in_balance(
+            log_f, visited, lse_f, np.exp(terms - np.repeat(lse_f, q_runs)), hp)
+        g_pi = np.bincount(q_at_out, c_in, n_out)
     else:
         whole = config.objective in ("tb", "pcl")
         cell_set = (trajectory_cells(lengths) if whole
@@ -467,44 +484,50 @@ def compute_loss_and_grads(
         policy_loss, g_v, g_x, g_z = _balance(
             batch, model.clamped_log_f(mdp) if reads_q
             else mdp.log_target - (exact_l if l_known else model.l_hat),
-            log_pi[se] - q_tables[-1][se] if reads_q else log_pi[se],
+            log_pi[step_pi] - log_q[step_q] if reads_q else log_pi[step_pi],
             cell_set, hp, model.log_z if whole else None)
-        g_pi = np.bincount(se, g_x, n_edges)
+        g_pi = np.bincount(step_pi, g_x, n_out)
+        g_pi_q = np.bincount(step_q, g_x, q_size) if reads_q else None
         g_lf = g_v if reads_q else np.zeros(n_states)
         if not (reads_q or l_known):
             g_l -= g_v
 
     # ---- n objective ------------------------------------------------------
     n_loss = 0.0
-    if config.n_objective == "bellman":
-        # l(s) against the logsumexp of l over the parents of each step's child
+    if bellman:
+        # l(s) against the logsumexp of l over the parents of each step's
+        # child: the normalizers and probabilities of the q_l group
         children = states[1:], counts[1:], q_edges, parents, q_runs[1:]
-        n_loss, g_v, _, _ = _in_balance(model.l_hat, None, children, hp, 0.0)
+        n_loss, g_v, _, _ = _in_balance(model.l_hat, children, lse[:len(states) - 1],
+                                        p[:q_size], hp)
         g_l += g_v
     elif n_traj:
         # l(s_T) + sum log q_l, with the pinned l(s_0) = 0 as the head
         n_loss, g_v, g_x, _ = _balance(
-            batch, -model.l_hat, q_tables[0][se], trajectory_cells(lengths), hp, 0.0)
+            batch, -model.l_hat, log_ql[step_q], trajectory_cells(lengths), hp, 0.0)
         g_l -= g_v
-        g_ql = np.bincount(se, g_x, n_edges)
+        g_ql = np.bincount(step_q, g_x, q_size)
 
     # ---- convert primitive coefficients into parameter gradients ----------
     # the softmax VJP g - p * (sum of g over the segment) on the kernel's runs,
-    # with the coefficients on the log-probabilities group by group
-    g = [-g_pi[q_edges]] if q_needed else []
-    g.append(g_pi[out_edges])
-    if ql_needed:
-        g.insert(0, (g_ql[q_edges] if n_traj else 0.0) - (g_pi[q_edges] if q_trains_l else 0.0))
+    # with the coefficients on the log-probabilities group by group; a q_l
+    # group that only the Bellman residual reads takes none
+    g = [-g_pi_q] if q_needed else []
+    g.append(g_pi)
+    if ql_read:
+        g.insert(0, (g_ql if n_traj else 0.0) - (g_pi_q if q_trains_l else 0.0))
+    skip = q_size if bellman and not ql_read else 0  # the group's kernel positions
     g = np.concatenate(g)
-    vjp = g - np.exp(log_p) * np.bincount(run, g, len(runs))[run]
+    run = np.repeat(np.arange(len(runs)), runs)[skip:]
+    vjp = g - p[skip:] * np.bincount(run, g, len(runs))[run]
     g_forward, g_back = np.zeros(n_edges), np.zeros(n_edges)
-    g_forward[out_edges] = vjp[n_q * q_size:]
+    g_forward[out_edges] = vjp[n_q * q_size - skip:]
     if q_needed and backward == "free":
-        g_back[q_edges] = vjp[(n_q - 1) * q_size:][:q_size]
-    if ql_needed:
-        through_q = np.zeros(n_edges)
-        through_q[q_edges] = vjp[:q_size]
-        g_l += np.bincount(mdp.edge_src[out_edges], through_q[out_edges], n_states)
+        g_back[q_edges] = vjp[(n_q - 1) * q_size - skip:][:q_size]
+    if ql_read:
+        through_q = np.zeros(n_out)
+        through_q[q_at_out] = vjp[:q_size]
+        g_l += np.bincount(mdp.edge_src[out_edges], through_q, n_states)
     g_l[mdp.initial] = 0.0
     g_lf[mdp.terminal] = 0.0
     grads = {"forward": g_forward, "backward": g_back, "l": g_l, "log_f": g_lf,

@@ -166,6 +166,12 @@ class EnumeratedMdp:
         return padded_runs(self.out_offset, self.levels)
 
     @cached_property
+    def in_rank(self) -> np.ndarray:  # each edge's position in in_edges, for learner's loss
+        rank = np.empty_like(self.in_edges)
+        rank[self.in_edges] = np.arange(self.n_edges)
+        return rank
+
+    @cached_property
     def out_layout(self) -> tuple:  # for learner's forward policy
         """``padded_logsumexp``'s ``(starts, lengths, slots, heads)`` on the live out-segments."""
         degree = np.diff(self.out_offset)

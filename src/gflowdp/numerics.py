@@ -89,6 +89,15 @@ def padded_logsumexp(values, starts, lengths, slots, heads, padded) -> np.ndarra
     return np.where(finite, shift + np.log(np.add.reduceat(padded, heads)), m)
 
 
+def segment_softmax(values, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``segment_log_softmax``, logsumexp and softmax of nonempty segments."""
+    starts, slots, heads = padded_layout(lengths)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lse = padded_logsumexp(values, starts, lengths, slots, heads, np.zeros(slots.size))
+    log_p = values - np.repeat(lse, lengths)
+    return log_p, lse, np.exp(log_p)
+
+
 def segment_log_softmax(values, lengths) -> np.ndarray:
     """``values`` minus the logsumexp of their segment (segments as in
     ``segment_sum``)."""

@@ -5,11 +5,11 @@ left-hand side minus the log of its right-hand side, so a residual of zero
 means the constraint holds exactly.  Trajectory, detailed and sub-trajectory
 balance, path consistency (the count-corrected reward) and the path-count
 trajectory residual are one residual on trajectory rows, a value at s_i
-minus one at s_{j+1} plus a per-step sum over steps i..j
-(``subtrajectory_residuals`` and its transpose), read on a cell set: each
-whole trajectory, each step, or every sub-trajectory with lambda**length
-weights normalized in log space (memoized, as batches of one length profile
-share it).  ``cross_cumsum`` and ``stb_residuals`` are the one-row case.
+minus one at s_{j+1} plus a per-step sum over steps i..j, which
+``learner._balance`` reads on a cell set (b, i, j): each whole trajectory,
+each step, or every sub-trajectory with lambda**length weights normalized
+in log space (memoized, as batches of one length profile share it).
+``cross_cumsum`` and ``stb_residuals`` are the one-row case.
 Flow matching's out side sum_a F(s) pi(a|s) is F(s), pi being normalized.
 """
 
@@ -35,23 +35,6 @@ class HuberParams:
     def __post_init__(self):
         if not (0.0 < self.delta < np.inf and 0.0 < self.beta < np.inf):
             raise ValueError("huber delta and beta must be finite and positive")
-
-
-def huber(x, params: HuberParams = HuberParams()):
-    x = np.asarray(x, dtype=float)
-    a = np.abs(x)
-    quad = 0.5 * x * x / params.delta
-    lin = params.beta * (a - 0.5 * params.beta) / params.delta
-    out = np.where(a <= params.beta, quad, lin)
-    return float(out) if out.ndim == 0 else out
-
-
-def huber_grad(x, params: HuberParams = HuberParams()):
-    x = np.asarray(x, dtype=float)
-    out = np.where(
-        np.abs(x) <= params.beta, x / params.delta, params.beta * np.sign(x) / params.delta
-    )
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -99,31 +82,6 @@ def fm_residual(log_target_s, out_log_flows, in_log_flows) -> float:
     """
     out = logsumexp(np.append(np.asarray(out_log_flows, dtype=float), log_target_s))
     return float(out - logsumexp(in_log_flows))
-
-
-def subtrajectory_residuals(start, end, x, cells) -> np.ndarray:
-    """Residual start[b, i] - end[b, j + 1] + x[b, i] + ... + x[b, j] of each
-    cell (b, i, j).  ``start``/``end`` are (B, T+1) per-state values read
-    where a cell begins/ends; ``x`` is (B, T) per-step values, zero past each
-    row's end, so prefix sums restart at every row (rounding grows with T,
-    not B*T)."""
-    b, i, j = cells
-    y = np.zeros(start.shape)
-    np.cumsum(x, axis=1, out=y[:, 1:])
-    return start[b, i] - end[b, j + 1] + (y[b, j + 1] - y[b, i])
-
-
-def subtrajectory_transpose(coef, cells, shape):
-    """Coefficients of sum(coef * residual) on ``start``, ``end`` (both of
-    ``shape``, (B, T+1)) and ``x`` ((B, T)).  A step's coefficient is the
-    mass of the cells covering it: a cumsum of the other two along the row,
-    since each cell adds +coef at its start and -coef past its end."""
-    b, i, j = cells
-    n, width = shape
-    g_start = np.bincount(b * width + i, weights=coef, minlength=n * width)
-    g_end = -np.bincount(b * width + j + 1, weights=coef, minlength=n * width)
-    g_start, g_end = g_start.reshape(shape), g_end.reshape(shape)
-    return g_start, g_end, np.cumsum(g_start + g_end, axis=1)[:, :-1]
 
 
 def trajectory_cells(lengths):
@@ -182,9 +140,11 @@ def cross_cumsum(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     t = len(x)
     if len(v) != t + 1:
         raise ValueError("need len(v) == len(x) + 1")
-    cells, _ = subtrajectory_cells([t])
+    i, j = np.triu_indices(t)
+    y = np.zeros(t + 1)
+    np.cumsum(x, out=y[1:])
     d = np.zeros((t, t))
-    d[cells[1:]] = subtrajectory_residuals(v[None], v[None], x[None], cells)
+    d[i, j] = v[i] - v[j + 1] + (y[j + 1] - y[i])
     return d
 
 

@@ -8,7 +8,11 @@ rebuild their move or unset-entry lists, the run loops of
 ``EnumeratedMdp.levels`` with ``segment_logsumexp``, and
 ``dense_loss_and_grads``, the training loss that computed every softmax and
 softmax VJP on all E edges, and Adam, ``repin`` and the EMA group by group,
-as they ran before the model's tables were views of one buffer.
+as they ran before the model's tables were views of one buffer.  The
+batched sub-trajectory residual on (b, i, j) cells and its transpose, and
+the two-pass Huber (``huber``, ``huber_grad`` and the deadbanded ``_coef``)
+are here too: the oracles of ``learner._balance``, which reads cells at
+flat row positions, and of ``learner._huber``, which is one pass.
 
 Each function is the loop version verbatim, except that calls into
 functions that were rewritten go to the loop copies in this module, that
@@ -34,8 +38,8 @@ from gflowdp.learner import (
     PolicyModel,
     RolloutBatch,
     SampledPath,
+    RESIDUAL_TOL,
     TrainConfig,
-    _coef,
 )
 from gflowdp.mdp import (
     DEFAULT_MAX_STATES,
@@ -49,12 +53,10 @@ from gflowdp.mdp import (
 )
 from gflowdp.numerics import NEG_INF, entropy_from_log_probs, logsumexp, segment_logsumexp
 from gflowdp.objectives import (
+    HuberParams,
     cross_cumsum,
-    huber,
     step_cells,
     subtrajectory_cells,
-    subtrajectory_residuals,
-    subtrajectory_transpose,
     trajectory_cells,
 )
 
@@ -856,6 +858,54 @@ def _dense_resolve_backward(mdp, model, config, exact_l):
             )
         return learner.backward_from_counts(mdp, model.l_hat), True
     return exact.backward_softmax(mdp, model.backward_logits), False
+
+
+def huber(x, params: HuberParams = HuberParams()):
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    quad = 0.5 * x * x / params.delta
+    lin = params.beta * (a - 0.5 * params.beta) / params.delta
+    out = np.where(a <= params.beta, quad, lin)
+    return float(out) if out.ndim == 0 else out
+
+
+def huber_grad(x, params: HuberParams = HuberParams()):
+    x = np.asarray(x, dtype=float)
+    out = np.where(
+        np.abs(x) <= params.beta, x / params.delta, params.beta * np.sign(x) / params.delta
+    )
+    return float(out) if out.ndim == 0 else out
+
+
+def _coef(res, hp: HuberParams):
+    """Huber gradient of residuals, with the sub-tolerance deadband of
+    RESIDUAL_TOL applied."""
+    return np.where(np.abs(res) > RESIDUAL_TOL, huber_grad(res, hp), 0.0)
+
+
+def subtrajectory_residuals(start, end, x, cells) -> np.ndarray:
+    """Residual start[b, i] - end[b, j + 1] + x[b, i] + ... + x[b, j] of each
+    cell (b, i, j).  ``start``/``end`` are (B, T+1) per-state values read
+    where a cell begins/ends; ``x`` is (B, T) per-step values, zero past each
+    row's end, so prefix sums restart at every row (rounding grows with T,
+    not B*T)."""
+    b, i, j = cells
+    y = np.zeros(start.shape)
+    np.cumsum(x, axis=1, out=y[:, 1:])
+    return start[b, i] - end[b, j + 1] + (y[b, j + 1] - y[b, i])
+
+
+def subtrajectory_transpose(coef, cells, shape):
+    """Coefficients of sum(coef * residual) on ``start``, ``end`` (both of
+    ``shape``, (B, T+1)) and ``x`` ((B, T)).  A step's coefficient is the
+    mass of the cells covering it: a cumsum of the other two along the row,
+    since each cell adds +coef at its start and -coef past its end."""
+    b, i, j = cells
+    n, width = shape
+    g_start = np.bincount(b * width + i, weights=coef, minlength=n * width)
+    g_end = -np.bincount(b * width + j + 1, weights=coef, minlength=n * width)
+    g_start, g_end = g_start.reshape(shape), g_end.reshape(shape)
+    return g_start, g_end, np.cumsum(g_start + g_end, axis=1)[:, :-1]
 
 
 def _dense_balance(batch, v, x, cell_set, hp, head=None):

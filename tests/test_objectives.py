@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gflowdp import exact, mdp
+from gflowdp import exact, learner, mdp
 from gflowdp.numerics import logsumexp
 from gflowdp.objectives import (
     HuberParams,
@@ -14,8 +14,6 @@ from gflowdp.objectives import (
     cross_cumsum,
     db_residual,
     fm_residual,
-    huber,
-    huber_grad,
     n_bellman_residual,
     n_trajectory_residual,
     pcl_residuals,
@@ -24,6 +22,7 @@ from gflowdp.objectives import (
 )
 
 from conftest import oracle_trajectories, random_log_pi
+from loop_oracles import _coef, huber, huber_grad
 
 
 def exact_view(m, states, edges, tables, log_pi, log_q, value):
@@ -449,6 +448,27 @@ def test_huber_continuity_and_gradient_bound():
         h = 1e-6
         fd = (huber(x + h, params) - huber(x - h, params)) / (2 * h)
         assert huber_grad(x, params) == pytest.approx(fd, abs=1e-6)
+
+
+def _edge_residuals(params):
+    tol, beta = learner.RESIDUAL_TOL, params.beta
+    edges = [0.0, tol, np.nextafter(tol, 0.0), np.nextafter(tol, np.inf), beta,
+             np.nextafter(beta, 0.0), np.nextafter(beta, np.inf), 1e150, 5e-324]
+    return np.array(edges + [-x for x in edges])
+
+
+@pytest.mark.parametrize("params", [HuberParams(), HuberParams(delta=1e-3, beta=0.3)],
+                         ids=["default", "delta1e-3-beta0.3"])
+@given(st.lists(st.floats(-1e150, 1e150), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_fused_huber_is_huber_and_the_deadbanded_gradient_bit_for_bit(params, values):
+    # learner._huber computes the gradient as clip(r, -beta, beta) / delta, in
+    # one pass with the value; the oracle is huber and huber_grad behind the
+    # RESIDUAL_TOL deadband, each entry compared by its bits (signed zeros too)
+    res = np.concatenate([_edge_residuals(params), values])
+    value, grad = learner._huber(res, params)
+    assert np.array_equal(value.view(np.int64), huber(res, params).view(np.int64))
+    assert np.array_equal(grad.view(np.int64), _coef(res, params).view(np.int64))
 
 
 def test_huber_params_validation():

@@ -16,13 +16,12 @@ from gflowdp.objectives import (
     stb_residuals,
     step_cells,
     subtrajectory_cells,
-    subtrajectory_residuals,
-    subtrajectory_transpose,
     tb_residual,
     trajectory_cells,
 )
 
 from conftest import random_dag_text
+from loop_oracles import subtrajectory_residuals, subtrajectory_transpose
 
 TOL = 1e-12
 
