@@ -81,6 +81,12 @@ CASES = {
                    5, 1),
     "tb-uniform-bellman": (GRID6, "objective = tb\nbackward = uniform\nn_objective = bellman\n"
                            + SMALL, 5, 1),
+    # every group trains but log F, on the tempered target
+    "tb-free-tempered": (GRID6, "objective = tb\nbackward = free\nn_objective = trajectory\n"
+                         "reward_exponent = 2\n" + SMALL, 5, 1),
+    # log F trains, l is read from the exact counts
+    "db-known": ("name = dag-file\npath = {dir}/dag.txt\n",
+                 "objective = db\nbackward = maxent-known\nn_objective = none\n" + SMALL, 5, 1),
 }
 
 
