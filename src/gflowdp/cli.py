@@ -187,13 +187,9 @@ def model_to_json(model: PolicyModel) -> str:
     """``json.dumps`` of the model's tables as lists, but ``log_z_hat`` as
     its one number, byte for byte, with each distinct value formatted once
     (``json_float_texts``)."""
-    texts = json_float_texts(model.params).tolist()  # the tables in field order
-    items, start = [], 0
-    for f in fields(PolicyModel)[:-1]:  # all but log_z_hat, the last
-        size = getattr(model, f.name).size
-        items.append(f'"{f.name}": [{", ".join(texts[start:start + size])}]')
-        start += size
-    items.append(f'"log_z_hat": {texts[start]}')
+    texts = dict(zip(learner.TABLES, model.split(json_float_texts(model.params)).values()))
+    items = [f'"{f.name}": [{", ".join(texts[f.name])}]' for f in fields(PolicyModel)[:-1]]
+    items.append(f'"log_z_hat": {texts["log_z_hat"][0]}')  # log_z_hat, the last field
     return "{" + ", ".join(items) + "}"
 
 

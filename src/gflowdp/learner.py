@@ -1,9 +1,9 @@
 """Tabular stochastic-gradient training of policies, flows, counts, and Z.
 
-The model is one float64 vector whose parts are the parameter groups:
-forward logits per edge, backward logits per edge (free-backward variant
-only), a log path-count estimate per state (initial pinned to 0), a log
-state-flow estimate per state (terminals clamped to the target), and log Z.
+The model is one float64 vector whose parts are the parameter groups, those
+a config trains first: forward logits per edge, a log path-count estimate
+per state (initial pinned to 0), log Z, a log state-flow estimate per state
+(terminals clamped to the target), backward logits per edge (free only).
 Every backward is ``exact.backward_softmax`` of per-edge logits: zeros
 (uniform), l_hat or exact counts (count-induced), or free logits.
 The loss has two residual shapes, each with a one-pass Huber (``_huber``):
@@ -14,12 +14,12 @@ touch only the softmax segments the batch reads, in one
 ``numerics.segment_softmax`` call, whose normalizers and probabilities of
 the l-induced backward are the n-bellman residual's; values are read and
 coefficients summed at their positions in its output, and only gradients
-are scattered into dense zero tables.  Each sum keeps the order of the
-whole-table computation, so results are the same to the bit.  Adam and the
-EMA are one elementwise pass each over the whole vector (Adam's momentum
-moves entries whose gradient is 0, and the EMA's 0.95x + 0.05x is not x to
-the bit), and the behaviour CDF one pass over the edges on tables cached on
-the MDP.
+are scattered into the model's gradient buffer, laid out as the vector.
+Each sum keeps the order of the whole-table computation, so results are the
+same to the bit.  Adam is one elementwise pass over the trained prefix (an
+entry whose gradient is 0 at every step never moves), the EMA one over the
+forward logits, the one table the sampler reads, and the behaviour CDF one
+pass over the edges on tables cached on the MDP.
 Gradients are computed analytically; ``tests`` cross-check every
 objective/backward combination against central finite differences.
 """
@@ -46,7 +46,8 @@ OBJECTIVES = ("tb", "db", "stb", "fm", "pcl")
 BACKWARDS = ("uniform", "maxent-known", "maxent-learned", "free")
 N_OBJECTIVES = ("none", "bellman", "trajectory")
 
-PARAM_GROUPS = ("forward", "backward", "l", "log_f", "log_z")
+PARAM_GROUPS = ("forward", "l", "log_z", "log_f", "backward")
+TABLES = ("forward_logits", "l_hat", "log_z_hat", "log_f_hat", "backward_logits")
 
 backward_from_counts = exact.backward_maxent
 
@@ -108,17 +109,24 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
+    def trained_groups(self) -> int:
+        """The number of leading ``PARAM_GROUPS`` the loss can move."""
+        if self.backward == "free" and self.objective in ("tb", "db", "stb"):
+            return 5
+        return 4 if self.objective in ("db", "stb", "fm") else 3
+
 
 class ParamGroups(dict):
-    """A model's tables by group name, with ``flat`` the buffer they view."""
+    """Tables (or gradients) by group name, views of ``flat``; Adam reads ``flat[:size]``."""
 
     flat: np.ndarray
+    size: int
 
 
 @dataclass
 class PolicyModel:
     """Mutable parameter tables; see module docstring for the groups.  The
-    constructor copies them, in field order, into the one float64 buffer
+    constructor copies them, in ``TABLES`` order, into the one float64 buffer
     ``params`` and keeps each as a view of its part, so tables are written
     in place: an array assigned to an attribute would not be in ``params``."""
 
@@ -129,12 +137,23 @@ class PolicyModel:
     log_z_hat: np.ndarray  # shape (1,)
 
     def __post_init__(self) -> None:
-        names = [f.name for f in fields(self)]
-        tables = [getattr(self, name) for name in names]
+        tables = [getattr(self, name) for name in TABLES]
         self.params = np.concatenate(tables, dtype=float)
-        cuts = np.cumsum([len(t) for t in tables])[:-1]
-        for name, view in zip(names, np.split(self.params, cuts)):
+        self.ends = np.cumsum([len(t) for t in tables]).tolist()  # of the groups
+        self._groups = self.split(self.params)
+        for name, view in zip(TABLES, self._groups.values()):
             setattr(self, name, view)
+
+    def split(self, flat: np.ndarray) -> ParamGroups:
+        """``flat``, laid out as ``params``, as views by group."""
+        groups = ParamGroups(zip(PARAM_GROUPS, np.split(flat, self.ends[:-1])))
+        groups.flat, groups.size = flat, len(flat)
+        return groups
+
+    @cached_property
+    def grads(self) -> ParamGroups:
+        """The gradient tables, which ``compute_loss_and_grads`` writes."""
+        return self.split(np.zeros_like(self.params))
 
     @classmethod
     def init(
@@ -159,10 +178,7 @@ class PolicyModel:
         return replace(self)
 
     def param_groups(self) -> ParamGroups:
-        groups = ParamGroups(zip(PARAM_GROUPS, (self.forward_logits, self.backward_logits,
-                                                self.l_hat, self.log_f_hat, self.log_z_hat)))
-        groups.flat = self.params
-        return groups
+        return self._groups
 
     @property
     def log_z(self) -> float:
@@ -198,8 +214,8 @@ class PolicyModel:
     def _free(mdp: EnumeratedMdp) -> np.ndarray:
         """Mask over ``params`` of the entries training moves: all but the
         pinned initial count and the clamped terminal flows."""
-        return np.concatenate([np.ones(2 * mdp.n_edges, dtype=bool),
-                               np.arange(mdp.n_states) != mdp.initial, ~mdp.terminal, [True]])
+        return np.concatenate([np.ones(mdp.n_edges, dtype=bool), np.arange(mdp.n_states)
+                               != mdp.initial, [True], ~mdp.terminal, np.ones(mdp.n_edges, bool)])
 
     def pack(self, mdp: EnumeratedMdp) -> np.ndarray:
         return self.params[self._free(mdp)]
@@ -404,9 +420,9 @@ def compute_loss_and_grads(
 ) -> tuple[dict, dict[str, np.ndarray]]:
     """Mean Huber of the policy residuals plus mean Huber of the n residuals.
 
-    Returns (stats, grads) where grads holds one array per parameter group
-    with pinned/clamped entries already zeroed.  Softmaxes and their VJPs
-    run only on the segments the batch reads (see the module docstring).
+    Returns (stats, grads), grads being ``model.grads`` until the next call,
+    with pinned/clamped entries zeroed.  Softmaxes and their VJPs run only
+    on the segments the batch reads (see the module docstring).
     """
     if batch.lengths.size == 0:
         raise ValueError("batch must be nonempty")
@@ -418,7 +434,7 @@ def compute_loss_and_grads(
             "backward='maxent-learned' with n_objective='none' would use an "
             "untrained l_hat; supply exact_l or enable an n objective"
         )
-    n_states, n_edges, se = mdp.n_states, mdp.n_edges, batch.step_edge
+    n_states, se = mdp.n_states, batch.step_edge
     reads_q = config.objective in ("tb", "db", "stb")
     l_known = backward == "maxent-known"
     bellman = config.n_objective == "bellman"
@@ -458,7 +474,10 @@ def compute_loss_and_grads(
         shift[states] = mdp.in_offset[states] - (np.cumsum(q_runs) - q_runs)
         step_q = mdp.in_rank[se] - shift[mdp.edge_dst[se]]
 
-    g_l = np.zeros(n_states)  # direct l terms (not through log q)
+    grads, size = model.grads, model.ends[config.trained_groups() - 1]
+    grads.flat[:max(size, grads.size)] = 0.0  # and a longer prefix written before
+    grads.size = size
+    g_l = grads["l"]  # direct l terms (not through log q)
 
     # ---- policy objective ------------------------------------------------
     # tb, db and stb: log F at both ends (clamped to log p~ at terminals) and
@@ -488,7 +507,7 @@ def compute_loss_and_grads(
             cell_set, hp, model.log_z if whole else None)
         g_pi = np.bincount(step_pi, g_x, n_out)
         g_pi_q = np.bincount(step_q, g_x, q_size) if reads_q else None
-        g_lf = g_v if reads_q else np.zeros(n_states)
+        g_lf = g_v  # on log F where reads_q, on -l for pcl
         if not (reads_q or l_known):
             g_l -= g_v
 
@@ -520,18 +539,17 @@ def compute_loss_and_grads(
     g = np.concatenate(g)
     run = np.repeat(np.arange(len(runs)), runs)[skip:]
     vjp = g - p[skip:] * np.bincount(run, g, len(runs))[run]
-    g_forward, g_back = np.zeros(n_edges), np.zeros(n_edges)
-    g_forward[out_edges] = vjp[n_q * q_size - skip:]
+    grads["forward"][out_edges] = vjp[n_q * q_size - skip:]
     if q_needed and backward == "free":
-        g_back[q_edges] = vjp[(n_q - 1) * q_size - skip:][:q_size]
+        grads["backward"][q_edges] = vjp[(n_q - 1) * q_size - skip:][:q_size]
     if ql_read:
         through_q = np.zeros(n_out)
         through_q[q_at_out] = vjp[:q_size]
         g_l += np.bincount(mdp.edge_src[out_edges], through_q, n_states)
     g_l[mdp.initial] = 0.0
-    g_lf[mdp.terminal] = 0.0
-    grads = {"forward": g_forward, "backward": g_back, "l": g_l, "log_f": g_lf,
-             "log_z": np.array([g_z])}
+    if config.objective in ("db", "stb", "fm"):  # those that read log F, 0 at terminals
+        np.copyto(grads["log_f"], g_lf, where=~mdp.terminal)
+    grads["log_z"][0] = g_z
 
     total = policy_loss + n_loss
     if not np.isfinite(total):
@@ -548,11 +566,13 @@ def compute_loss_and_grads(
 class AdamState:
     m: np.ndarray  # first moments over a model's ``params``
     v: np.ndarray  # second moments
+    scratch: np.ndarray  # two rows the size of ``params`` for a step's temporaries
     t: int = 0
 
 
 def adam_init(model: PolicyModel) -> AdamState:
-    return AdamState(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
+    return AdamState(m=np.zeros_like(model.params), v=np.zeros_like(model.params),
+                     scratch=np.empty((2, model.params.size)))
 
 
 def optimizer_update(
@@ -561,27 +581,31 @@ def optimizer_update(
     state: AdamState,
     learning_rate: float,
 ) -> None:
-    """One Adam step (betas 0.9, 0.999, eps 1e-8), in place on
-    ``params.flat``, with the gradients laid end to end in ``PARAM_GROUPS``
-    order.  Every entry gets the arithmetic of a per-group update, in the
-    same order, so the steps are the same to the bit."""
-    g = np.concatenate([grads[key] for key in PARAM_GROUPS])
-    if not np.isfinite(g).all():
-        key = next(k for k in PARAM_GROUPS if not np.isfinite(grads[k]).all())
-        raise NonFiniteGradient(f"non-finite gradient in group {key!r}")
-    beta1, beta2 = 0.9, 0.999
+    """One Adam step (betas 0.9, 0.999, eps 1e-8) on ``params.flat[:grads.size]``
+    (all, for a plain dict), with the arithmetic of a per-group update, to the
+    bit.  A g*g that overflows, which would freeze its entry at a step
+    m / sqrt(inf) = 0, raises NonFiniteGradient before anything changes."""
+    g = (grads.flat[:grads.size] if isinstance(grads, ParamGroups)
+         else np.concatenate([grads[key] for key in PARAM_GROUPS]))
+    n, beta1, beta2 = len(g), 0.9, 0.999
+    m, v, (a, b) = state.m[:n], state.v[:n], state.scratch[:, :n]
+    with np.errstate(over="ignore"):
+        np.multiply(np.multiply(1.0 - beta2, g, out=a), g, out=a)
+        if not np.isfinite(a.max(initial=0.0) / (1.0 - beta2)):
+            key = next(k for k in PARAM_GROUPS if not np.isfinite(
+                (1.0 - beta2) * grads[k] * grads[k] / (1.0 - beta2)).all())
+            raise NonFiniteGradient(f"non-finite gradient in group {key!r}" if not np.isfinite(
+                grads[key]).all() else f"gradient whose square overflows in group {key!r}")
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    m, v, step = state.m, state.v, np.empty_like(g)
     m *= beta1
-    m += np.multiply(1.0 - beta1, g, out=step)
+    m += np.multiply(1.0 - beta1, g, out=b)
     v *= beta2
-    v += np.multiply(np.multiply(1.0 - beta2, g, out=step), g, out=step)
-    np.multiply(np.divide(m, bc1, out=step), learning_rate, out=step)
-    # g is read no more: it holds sqrt(v / bc2) + eps
-    step /= np.add(np.sqrt(np.divide(v, bc2, out=g), out=g), 1e-8, out=g)
-    params.flat -= step
+    v += a
+    np.multiply(np.divide(m, bc1, out=a), learning_rate, out=a)
+    a /= np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), 1e-8, out=b)
+    params.flat[:n] -= a
 
 
 def train_step(
@@ -602,9 +626,9 @@ def train_step(
 def ema_update(
     sampling_model: PolicyModel, train_model: PolicyModel, decay: float
 ) -> PolicyModel:
-    """sampling <- decay * sampling + (1 - decay) * train, in place."""
-    sampling_model.params *= decay
-    sampling_model.params += (1.0 - decay) * train_model.params
+    """sampling <- decay * sampling + (1 - decay) * train on the table the sampler reads."""
+    sampling_model.forward_logits *= decay
+    sampling_model.forward_logits += (1.0 - decay) * train_model.forward_logits
     return sampling_model
 
 

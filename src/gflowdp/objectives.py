@@ -108,11 +108,11 @@ def step_cells(lengths):
 def subtrajectory_cells(lengths, lam: float = 1.0):
     """Every sub-trajectory i <= j < T_b of every row, weighted lam**(j-i+1)
     normalized to sum to one within the row (in log space, so every finite
-    positive lam works), then 1/B.  Memoized 4 deep, the arrays read-only."""
+    positive lam works), then 1/B.  Memoized 1 deep, the arrays read-only."""
     return _subtrajectory_cells(np.asarray(lengths, dtype=np.int64).tobytes(), lam)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _subtrajectory_cells(key: bytes, lam: float):
     lengths = np.frombuffer(key, dtype=np.int64)
     ti, tj = np.triu_indices(int(lengths.max(initial=0)))

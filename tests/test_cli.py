@@ -681,6 +681,19 @@ def test_dag_file_with_non_finite_target_is_a_runtime_error(tmp_path, capsys, va
     assert _one_line_error(capsys) == f"error: line 3: log_target {value} is not finite"
 
 
+def test_an_overflowing_second_moment_ends_the_run(tmp_path, capsys):
+    # gradients up to beta/delta = 1e300 square past the largest double: a
+    # step of m / sqrt(inf) would be 0, and the model would stop moving
+    cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 4\n"
+                                 "[train]\nsteps = 20\nbatch_size = 8\nhuber_delta = 1e-300\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2 and caught == []
+    err = capsys.readouterr().err
+    assert err == "error: gradient whose square overflows in group 'forward'\n"
+
+
 def test_dag_file_with_a_duplicate_terminal_is_a_runtime_error(tmp_path, capsys):
     dag = tmp_path / "twice.dag"
     dag.write_text("initial 0\n0 0 1\nterminal 1 0.0\nterminal 1 5.0\n")
