@@ -187,9 +187,11 @@ def model_to_json(model: PolicyModel) -> str:
     """``json.dumps`` of the model's tables as lists, but ``log_z_hat`` as
     its one number, byte for byte, with each distinct value formatted once
     (``json_float_texts``)."""
-    texts = dict(zip(learner.TABLES, model.split(json_float_texts(model.params)).values()))
-    items = [f'"{f.name}": [{", ".join(texts[f.name])}]' for f in fields(PolicyModel)[:-1]]
-    items.append(f'"log_z_hat": {texts["log_z_hat"][0]}')  # log_z_hat, the last field
+    texts = json_float_texts(model.params).tolist()  # the tables in TABLES order
+    cuts = dict(zip(learner.TABLES, zip([0, *model.ends], model.ends)))
+    items = [f'"{f.name}": [{", ".join(texts[slice(*cuts[f.name])])}]'
+             for f in fields(PolicyModel)[:-1]]  # all but log_z_hat, the last
+    items.append(f'"log_z_hat": {texts[cuts["log_z_hat"][0]]}')
     return "{" + ", ".join(items) + "}"
 
 

@@ -111,9 +111,8 @@ class TrainConfig:
 
     def trained_groups(self) -> int:
         """The number of leading ``PARAM_GROUPS`` the loss can move."""
-        if self.backward == "free" and self.objective in ("tb", "db", "stb"):
-            return 5
-        return 4 if self.objective in ("db", "stb", "fm") else 3
+        free = self.backward == "free" and self.objective in ("tb", "db", "stb")
+        return 5 if free else 4 if self.objective in ("db", "stb", "fm") else 3
 
 
 class ParamGroups(dict):
@@ -144,16 +143,16 @@ class PolicyModel:
         for name, view in zip(TABLES, self._groups.values()):
             setattr(self, name, view)
 
-    def split(self, flat: np.ndarray) -> ParamGroups:
-        """``flat``, laid out as ``params``, as views by group."""
+    def split(self, flat: np.ndarray, size: int | None = None) -> ParamGroups:
+        """``flat``, laid out as ``params``, as views by group; ``size`` defaults to all."""
         groups = ParamGroups(zip(PARAM_GROUPS, np.split(flat, self.ends[:-1])))
-        groups.flat, groups.size = flat, len(flat)
+        groups.flat, groups.size = flat, len(flat) if size is None else size
         return groups
 
     @cached_property
     def grads(self) -> ParamGroups:
-        """The gradient tables, which ``compute_loss_and_grads`` writes."""
-        return self.split(np.zeros_like(self.params))
+        """The gradients ``compute_loss_and_grads`` writes, ``size`` the prefix it last wrote."""
+        return self.split(np.zeros_like(self.params), 0)
 
     @classmethod
     def init(
@@ -474,9 +473,9 @@ def compute_loss_and_grads(
         shift[states] = mdp.in_offset[states] - (np.cumsum(q_runs) - q_runs)
         step_q = mdp.in_rank[se] - shift[mdp.edge_dst[se]]
 
-    grads, size = model.grads, model.ends[config.trained_groups() - 1]
-    grads.flat[:max(size, grads.size)] = 0.0  # and a longer prefix written before
-    grads.size = size
+    grads, k = model.grads, config.trained_groups()
+    grads.flat[:grads.size] = 0.0  # the prefix the last call wrote
+    grads.size = model.ends[k - 1]
     g_l = grads["l"]  # direct l terms (not through log q)
 
     # ---- policy objective ------------------------------------------------
@@ -547,7 +546,7 @@ def compute_loss_and_grads(
         through_q[q_at_out] = vjp[:q_size]
         g_l += np.bincount(mdp.edge_src[out_edges], through_q, n_states)
     g_l[mdp.initial] = 0.0
-    if config.objective in ("db", "stb", "fm"):  # those that read log F, 0 at terminals
+    if PARAM_GROUPS.index("log_f") < k:  # 0 at terminals
         np.copyto(grads["log_f"], g_lf, where=~mdp.terminal)
     grads["log_z"][0] = g_z
 
@@ -564,31 +563,27 @@ def compute_loss_and_grads(
 
 @dataclass
 class AdamState:
-    m: np.ndarray  # first moments over a model's ``params``
+    m: np.ndarray  # first moments over the longest prefix of ``params`` Adam has read
     v: np.ndarray  # second moments
-    scratch: np.ndarray  # two rows the size of ``params`` for a step's temporaries
     t: int = 0
 
 
 def adam_init(model: PolicyModel) -> AdamState:
-    return AdamState(m=np.zeros_like(model.params), v=np.zeros_like(model.params),
-                     scratch=np.empty((2, model.params.size)))
+    return AdamState(m=np.zeros(0), v=np.zeros(0))  # grown to the prefix a step reads
 
 
 def optimizer_update(
     params: ParamGroups,
-    grads: dict[str, np.ndarray],
+    grads: ParamGroups,
     state: AdamState,
     learning_rate: float,
 ) -> None:
-    """One Adam step (betas 0.9, 0.999, eps 1e-8) on ``params.flat[:grads.size]``
-    (all, for a plain dict), with the arithmetic of a per-group update, to the
-    bit.  A g*g that overflows, which would freeze its entry at a step
-    m / sqrt(inf) = 0, raises NonFiniteGradient before anything changes."""
-    g = (grads.flat[:grads.size] if isinstance(grads, ParamGroups)
-         else np.concatenate([grads[key] for key in PARAM_GROUPS]))
-    n, beta1, beta2 = len(g), 0.9, 0.999
-    m, v, (a, b) = state.m[:n], state.v[:n], state.scratch[:, :n]
+    """One Adam step (betas 0.9, 0.999, eps 1e-8) on ``params.flat[:grads.size]``,
+    with the arithmetic of a per-group update, to the bit.  A g*g that
+    overflows, which would freeze its entry at a step m / sqrt(inf) = 0,
+    raises NonFiniteGradient before anything changes."""
+    g, n, beta1, beta2 = grads.flat[:grads.size], grads.size, 0.9, 0.999
+    a, b = np.empty((2, n))
     with np.errstate(over="ignore"):
         np.multiply(np.multiply(1.0 - beta2, g, out=a), g, out=a)
         if not np.isfinite(a.max(initial=0.0) / (1.0 - beta2)):
@@ -596,6 +591,9 @@ def optimizer_update(
                 (1.0 - beta2) * grads[k] * grads[k] / (1.0 - beta2)).all())
             raise NonFiniteGradient(f"non-finite gradient in group {key!r}" if not np.isfinite(
                 grads[key]).all() else f"gradient whose square overflows in group {key!r}")
+    if n > len(state.m):
+        state.m, state.v = (np.concatenate([x, np.zeros(n - len(x))]) for x in (state.m, state.v))
+    m, v = state.m[:n], state.v[:n]
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t

@@ -35,6 +35,7 @@ from gflowdp.exact import NonFiniteTarget, ZeroFlow
 from gflowdp.learner import (
     BackwardRequiresL,
     NonFiniteGradient,
+    PARAM_GROUPS,
     PolicyModel,
     RolloutBatch,
     SampledPath,
@@ -1029,6 +1030,8 @@ def dense_loss_and_grads(mdp, model, batch, config, exact_l=None):
         "log_f": g_lf,
         "log_z": np.array([g_z]),
     }
+    # laid out as the model's parameters, every group in Adam's reach
+    grads = model.split(np.concatenate([grads[k] for k in PARAM_GROUPS]))
 
     total = policy_loss + n_loss
     if not np.isfinite(total):

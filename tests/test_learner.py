@@ -247,7 +247,7 @@ def _one_group(w):
     gradient ``g`` on ``w``."""
     model = PolicyModel(np.array(w, dtype=float), *[np.zeros(0)] * 4)
     return (model.param_groups(), adam_init(model),
-            lambda g: {k: np.zeros(0) for k in PARAM_GROUPS} | {"forward": np.asarray(g)})
+            lambda g: model.split(np.array(g, dtype=float)))
 
 
 def test_optimizer_zero_gradient_is_identity():
@@ -283,7 +283,7 @@ def test_optimizer_rejects_nonfinite_gradient():
 def test_optimizer_names_the_group_of_a_nonfinite_gradient(grid33, key):
     model = PolicyModel.init(grid33, np.random.default_rng(0), 0.5)
     before = model.params.copy()
-    grads = {k: np.ones_like(p) for k, p in model.param_groups().items()}
+    grads = model.split(np.ones_like(model.params))
     grads[key][-1] = float("nan")
     with pytest.raises(NonFiniteGradient, match=f"^non-finite gradient in group {key!r}$"):
         optimizer_update(model.param_groups(), grads, adam_init(model), 0.1)
@@ -301,12 +301,11 @@ def test_flat_adam_repin_and_ema_match_the_per_group_loops(env):
     want, want_sampling = model.copy(), model.copy()
     want_state = loops.adam_init(want)
     for _ in range(200):
-        grads = {}
-        for key, p in model.param_groups().items():
-            g = rng.normal(0.0, 1.0, p.size) * 10.0 ** rng.integers(-18, 1, p.size)
-            g[rng.random(p.size) < 0.5] = 0.0
-            g[rng.random(p.size) < 0.2] = -0.0
-            grads[key] = g
+        grads = model.split(np.empty_like(model.params))
+        for g in grads.values():
+            g[:] = rng.normal(0.0, 1.0, g.size) * 10.0 ** rng.integers(-18, 1, g.size)
+            g[rng.random(g.size) < 0.5] = 0.0
+            g[rng.random(g.size) < 0.2] = -0.0
         optimizer_update(model.param_groups(), grads, state, 0.01)
         model.repin(m)
         ema_update(sampling, model, 0.95)
