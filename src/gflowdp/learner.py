@@ -690,9 +690,10 @@ def run_training(
         stats = train_step(train_mdp, model, batch, config, opt_state, exact_l)
         ema_update(sampling_model, model, config.ema_decay)
         if step % metrics_every == 0 or step == config.steps:
-            # modes are counted on the untempered target, the rest on p~**b
+            # the report counts no modes: they are counted over the visited
+            # terminals on the untempered target, the rest on p~**b
             report = metrics.evaluate_policy(train_mdp, model.forward_log_probs(train_mdp),
-                                             l_hat=model.l_hat, l_exact=l_metrics)
+                                             l_hat=model.l_hat, l_exact=l_metrics, thresholds=())
             modes = metrics.mode_count(np.flatnonzero(visited), mdp.log_target, [mode_threshold])
             rows.append(MetricsRow(
                 step=step,

@@ -78,7 +78,10 @@ def pearson_logprob(
 
 
 def mode_count(visited_terminals, log_target: np.ndarray, thresholds) -> dict[float, int]:
-    """Distinct visited terminals with target at or above each threshold."""
+    """Distinct visited terminals with target at or above each threshold;
+    with no thresholds, the terminals are not read."""
+    if len(thresholds) == 0:
+        return {}
     targets = log_target[np.unique(np.asarray(visited_terminals, dtype=np.int64),
                                    return_counts=True)[0]]
     return {float(theta): int((targets >= np.log(theta)).sum()) for theta in thresholds}

@@ -10,7 +10,13 @@ arithmetic as the scalar helpers applied segment by segment.  They all take
 the segments' lengths, empty segments allowed, and all reduce on the one
 layout of ``padded_layout``, which the exact DPs also slice run by run.
 
-``json_float_texts`` gives the JSON writers the text of each table entry.
+``json_float_texts`` gives the JSON writers the text of each table entry,
+formatting each distinct value once.  The DP-table writers call it on whole
+tables, which repeat values by symmetry, not next to each other: on the 4-D
+side-10 grid the 80001 entries of ``exact_tables.json`` form 80001 runs, and
+collapsing runs inside it made the ``exact`` writers 3.8 ms slower (42.0 ->
+45.8 ms).  A model's buffer is mostly long runs of its initial values, so
+``cli.model_to_json`` collapses runs first and passes only their heads.
 """
 
 from __future__ import annotations

@@ -360,6 +360,31 @@ def test_trained_model_json_is_json_dumps_of_its_lists(grid33):
     assert isinstance(json.loads(cli.model_to_json(model))["log_z_hat"], float)
 
 
+def _runs_across_tables(n, ends):
+    buffer = np.arange(n) + 0.5
+    for k, end in enumerate(ends[:-1]):  # one run spans the end of l, log Z and log F
+        buffer[end - 2:end + 2] = -k - 1.0
+    return buffer
+
+
+# buffers laid out as PolicyModel.params, in TABLES order
+RUN_BUFFERS = {
+    "zero": lambda n, ends: np.zeros(n),
+    "runs-across-tables": _runs_across_tables,
+    "signed-zeros": lambda n, ends: np.resize([0.0, -0.0, -0.0, 0.0, 0.0, 0.0, -0.0, 1.0], n),
+    "extremes": lambda n, ends: np.resize(
+        [5e-324, 5e-324, -5e-324, 2.5e-310, 1e300, 1e300, -1e300, -1e300, 1e-300, 5e-324], n),
+    "all-distinct": lambda n, ends: np.random.default_rng(4).normal(size=n),
+}
+
+
+@pytest.mark.parametrize("kind", RUN_BUFFERS)
+def test_model_json_of_runs_is_json_dumps_of_its_lists(grid33, kind):
+    model = PolicyModel.init(grid33)
+    model.params[:] = RUN_BUFFERS[kind](model.params.size, model.ends)
+    assert cli.model_to_json(model) == oracle_model_json(model)
+
+
 # ---------------------------------------------------------------------------
 # EMA
 

@@ -123,6 +123,7 @@ def test_pearson_sign():
 def test_mode_count_empty():
     counts = mode_count([], np.zeros(4), [0.5, 1.0])
     assert counts == {0.5: 0, 1.0: 0}
+    assert mode_count([1, 2], np.zeros(4), ()) == {}
 
 
 def test_mode_count_deduplicates():
