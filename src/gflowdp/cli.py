@@ -187,16 +187,22 @@ def model_to_json(model: PolicyModel) -> str:
     """``json.dumps`` of the model's tables as lists, but ``log_z_hat`` as
     its one number, byte for byte.
 
-    Each run of bit-equal neighbours in the buffer is formatted once, by
-    ``json_float_texts`` of its first entry: a model that trained a few
-    steps is mostly its initial values (on the 4-D side-10 grid, 1500-2300
-    runs in 132001 entries after one step), and sorting only the runs' heads
-    takes most of the writer's cost away.  Runs are cut on the ``int64`` view,
-    so ``0.0`` and ``-0.0`` stay apart."""
+    When runs of bit-equal neighbours are at most half the entries of the
+    buffer, each run is formatted once, by ``json_float_texts`` of its first
+    entry, and its text repeated: a model that trained a few steps is mostly
+    its initial values (on the 4-D side-10 grid, 1500-2300 runs in 132001
+    entries after one step), and sorting only the runs' heads takes most of
+    the writer's cost away.  Shorter runs save less than repeating the texts
+    costs: with runs at 93% of the entries, as in a random model, collapsing
+    them was 1-5% slower.  Runs are cut on the ``int64`` view, so ``0.0`` and
+    ``-0.0`` stay apart."""
     bits = model.params.view(np.int64)
     heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    texts = np.repeat(json_float_texts(model.params[heads]),  # the tables in TABLES order
-                      np.diff(heads, append=bits.size)).tolist()
+    if 2 * heads.size > bits.size:
+        texts = json_float_texts(model.params)
+    else:
+        texts = np.repeat(json_float_texts(model.params[heads]), np.diff(heads, append=bits.size))
+    texts = texts.tolist()  # the tables in TABLES order
     cuts = dict(zip(learner.TABLES, zip([0, *model.ends], model.ends)))
     items = [f'"{f.name}": [{", ".join(texts[slice(*cuts[f.name])])}]'
              for f in fields(PolicyModel)[:-1]]  # all but log_z_hat, the last

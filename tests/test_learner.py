@@ -355,21 +355,24 @@ def test_check_fits_names_the_first_table_that_does_not_fit(grid33):
 
 
 def _runs_across_tables(n, ends):
-    buffer = np.arange(n) + 0.5
+    buffer = np.arange(n) // 5 + 0.5
     for k, end in enumerate(ends[:-1]):  # one run spans the end of l, log Z and log F
         buffer[end - 2:end + 2] = -k - 1.0
     return buffer
 
 
 # buffers laid out as PolicyModel.params, in TABLES order, but "trained", a
-# model trained 5 steps
+# model trained 5 steps; runs make up at most half the entries of the first
+# four buffers (the writer collapses them), and more of the last two
 MODEL_BUFFERS = {
     "trained": None,
     "zero": lambda n, ends: np.zeros(n),
     "runs-across-tables": _runs_across_tables,
-    "signed-zeros": lambda n, ends: np.resize([0.0, -0.0, -0.0, 0.0, 0.0, 0.0, -0.0, 1.0], n),
+    "signed-zeros": lambda n, ends: np.resize(
+        [0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0, -0.0, 1.0, 1.0], n),
     "extremes": lambda n, ends: np.resize(
-        [5e-324, 5e-324, -5e-324, 2.5e-310, 1e300, 1e300, -1e300, -1e300, 1e-300, 5e-324], n),
+        np.repeat([5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e-300], 3), n),
+    "short-runs": lambda n, ends: np.resize([0.0, 0.0, -0.0, 1.0, 2.0], n),
     "all-distinct": lambda n, ends: np.random.default_rng(4).normal(size=n),
 }
 
