@@ -15,8 +15,9 @@ formatting each distinct value once.  The DP-table writers call it on whole
 tables, which repeat values by symmetry, not next to each other: on the 4-D
 side-10 grid the 80001 entries of ``exact_tables.json`` form 80001 runs, and
 collapsing runs inside it made the ``exact`` writers 3.8 ms slower (42.0 ->
-45.8 ms).  A model's buffer is mostly long runs of its initial values, so
-``cli.model_to_json`` collapses runs first and passes only their heads.
+45.8 ms).  A model that trained a few steps is mostly long runs of its
+initial values, so ``cli.model_to_json`` collapses runs first, when they are
+at most half its entries, and passes only their heads.
 """
 
 from __future__ import annotations

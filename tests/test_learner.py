@@ -361,9 +361,9 @@ def _runs_across_tables(n, ends):
     return buffer
 
 
-# buffers laid out as PolicyModel.params, in TABLES order, but "trained", a
-# model trained 5 steps; runs make up at most half the entries of the first
-# four buffers (the writer collapses them), and more of the last two
+# buffers laid out as PolicyModel.params, in TABLES order ("trained": a model
+# trained 5 steps); the writer collapses the runs of "zero" to "extremes",
+# which are at most half their entries, and formats the other three whole
 MODEL_BUFFERS = {
     "trained": None,
     "zero": lambda n, ends: np.zeros(n),
