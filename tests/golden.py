@@ -66,6 +66,10 @@ CASES = {
     "train-bitvec-stb": ("name = bitvector\nlength = 5\nones_reward = 0.5\n",
                          "objective = stb\nbackward = maxent-learned\n"
                          "n_objective = trajectory\nsteps = 24\n", 12, 1),
+    # three uneven shards of 256 walkers on a multi-parent DAG
+    "train-bitvec-stb-threads3": ("name = bitvector\nlength = 5\nones_reward = 0.5\n",
+                                  "objective = stb\nbackward = maxent-learned\n"
+                                  "n_objective = trajectory\nsteps = 24\n", 12, 3),
     "dag-file-db": ("name = dag-file\npath = {dir}/dag.txt\n",
                     "objective = db\nbackward = uniform\nn_objective = trajectory\n" + SMALL, 5, 1),
     "words-fm": ("name = words\nlength = 4\nalphabet = 2\nmode = append-either-side\n",
