@@ -187,26 +187,30 @@ def model_to_json(model: PolicyModel) -> str:
     """``json.dumps`` of the model's tables as lists, but ``log_z_hat`` as
     its one number, byte for byte.
 
-    When runs of bit-equal neighbours are at most half the entries of the
-    buffer, each run is formatted once, by ``json_float_texts`` of its first
-    entry, and its text repeated: a model that trained a few steps is mostly
-    its initial values (on the 4-D side-10 grid, 1500-2300 runs in 132001
-    entries after one step), and sorting only the runs' heads takes most of
-    the writer's cost away.  Shorter runs save less than repeating the texts
-    costs: with runs at 93% of the entries, as in a random model, collapsing
-    them was 1-5% slower.  Runs are cut on the ``int64`` view, so ``0.0`` and
-    ``-0.0`` stay apart."""
+    When runs of bit-equal neighbours, cut also at each table's end, are at
+    most a quarter of the buffer's entries, each run is formatted once, by
+    ``json_float_texts`` of its first entry, and its text repeated by string
+    multiplication: a model that trained a few steps is mostly its initial
+    values (on the 4-D side-10 grid, 1500-2300 runs in 132001 entries after
+    one step), and then neither every entry's sort nor a list of every
+    entry's text is needed.  A run costs a few string operations, so short
+    runs save less than they cost: on that grid, runs at 20-36% of the
+    entries wrote as fast collapsed as whole, and more were slower.  Runs are
+    cut on the ``int64`` view, so ``0.0`` and ``-0.0`` stay apart."""
     bits = model.params.view(np.int64)
-    heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    if 2 * heads.size > bits.size:
-        texts = json_float_texts(model.params)
-    else:
-        texts = np.repeat(json_float_texts(model.params[heads]), np.diff(heads, append=bits.size))
-    texts = texts.tolist()  # the tables in TABLES order
-    cuts = dict(zip(learner.TABLES, zip([0, *model.ends], model.ends)))
-    items = [f'"{f.name}": [{", ".join(texts[slice(*cuts[f.name])])}]'
+    cuts = np.concatenate(([True], bits[1:] != bits[:-1], [True]))
+    cuts[model.ends] = True
+    cuts = np.flatnonzero(cuts)  # the runs' starts, then the buffer's end
+    if 4 * (cuts.size - 1) > bits.size:
+        texts, at = json_float_texts(model.params).tolist(), [0, *model.ends]
+    else:  # a run's text, then ", " and its text again for each further entry
+        texts = [t + (", " + t) * (k - 1) for t, k in zip(
+            json_float_texts(model.params[cuts[:-1]]).tolist(), np.diff(cuts).tolist())]
+        at = np.searchsorted(cuts, [0, *model.ends]).tolist()
+    tables = {name: ", ".join(texts[a:b]) for name, a, b in zip(learner.TABLES, at, at[1:])}
+    items = [f'"{f.name}": [{tables[f.name]}]'
              for f in fields(PolicyModel)[:-1]]  # all but log_z_hat, the last
-    items.append(f'"log_z_hat": {texts[cuts["log_z_hat"][0]]}')
+    items.append(f'"log_z_hat": {tables["log_z_hat"]}')
     return "{" + ", ".join(items) + "}"
 
 

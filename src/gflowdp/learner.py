@@ -19,7 +19,10 @@ Each sum keeps the order of the whole-table computation, so results are the
 same to the bit.  Adam is one elementwise pass over the trained prefix (an
 entry whose gradient is 0 at every step never moves), the EMA one over the
 forward logits, the one table the sampler reads, and the behaviour CDF one
-pass over the edges on tables cached on the MDP.
+pass over the edges on tables cached on the MDP.  The sampler walks a batch
+in lockstep, and a step touches only the walkers still live: one draw per
+stream, one ``searchsorted`` and the record of who took which edge; the
+padded rows are laid out once, after the last step.
 Gradients are computed analytically; ``tests`` cross-check every
 objective/backward combination against central finite differences.
 """
@@ -68,6 +71,10 @@ class BackwardRequiresL(LearnerError):
 
 class NonFiniteGradient(LearnerError):
     pass
+
+
+class NonFiniteMetric(LearnerError):
+    """A metrics row of a training run holds an infinite or NaN value."""
 
 
 class ModelMismatch(LearnerError):
@@ -291,34 +298,34 @@ def _walk(mdp: EnumeratedMdp, cdf: np.ndarray, n: int, streams: list[np.random.G
 
     Each step, every live walker at a state with out-edges ``[lo, hi)`` draws
     u and takes edge ``min(bisect_right(cdf, u, lo, hi), hi - 1)``, found for
-    all walkers by one ``searchsorted``.  Walker b reads
-    ``streams[b % len(streams)]``, and each stream draws one vector a step
-    for its live walkers, in walker order.  Returns state rows [n, T+1]
-    padded with the terminal and edge rows [n, T] padded with -1."""
+    all of them by one ``searchsorted``.  Walker b reads ``streams[b % k]``,
+    and each stream with live walkers draws one vector a step, in walker
+    order.  Steps touch only live walkers; then one scatter makes the edge
+    rows [n, T] padded with -1, and one the state rows [n, T+1], padded with
+    the terminal by a running maximum, as states number upward along edges."""
     # keys sort by state, then CDF; each segment's last entry, +inf, caps picks at hi - 1
     keys = np.empty(mdp.n_edges, dtype=complex)
     keys.real, keys.imag = mdp.edge_src, cdf
     keys.imag[mdp.sampler_tables.caps] = np.inf
-    state = np.full(n, mdp.initial, dtype=np.int64)
-    # live walkers are grouped by stream, each group in walker order, so the
-    # streams' draws concatenate into the uniforms of the live walkers
-    live = np.argsort(np.arange(n) % len(streams), kind="stable")
-    live = live[~mdp.terminal[state[live]]]
-    state_cols, edge_cols = [state], []
+    k, moving, at, lives, edges = len(streams), ~mdp.terminal, mdp.initial, [], []
+    # grouped by stream, each group in walker order, as the streams' draws concatenate
+    live = np.argsort(np.arange(n) % k, kind="stable")[: n if moving[at] else 0]
     while len(live):
-        shard_sizes = np.bincount(live % len(streams)).tolist()
         query = np.empty(len(live), dtype=complex)
-        query.real = state[live]
-        query.imag = np.concatenate([stream.random(k) for stream, k in zip(streams, shard_sizes)])
-        edge_taken = np.searchsorted(keys, query, side="right")
-        dst = mdp.edge_dst[edge_taken]
-        state, edge = state.copy(), np.full(n, -1, dtype=np.int64)
-        state[live], edge[live] = dst, edge_taken
-        state_cols.append(state)
-        edge_cols.append(edge)
-        live = live[~mdp.terminal[dst]]
-    edge_rows = np.array(edge_cols, dtype=np.int64).reshape(len(edge_cols), n).T
-    return np.stack(state_cols, axis=1), edge_rows
+        query.real, query.imag = at, streams[0].random(len(live)) if k == 1 else np.concatenate(
+            [s.random(m) for s, m in zip(streams, np.bincount(live % k).tolist()) if m])
+        lives.append(live)
+        edges.append(taken := np.searchsorted(keys, query, side="right"))
+        go = moving[at := mdp.edge_dst[taken]]
+        live, at = live[go], at[go]
+    # ``live``, empty here, keeps each concatenation an array when no walker moved
+    walkers, taken, t = np.concatenate([live, *lives]), np.concatenate([live, *edges]), len(lives)
+    pos = walkers * t + np.repeat(np.arange(t), [len(w) for w in lives])
+    edge_rows = np.full((n, t), -1, dtype=np.int64)
+    edge_rows.reshape(-1)[pos] = taken
+    state_rows = np.full((n, t + 1), mdp.initial, dtype=np.int64)
+    state_rows.reshape(-1)[pos + walkers + 1] = mdp.edge_dst[taken]
+    return np.maximum.accumulate(state_rows, axis=1, out=state_rows), edge_rows
 
 
 def collect_batch(
@@ -341,10 +348,12 @@ def _huber(res, hp: HuberParams):
     """Huber loss of the residuals and its gradient, zeroed in the deadband
     |res| <= RESIDUAL_TOL; past beta, ``clip(res, -beta, beta) / delta`` is
     ``beta * sign(res) / delta`` to the bit."""
-    a = np.abs(res)
-    value = np.where(a <= hp.beta, 0.5 * res * res / hp.delta,
+    a, clipped = np.abs(res), np.clip(res, -hp.beta, hp.beta)
+    # the quadratic branch squares ``clipped``, which is ``res`` where it is
+    # selected, so the branch not selected cannot overflow
+    value = np.where(a <= hp.beta, 0.5 * clipped * clipped / hp.delta,
                      hp.beta * (a - 0.5 * hp.beta) / hp.delta)
-    return value, np.where(a > RESIDUAL_TOL, np.clip(res, -hp.beta, hp.beta) / hp.delta, 0.0)
+    return value, np.where(a > RESIDUAL_TOL, clipped / hp.delta, 0.0)
 
 
 def _balance(batch: RolloutBatch, v, x, cell_set, hp: HuberParams, head=None):
@@ -695,7 +704,7 @@ def run_training(
             report = metrics.evaluate_policy(train_mdp, model.forward_log_probs(train_mdp),
                                              l_hat=model.l_hat, l_exact=l_metrics, thresholds=())
             modes = metrics.mode_count(np.flatnonzero(visited), mdp.log_target, [mode_threshold])
-            rows.append(MetricsRow(
+            row = MetricsRow(
                 step=step,
                 kl_forward=report.kl_forward,
                 kl_reverse=report.kl_reverse,
@@ -705,5 +714,10 @@ def run_training(
                 n_loss=stats["n_loss"],
                 n_mse=report.n_mse,
                 modes_found=modes[mode_threshold],
-            ))
+            )
+            for name in MetricsRow.FIELDS:
+                if not math.isfinite(getattr(row, name)):
+                    raise NonFiniteMetric(
+                        f"non-finite metric {name} = {getattr(row, name)} at step {step}")
+            rows.append(row)
     return rows, model

@@ -88,9 +88,11 @@ def mode_count(visited_terminals, log_target: np.ndarray, thresholds) -> dict[fl
 
 
 def n_mse(l_hat: np.ndarray, l_exact: np.ndarray) -> float:
-    """Mean squared error between log path-count tables, uniform over states."""
+    """Mean squared error between log path-count tables, uniform over
+    states; inf, without a warning, where a square overflows."""
     d = np.asarray(l_hat, dtype=float) - np.asarray(l_exact, dtype=float)
-    return float((d * d).mean())
+    with np.errstate(over="ignore"):
+        return float((d * d).mean())
 
 
 @dataclass(frozen=True)

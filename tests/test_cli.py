@@ -694,6 +694,32 @@ def test_an_overflowing_second_moment_ends_the_run(tmp_path, capsys):
     assert err == "error: gradient whose square overflows in group 'forward'\n"
 
 
+def _train_4x4(tmp_path, capsys, key):
+    """Exit code, stderr and warnings of a 20-step run on the 4x4 grid (B = 8)
+    with one more ``[train]`` line."""
+    cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 4\n"
+                                 f"[train]\nsteps = 20\nbatch_size = 8\n{key}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+    return rc, capsys.readouterr().err, caught
+
+
+def test_a_huge_reward_exponent_trains_without_overflow(tmp_path, capsys):
+    # residuals of about 1e300 are past huber_beta, where the loss is linear
+    rc, err, caught = _train_4x4(tmp_path, capsys, "reward_exponent = 1e300")
+    assert rc == 0 and err == "" and caught == []
+    rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
+    assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+def test_a_non_finite_metric_ends_the_run(tmp_path, capsys):
+    # l_hat reaches about 1e300, so the squared count error overflows
+    rc, err, caught = _train_4x4(tmp_path, capsys, "learning_rate = 1e300")
+    assert rc == 2 and caught == []
+    assert err == "error: non-finite metric n_mse = inf at step 10\n"
+
+
 def test_dag_file_with_a_duplicate_terminal_is_a_runtime_error(tmp_path, capsys):
     dag = tmp_path / "twice.dag"
     dag.write_text("initial 0\n0 0 1\nterminal 1 0.0\nterminal 1 5.0\n")

@@ -28,6 +28,7 @@ from gflowdp.learner import (
     train_step,
 )
 from gflowdp.mdp import enumerate_mdp, parse_dag_text
+from gflowdp.numerics import json_float_texts
 
 import loop_oracles as loops
 from conftest import batch_from_trajectories, model_at_exact, oracle_model_json
@@ -135,6 +136,52 @@ def test_walk_ties_take_bisect_right():
             want.append(min(bisect.bisect_right(cdf, u[len(want)], lo, hi), hi - 1))
             s = m.edge_dst[want[-1]]
         assert row[row >= 0].tolist() == want
+
+
+class _RecordingStream:
+    """A stream that draws from ``rng`` and logs ``(index, k, draws)`` for
+    each ``random(k)``, into a log all streams of a walk share."""
+
+    def __init__(self, index, rng, log):
+        self.index, self.rng, self.log = index, rng, log
+
+    def random(self, k):
+        drawn = self.rng.random(k)
+        self.log.append((self.index, k, drawn))
+        return drawn
+
+
+@pytest.mark.parametrize("n_streams", [1, 3, 14])  # 14: two more streams than walkers
+def test_walk_draws_one_vector_a_step_per_stream_with_live_walkers(grid44, n_streams):
+    n, m = 12, grid44
+    model = PolicyModel.init(m, np.random.default_rng(2), scale=1.0)
+    cdf = learner._behavior_tables(m, model, 0.2)
+    log = []
+    streams = [_RecordingStream(j, rng, log)
+               for j, rng in enumerate(np.random.default_rng(3).spawn(n_streams))]
+    state_rows, edge_rows = learner._walk(m, cdf, n, streams)
+    lengths = (edge_rows >= 0).sum(axis=1)
+    assert len(set(lengths.tolist())) > 1  # walkers stop at different steps
+    # at step t, stream j draws once for its walkers j, j + n_streams, ...
+    # that are still live, in walker order, and streams without any do not draw
+    want = [(j, live) for t in range(lengths.max()) for j in range(n_streams)
+            if (live := [b for b in range(j, n, n_streams) if lengths[b] > t])]
+    assert [(j, k) for j, k, _ in log] == [(j, len(live)) for j, live in want]
+    uniforms = {b: [] for b in range(n)}
+    for (_, _, drawn), (_, live) in zip(log, want):
+        for b, u in zip(live, drawn.tolist()):
+            uniforms[b].append(u)
+    # each row replays bisect_right on its walker's uniforms, and its states
+    # are padded with its terminal
+    for b in range(n):
+        s, picks, states = m.initial, [], [m.initial]
+        for u in uniforms[b]:
+            lo, hi = m.out_offset[s], m.out_offset[s + 1]
+            picks.append(min(bisect.bisect_right(cdf, u, lo, hi), hi - 1))
+            s = m.edge_dst[picks[-1]]
+            states.append(s)
+        assert m.terminal[s] and edge_rows[b, :lengths[b]].tolist() == picks
+        assert state_rows[b].tolist() == states + [s] * (edge_rows.shape[1] - lengths[b])
 
 
 def test_lockstep_batch_is_reproducible(grid44):
@@ -362,8 +409,9 @@ def _runs_across_tables(n, ends):
 
 
 # buffers laid out as PolicyModel.params, in TABLES order ("trained": a model
-# trained 5 steps); the writer collapses the runs of "zero" to "extremes",
-# which are at most half their entries, and formats the other three whole
+# trained 5 steps); the writer collapses the runs of "zero" and
+# "runs-across-tables", which are at most a quarter of their entries, and
+# formats the others whole
 MODEL_BUFFERS = {
     "trained": None,
     "zero": lambda n, ends: np.zeros(n),
@@ -386,6 +434,23 @@ def test_model_json_is_json_dumps_of_its_lists(grid33, kind):
         model.params[:] = MODEL_BUFFERS[kind](model.params.size, model.ends)
     assert cli.model_to_json(model) == oracle_model_json(model)
     assert isinstance(json.loads(cli.model_to_json(model))["log_z_hat"], float)
+
+
+@pytest.mark.parametrize("values", [[0.0, -0.0, 0.0, 1.0],
+                                    [5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e-300]])
+def test_model_json_repeats_the_text_of_long_runs(grid33, monkeypatch, values):
+    # runs of 6 signed zeros or extremes: the writer formats only their heads
+    model = PolicyModel.init(grid33)
+    model.params[:] = np.resize(np.repeat(values, 6), model.params.size)
+    formatted = []
+
+    def texts(values):
+        formatted.append(len(values))
+        return json_float_texts(values)
+
+    monkeypatch.setattr(cli, "json_float_texts", texts)
+    assert cli.model_to_json(model) == oracle_model_json(model)
+    assert 4 * formatted[0] <= model.params.size and len(formatted) == 1
 
 
 # ---------------------------------------------------------------------------
