@@ -298,9 +298,9 @@ def _walk(mdp: EnumeratedMdp, cdf: np.ndarray, n: int, streams: list[np.random.G
 
     Each step, every live walker at a state with out-edges ``[lo, hi)`` draws
     u and takes edge ``min(bisect_right(cdf, u, lo, hi), hi - 1)``, found for
-    all of them by one ``searchsorted``.  Walker b reads ``streams[b % k]``,
-    and each stream with live walkers draws one vector a step, in walker
-    order.  Steps touch only live walkers; then one scatter makes the edge
+    all of them by one ``searchsorted``.  Walker b reads ``streams[b % k]``
+    of the k streams, and each stream with live walkers draws one vector a
+    step, in walker order.  After the last step, one scatter makes the edge
     rows [n, T] padded with -1, and one the state rows [n, T+1], padded with
     the terminal by a running maximum, as states number upward along edges."""
     # keys sort by state, then CDF; each segment's last entry, +inf, caps picks at hi - 1
