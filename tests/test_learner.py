@@ -409,9 +409,8 @@ def _runs_across_tables(n, ends):
 
 
 # buffers laid out as PolicyModel.params, in TABLES order ("trained": a model
-# trained 5 steps); the writer collapses the runs of "zero" and
-# "runs-across-tables", which are at most a quarter of their entries, and
-# formats the others whole
+# trained 5 steps); the writer collapses the runs of "zero", at most a
+# quarter of its entries, and formats the others whole
 MODEL_BUFFERS = {
     "trained": None,
     "zero": lambda n, ends: np.zeros(n),
@@ -439,7 +438,8 @@ def test_model_json_is_json_dumps_of_its_lists(grid33, kind):
 @pytest.mark.parametrize("values", [[0.0, -0.0, 0.0, 1.0],
                                     [5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e-300]])
 def test_model_json_repeats_the_text_of_long_runs(grid33, monkeypatch, values):
-    # runs of 6 signed zeros or extremes: the writer formats only their heads
+    # runs of 6 signed zeros or extremes, some across table ends: the writer
+    # formats only the heads of the runs, cut at those ends
     model = PolicyModel.init(grid33)
     model.params[:] = np.resize(np.repeat(values, 6), model.params.size)
     formatted = []
