@@ -304,20 +304,20 @@ def _walk(mdp: EnumeratedMdp, cdf: np.ndarray, n: int, streams: list[np.random.G
     rows [n, T] padded with -1, and one the state rows [n, T+1], padded with
     the terminal by a running maximum, as states number upward along edges."""
     # keys sort by state, then CDF; each segment's last entry, +inf, caps picks at hi - 1
-    seg, keys = mdp.sampler_tables, np.empty(mdp.n_edges, dtype=complex)
+    keys = np.empty(mdp.n_edges, dtype=complex)
     keys.real, keys.imag = mdp.edge_src, cdf
-    keys.imag[seg.caps] = np.inf
-    k, lives, edges = len(streams), [], []
+    keys.imag[mdp.sampler_tables.caps] = np.inf
+    k, moving, lives, edges = len(streams), ~mdp.terminal, [], []
     # grouped by stream, each group in walker order, as the streams' draws concatenate
-    live = np.argsort(np.arange(n) % k, kind="stable")[: 0 if mdp.terminal[mdp.initial] else n]
+    live = np.argsort(np.arange(n) % k, kind="stable")[: n if moving[mdp.initial] else 0]
     query = np.full(len(live), mdp.initial, dtype=complex)  # the live walkers' states, then u
     while len(live):
         query.imag = streams[0].random(len(live)) if k == 1 else np.concatenate(
             [s.random(m) for s, m in zip(streams, np.bincount(live % k).tolist()) if m])
         lives.append(live)
         edges.append(taken := np.searchsorted(keys, query, side="right"))
-        go = seg.inner[taken]
-        live, query = live[go], seg.child[taken[go]]
+        go = moving[at := mdp.edge_dst[taken]]
+        live, query = live[go], at[go].astype(complex)
     # ``live``, empty here, keeps each concatenation an array when no walker moved
     walkers, taken, t = np.concatenate([live, *lives]), np.concatenate([live, *edges]), len(lives)
     pos = walkers * t + np.repeat(np.arange(t), [len(w) for w in lives])

@@ -183,15 +183,12 @@ class EnumeratedMdp:
         """Of the nonempty out-segments: ``caps``, their last edges;
         ``edge_degree``, each edge's segment length as float; and
         ``cdf_steps``, for j = 1, 2, ..., the j-th edges ``at`` of the
-        segments longer than j, as ``(at, at - 1)``.  Of each edge, for the
-        walk: ``child``, its child as a complex number, whose real part keys
-        the next search, and ``inner``, whether that child is not terminal."""
+        segments longer than j, as ``(at, at - 1)``."""
         degree = np.diff(self.out_offset)
         at = [self.out_offset[:-1][degree > j] + j for j in range(1, int(degree.max(initial=0)))]
         return SimpleNamespace(
             caps=self.out_offset[1:][degree > 0] - 1, edge_degree=degree[self.edge_src].astype(float),
-            cdf_steps=[(a, a - 1) for a in at], child=self.edge_dst.astype(complex),
-            inner=~self.terminal[self.edge_dst])
+            cdf_steps=[(a, a - 1) for a in at])
 
     def with_log_target(self, log_target: np.ndarray) -> "EnumeratedMdp":
         log_target = np.asarray(log_target, dtype=float)
