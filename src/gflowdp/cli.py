@@ -4,12 +4,17 @@ One command per process.  Config files are INI-style sections of flat
 key=value pairs ([env], [train], [eval]); every training default bakes in
 the reference hyperparameters (lr 5e-4, batch 256, epsilon 1e-3, EMA 0.95,
 Huber delta 0.25 / beta 1, sample budget 1e7) so short desk runs only need
-to override steps.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
+to override steps.  Exit codes: 0 success, 1 usage error, 2 runtime failure
+(any ``mdp.GflowdpError``, or an ``OSError``).
+
+Importing this module loads only ``envs``, ``mdp`` and ``numerics``: enough
+to read a config and to build and enumerate its env.  Each command loads the
+layers it runs: ``exact`` and ``render-grid`` load ``exact``, ``eval`` also
+``metrics``, and ``train`` or a ``--model`` the ``learner`` and ``objectives``.
 """
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import json
 import math
@@ -17,23 +22,25 @@ import sys
 from dataclasses import fields
 from functools import cache
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from . import envs, exact, learner, metrics
-from .learner import MetricsRow, PolicyModel, TrainConfig
-from .mdp import (DEFAULT_MAX_STATES, EnumeratedMdp, MdpError, dump_dag_text, enumerate_mdp,
+from . import envs
+from .mdp import (DEFAULT_MAX_STATES, EnumeratedMdp, GflowdpError, dump_dag_text, enumerate_mdp,
                   parse_dag_text)
 from .numerics import json_float_texts
-from .objectives import HuberParams
+
+if TYPE_CHECKING:
+    import argparse
+    from .learner import MetricsRow, PolicyModel, TrainConfig
 
 
 class UsageError(Exception):
     pass
 
 
-class DimensionUnsupported(Exception):
+class DimensionUnsupported(GflowdpError):
     """render-grid only knows how to draw 2-D hypergrids."""
 
 
@@ -146,6 +153,8 @@ def build_train_config(cp: configparser.ConfigParser, seed: int | None) -> Train
     """The [train] section read by ``TrainConfig``'s fields and defaults, with
     ``HuberParams``' fields as ``huber_<name>``.  Without ``steps`` the run
     takes ``samples`` trajectories (DEFAULT_SAMPLES unless given)."""
+    from .learner import TrainConfig
+    from .objectives import HuberParams
     defaults = TrainConfig()
     keys = {f.name: getattr(defaults, f.name) for f in fields(TrainConfig) if f.name != "huber"}
     huber = {f"huber_{f.name}": getattr(defaults.huber, f.name) for f in fields(HuberParams)}
@@ -197,6 +206,7 @@ def model_to_json(model: PolicyModel) -> str:
     runs save less than they cost: on that grid, runs at 20-36% of the
     entries wrote as fast collapsed as whole, and more were slower.  Runs are
     cut on the ``int64`` view, so ``0.0`` and ``-0.0`` stay apart."""
+    from .learner import TABLES, PolicyModel
     bits = model.params.view(np.int64)
     cuts = np.concatenate(([True], bits[1:] != bits[:-1], [True]))
     cuts[model.ends] = True
@@ -207,7 +217,7 @@ def model_to_json(model: PolicyModel) -> str:
         texts = [t + (", " + t) * (k - 1) for t, k in zip(
             json_float_texts(model.params[cuts[:-1]]).tolist(), np.diff(cuts).tolist())]
         at = np.searchsorted(cuts, [0, *model.ends]).tolist()
-    tables = {name: ", ".join(texts[a:b]) for name, a, b in zip(learner.TABLES, at, at[1:])}
+    tables = {name: ", ".join(texts[a:b]) for name, a, b in zip(TABLES, at, at[1:])}
     items = [f'"{f.name}": [{tables[f.name]}]'
              for f in fields(PolicyModel)[:-1]]  # all but log_z_hat, the last
     items.append(f'"log_z_hat": {tables["log_z_hat"]}')
@@ -217,6 +227,7 @@ def model_to_json(model: PolicyModel) -> str:
 def model_from_json(text: str) -> PolicyModel:
     """The model ``model_to_json`` wrote; ModelMismatch unless each table is
     a flat list of finite numbers and ``log_z_hat`` one finite number."""
+    from .learner import ModelMismatch, PolicyModel
     try:
         doc = json.loads(text)
         tables = {f.name: np.asarray(doc[f.name], dtype=float) for f in fields(PolicyModel)}
@@ -226,7 +237,7 @@ def model_from_json(text: str) -> PolicyModel:
                 raise ValueError(f"{name} is not a list of finite numbers")
         return PolicyModel(**tables)
     except (ValueError, KeyError, TypeError) as exc:
-        raise learner.ModelMismatch(f"malformed model file: {exc!r}") from exc
+        raise ModelMismatch(f"malformed model file: {exc!r}") from exc
 
 
 def lists_json(doc: dict[str, np.ndarray | list[float]]) -> Iterator[str]:
@@ -243,6 +254,7 @@ def lists_json(doc: dict[str, np.ndarray | list[float]]) -> Iterator[str]:
 
 def metrics_csv(rows: list[MetricsRow]) -> str:
     """One line per row: ints as ``str``, floats as ``repr(float)``."""
+    from .learner import MetricsRow
     lines = [",".join(MetricsRow.FIELDS)]
     for row in rows:
         values = (getattr(row, name) for name in MetricsRow.FIELDS)
@@ -291,6 +303,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    from . import exact
     cp = load_config(args.config)
     mdp = _enumerate(cp)
     out_dir = Path(args.out)
@@ -325,6 +338,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import exact, learner
     cp = load_config(args.config)
     config = build_train_config(cp, args.seed)
     mdp = _enumerate(cp)
@@ -351,6 +365,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import exact, metrics
     cp = load_config(args.config)
     mdp = _enumerate(cp)
     l_exact = exact.count_paths(mdp)
@@ -385,6 +400,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render_grid(args) -> int:
+    from . import exact
     cp = load_config(args.config)
     env, max_states = _env(cp)
     if not isinstance(env, envs.HypergridEnv):
@@ -428,12 +444,6 @@ def cmd_render_grid(args) -> int:
 # entry point
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 on usage errors, not argparse's 2
-        self.print_usage(sys.stderr)
-        raise UsageError(message)
-
-
 def _int_at_least(low: int):
     def parse(text: str) -> int:
         value = int(text)
@@ -447,6 +457,13 @@ def _int_at_least(low: int):
 
 @cache  # built once per process: building costs ~1 ms, parsing ~60 us
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # ~2.5 ms, which a set-up that parses no arguments skips
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # exit 1 on usage errors, not argparse's 2
+            self.print_usage(sys.stderr)
+            raise UsageError(message)
+
     parser = _Parser(prog="gflowdp")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (
@@ -479,8 +496,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MdpError, exact.ExactError, learner.LearnerError, metrics.MetricsError,
-            DimensionUnsupported, OSError) as exc:
+    except (GflowdpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,12 +34,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .mdp import EnumeratedMdp, segment_positions
+from .mdp import EnumeratedMdp, GflowdpError, segment_positions
 from .numerics import NEG_INF, entropy_from_log_probs, json_float_texts, logsumexp
 from .numerics import padded_logsumexp, segment_log_softmax, segment_sum
 
 
-class ExactError(Exception):
+class ExactError(GflowdpError):
     pass
 
 

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exact, metrics
-from .mdp import EnumeratedMdp, segment_positions
+from .mdp import EnumeratedMdp, GflowdpError, segment_positions
 
 # ``logsumexp``, ``cross_cumsum`` and ``backward_from_counts`` are not called
 # here; benchmarks/tracer.py counts calls made through these names.
@@ -61,7 +61,7 @@ backward_from_counts = exact.backward_maxent
 RESIDUAL_TOL = 1e-12
 
 
-class LearnerError(Exception):
+class LearnerError(GflowdpError):
     pass
 
 

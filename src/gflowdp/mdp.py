@@ -26,7 +26,11 @@ from .numerics import padded_layout
 DEFAULT_MAX_STATES = 1_000_000
 
 
-class MdpError(Exception):
+class GflowdpError(Exception):
+    """Base class of the package's runtime failures; the CLI exits 2 on one."""
+
+
+class MdpError(GflowdpError):
     """Base class for structural MDP errors."""
 
 

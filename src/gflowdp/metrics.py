@@ -8,11 +8,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import exact
-from .mdp import EnumeratedMdp
+from .mdp import EnumeratedMdp, GflowdpError
 from .numerics import logsumexp
 
 
-class MetricsError(Exception):
+class MetricsError(GflowdpError):
     pass
 
 

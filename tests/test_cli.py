@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gflowdp import cli, envs, exact, learner, mdp
+from gflowdp import cli, envs, exact, learner, mdp, metrics
 from gflowdp.learner import PolicyModel
 from gflowdp.numerics import json_float_texts
 
@@ -378,6 +378,72 @@ def test_commands_leave_numpy_ma_unimported(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_set_up_path_loads_only_config_envs_and_enumeration(tmp_path):
+    # one stray top-level import in the package or in cli undoes the lazy loading
+    cfg = write_config(tmp_path, "[env]\nname = hypergrid\ndims = 2\nside = 4\n"
+                       "[train]\nsteps = 3\nbatch_size = 8\n")
+    out = str(tmp_path / "out")
+    script = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('gflowdp') or m == 'argparse')\n"
+        "seen = {}\n"
+        "import gflowdp\n"
+        "from gflowdp import cli\n"  # the set-up path of benchmarks/setup_probe.py
+        f"cp = cli.load_config({cfg!r})\n"
+        "env = cli.build_env(cp)\n"
+        "mdp = gflowdp.enumerate_mdp(env, max_states=cp['env'].getint('max_states', 1_000_000))\n"
+        "assert gflowdp.validate(mdp).ok\n"
+        "seen['setup'] = loaded()\n"
+        "for command in ('enumerate', 'exact'):\n"
+        f"    assert cli.main([command, '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+        "    seen[command] = loaded()\n"
+        f"for argv in (['train'], ['eval', '--model', {out + '/model.json'!r}]):\n"
+        f"    assert cli.main(argv + ['--config', {cfg!r}, '--out', {out!r}]) == 0, argv\n"
+        "seen['train'] = loaded()\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["setup"] == ["gflowdp", "gflowdp.cli", "gflowdp.envs", "gflowdp.mdp",
+                             "gflowdp.numerics"]
+    training = {"gflowdp.learner", "gflowdp.metrics", "gflowdp.objectives"}
+    assert set(seen["enumerate"]) == {*seen["setup"], "argparse"}
+    assert set(seen["exact"]) == {*seen["enumerate"], "gflowdp.exact"}
+    assert training <= set(seen["train"])
+
+
+def test_package_loads_its_modules_on_first_use():
+    script = (
+        "import json, sys\n"
+        "import gflowdp\n"
+        "listed = dir(gflowdp)\n"
+        "star = {}\n"
+        "exec('from gflowdp import *', star)\n"
+        "try:\n"
+        "    gflowdp.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps({\n"
+        "    'all': gflowdp.__all__,\n"
+        "    'listed': listed,\n"
+        "    'star': sorted(name for name in star if name != '__builtins__'),\n"
+        "    'modules': [name for name in gflowdp.__all__\n"
+        "                if getattr(gflowdp, name) is sys.modules.get(f'gflowdp.{name}')],\n"
+        "    'missing': missing,\n"
+        "}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert set(seen["all"]) <= set(seen["listed"])
+    assert seen["star"] == sorted(seen["all"])
+    assert seen["modules"] == ["cli", "envs", "exact", "learner", "metrics", "mdp", "numerics",
+                               "objectives"]
+    assert seen["missing"] == "module 'gflowdp' has no attribute 'no_such_name'"
+
+
 # ---------------------------------------------------------------------------
 # render-grid
 
@@ -488,6 +554,33 @@ def _one_line_error(capsys):
     lines = err.strip().splitlines()
     assert lines and lines[-1].startswith("error: ")
     return lines[-1]
+
+
+@pytest.mark.parametrize("error", [mdp.MdpError, exact.ExactError, learner.LearnerError,
+                                   metrics.MetricsError, cli.DimensionUnsupported, OSError])
+def test_runtime_failures_exit_two_with_one_line(monkeypatch, capsys, error):
+    assert error is OSError or issubclass(error, mdp.GflowdpError)
+
+    def fail(path):
+        raise error("it failed")
+
+    monkeypatch.setattr(cli, "load_config", fail)
+    assert cli.main(["enumerate"]) == 2
+    assert capsys.readouterr().err == "error: it failed\n"
+
+
+@pytest.mark.parametrize("error, rc", [(cli.UsageError, 1), (ZeroDivisionError, None)])
+def test_other_failures_are_not_runtime_failures(monkeypatch, capsys, error, rc):
+    def fail(path):
+        raise error("it failed")
+
+    monkeypatch.setattr(cli, "load_config", fail)
+    if rc is None:
+        with pytest.raises(error):
+            cli.main(["enumerate"])
+    else:
+        assert cli.main(["enumerate"]) == rc
+        assert capsys.readouterr().err == "error: it failed\n"
 
 
 @pytest.mark.parametrize(
