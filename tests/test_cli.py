@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gflowdp import cli, envs, exact, learner, mdp, metrics
+from gflowdp import cli, envs, exact, learner, mdp
 from gflowdp.learner import PolicyModel
+from gflowdp.metrics import MetricsError
 from gflowdp.numerics import json_float_texts
 
 from conftest import (
@@ -557,7 +558,7 @@ def _one_line_error(capsys):
 
 
 @pytest.mark.parametrize("error", [mdp.MdpError, exact.ExactError, learner.LearnerError,
-                                   metrics.MetricsError, cli.DimensionUnsupported, OSError])
+                                   MetricsError, cli.DimensionUnsupported, OSError])
 def test_runtime_failures_exit_two_with_one_line(monkeypatch, capsys, error):
     assert error is OSError or issubclass(error, mdp.GflowdpError)
 
